@@ -121,7 +121,7 @@ class HyperparamSearchConfig:
     grid_size: int = 5
     decades: float = 1.0  # grid half-span around each heuristic, in decades
     descent_rounds: int = 60
-    max_points: int = 2000  # stride-subsample cap on training rows
+    max_points: int = 1000  # stride-subsample cap on training rows
 
     def __post_init__(self):
         if self.grid_size < 1 or self.max_points < 2:
@@ -166,8 +166,6 @@ def _chol_with_jitter(k_noisy: np.ndarray) -> np.ndarray:
         try:
             return cholesky(k_noisy + jitter * np.eye(k_noisy.shape[0]), lower=True)
         except np.linalg.LinAlgError:
-            pass
-        except Exception:
             pass
         jitter = _JITTER_START * base if jitter == 0.0 else jitter * 10.0
         if jitter > _JITTER_MAX * base:

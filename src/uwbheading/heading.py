@@ -34,9 +34,6 @@ __all__ = [
 NORM_EPS = 1e-3  # below this radius the linearization diverges; skip the epoch
 VAR_FLOOR = 1e-8
 
-_I2 = np.eye(2)
-_OMEGA = np.array([[0.0, -1.0], [1.0, 0.0]])
-
 
 class DegeneratePredictionError(ValueError):
     """Pseudo-trig prediction too close to the origin to normalize."""
@@ -81,15 +78,21 @@ class PseudoTrig:
 
 @dataclass(frozen=True)
 class HeadingMeasurement:
-    """A proper SO(2) heading measurement with scalar variance (rad^2)."""
+    """An SO(2) heading measurement: angle (rad) with scalar variance (rad^2)."""
 
-    rot: np.ndarray  # (2, 2)
+    angle: float
     var_theta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "rot", so2.check_rotation(self.rot))
-        if self.var_theta <= 0:
+        if not math.isfinite(self.angle):
+            raise ValueError(f"measurement angle must be finite, got {self.angle}")
+        if not (math.isfinite(self.var_theta) and self.var_theta > 0):
             raise ValueError("measurement variance must be positive")
+
+    @property
+    def rot(self) -> np.ndarray:
+        """The measurement as a 2x2 rotation matrix."""
+        return so2.exp_so2(self.angle)
 
 
 @dataclass(frozen=True)
@@ -184,16 +187,11 @@ def predict_pseudo_trig_many(
     ]
 
 
-def _vee_skew_part(m: np.ndarray) -> float:
-    return 0.5 * (m[1, 0] - m[0, 1])
-
-
 def normalize(pt: PseudoTrig) -> HeadingMeasurement:
     """Project pseudo-trig onto SO(2) and propagate the variance.
 
-    The heading variance is the first-order push-forward of (var_c, var_s)
-    through the normalization, evaluated exactly from the perturbation
-    matrices D and E of the scaled rotation.
+    The heading is atan2(s, c). Its variance is the first-order push-forward
+    of (var_s, var_c) through atan2, whose gradient is (c, -s) / r^2.
     """
     s, c = pt.s, pt.c
     norm = math.hypot(s, c)
@@ -201,16 +199,5 @@ def normalize(pt: PseudoTrig) -> HeadingMeasurement:
         raise DegeneratePredictionError(
             f"pseudo-trig radius {norm:.3e} below {NORM_EPS}; skip this epoch"
         )
-    y = np.array([[c, -s], [s, c]]) / norm
-    a1 = 1.0 / norm
-    a2 = -c / norm**3
-    a3 = -s / norm**3
-    d_mat = (a1 + a2 * c) * _I2 + (a2 * s) * _OMEGA
-    e_mat = (a1 + a3 * s) * _OMEGA + (a3 * c) * _I2
-    # -Y^T D and -Y^T E are exactly skew analytically; extract the
-    # antisymmetric part so roundoff near the degenerate disc cannot trip
-    # the strict vee tolerance.
-    jac_c = _vee_skew_part(-(y.T @ d_mat))
-    jac_s = _vee_skew_part(-(y.T @ e_mat))
-    var = jac_c**2 * pt.var_c + jac_s**2 * pt.var_s
-    return HeadingMeasurement(rot=so2.project_to_so2(y), var_theta=max(var, VAR_FLOOR))
+    var = (c * c * pt.var_s + s * s * pt.var_c) / norm**4
+    return HeadingMeasurement(angle=math.atan2(s, c), var_theta=max(var, VAR_FLOOR))

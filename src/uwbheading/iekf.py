@@ -2,9 +2,11 @@
 
 Prediction integrates gyroscope rates on the group; correction fuses an
 SO(2) heading measurement using the left-invariant innovation
-log(Y^-1 X_check), which is immune to angle wrap. On SO(2) the linearized
-Jacobians are constants (A = 1, C = 1, M = -1), so the covariance is a
-scalar. The Joseph-form update keeps it strictly positive.
+log(Y^-1 X_check), which is immune to angle wrap. SO(2) is one-dimensional
+and abelian, so that innovation is exactly the wrapped angle difference and
+the state is a wrapped angle. The linearized Jacobians are constants
+(A = 1, C = 1, M = -1), so the covariance is a scalar. The Joseph-form
+update keeps it strictly positive.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy.stats import chi2
 
 from . import so2
@@ -25,28 +26,25 @@ __all__ = [
     "InnovationStats",
     "predict",
     "correct",
-    "dead_reckon",
     "mahalanobis_bound",
 ]
 
 
 @dataclass(frozen=True)
 class FilterState:
-    rot: np.ndarray  # (2, 2) SO(2) estimate
+    angle: float  # rad, wrapped into (-pi, pi]
     cov: float  # rad^2
 
     def __post_init__(self):
-        object.__setattr__(self, "rot", so2.check_rotation(self.rot))
+        if not math.isfinite(self.angle):
+            raise ValueError(f"filter angle must be finite, got {self.angle}")
+        object.__setattr__(self, "angle", float(so2.wrap_angle(self.angle)))
         if not (math.isfinite(self.cov) and self.cov > 0):
             raise ValueError(f"covariance must be strictly positive, got {self.cov}")
 
     @classmethod
     def from_angle(cls, theta: float, cov: float) -> "FilterState":
-        return cls(rot=so2.exp_so2(theta), cov=cov)
-
-    @property
-    def angle(self) -> float:
-        return so2.log_so2(self.rot)
+        return cls(angle=theta, cov=cov)
 
 
 @dataclass(frozen=True)
@@ -77,8 +75,9 @@ class InnovationStats:
 
 def predict(state: FilterState, gyro: GyroSample, noise: ProcessNoise) -> FilterState:
     """Propagate with the measured rate; exact for piecewise-constant rate."""
-    rot = so2.compose(state.rot, so2.exp_so2(gyro.rate * gyro.dt))
-    return FilterState(rot=so2.project_to_so2(rot), cov=state.cov + noise.psd * gyro.dt)
+    return FilterState(
+        angle=state.angle + gyro.rate * gyro.dt, cov=state.cov + noise.psd * gyro.dt
+    )
 
 
 def correct(
@@ -86,30 +85,16 @@ def correct(
 ) -> tuple[FilterState, InnovationStats]:
     """Fuse one SO(2) heading measurement; returns the updated state and
     innovation statistics (Joseph-form covariance update)."""
-    z = so2.log_so2(so2.compose(so2.inverse(meas.rot), state.rot))
+    z = float(so2.wrap_angle(state.angle - meas.angle))
     s_var = state.cov + meas.var_theta
     if s_var <= 0:  # impossible given invariants; guard regardless
         raise ValueError("non-positive innovation variance")
     gain = state.cov / s_var
-    rot = so2.compose(state.rot, so2.exp_so2(-gain * z))
     cov = (1.0 - gain) ** 2 * state.cov + gain**2 * meas.var_theta
     stats = InnovationStats(
         innovation=z, innovation_var=s_var, mahalanobis=z * z / s_var
     )
-    return FilterState(rot=so2.project_to_so2(rot), cov=cov), stats
-
-
-def dead_reckon(
-    initial: FilterState, gyros, noise: ProcessNoise
-) -> list[FilterState]:
-    """Prediction-only trajectory (gyroscope dead reckoning baseline)."""
-    gyros = list(gyros)
-    if not gyros:
-        raise ValueError("dead_reckon needs at least one gyro sample")
-    states = [initial]
-    for g in gyros:
-        states.append(predict(states[-1], g, noise))
-    return states[1:]
+    return FilterState(angle=state.angle - gain * z, cov=cov), stats
 
 
 def mahalanobis_bound(confidence: float, dof: int = 1) -> float:

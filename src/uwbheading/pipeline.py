@@ -88,21 +88,7 @@ class GenerateConfig:
         )
 
 
-@dataclass
-class TrainConfig:
-    grid_size: int = 5
-    decades: float = 1.0
-    descent_rounds: int = 60
-    max_points: int = 1000
-    seed: int = 0  # recorded for reproducibility; the search itself is deterministic
-
-    def search(self) -> gp.HyperparamSearchConfig:
-        return gp.HyperparamSearchConfig(
-            grid_size=self.grid_size,
-            decades=self.decades,
-            descent_rounds=self.descent_rounds,
-            max_points=self.max_points,
-        )
+TrainConfig = gp.HyperparamSearchConfig
 
 
 @dataclass
@@ -169,7 +155,7 @@ def cmd_train(dataset_path, cfg: TrainConfig, out_dir) -> heading.HeadingGpPair:
         raise DataError(f"training dataset {dataset_path} has fewer than 2 rows")
     feats, gts = _dataset_features(records)
     try:
-        pair = heading.train_heading_gps(feats, gts, cfg.search())
+        pair = heading.train_heading_gps(feats, gts, cfg)
     except gp.UnfittableDataError as exc:
         raise NumericalError(str(exc)) from exc
     pair.save(out_dir)
@@ -201,7 +187,7 @@ def _measurements_for(estimator, records, pair, mag_var):
     if estimator == "mag-iekf":
         return [
             heading.HeadingMeasurement(
-                rot=so2.exp_so2(r.mag), var_theta=max(mag_var, heading.VAR_FLOOR)
+                angle=r.mag, var_theta=max(mag_var, heading.VAR_FLOOR)
             )
             for r in records
         ]
@@ -447,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train the sin/cos heading GPs")
     p_train.add_argument("--config", help="JSON config file (section: train)")
     p_train.add_argument("--dataset", required=True)
-    p_train.add_argument("--seed", type=int)
     p_train.add_argument("--out", required=True, help="model output directory")
 
     p_run = sub.add_parser("run", help="Monte-Carlo filter evaluation")
@@ -482,10 +467,7 @@ def main(argv=None) -> int:
             for split, p in paths.items():
                 print(f"{split}: {p}")
         elif args.command == "train":
-            cfg = _build(
-                TrainConfig, _config_section(args.config, "train"),
-                {"seed": args.seed},
-            )
+            cfg = _build(TrainConfig, _config_section(args.config, "train"), {})
             pair = cmd_train(args.dataset, cfg, args.out)
             print(
                 f"trained: sin lml={pair.gp_sin.lml:.2f} cos lml={pair.gp_cos.lml:.2f}"

@@ -15,18 +15,14 @@ import numpy as np
 # algebra elements.
 ORTHO_TOL = 1e-9
 
-_OMEGA = np.array([[0.0, -1.0], [1.0, 0.0]])
-
 TWO_PI = 2.0 * math.pi
-
-
-def identity() -> np.ndarray:
-    return np.eye(2)
 
 
 def wrap_angle(theta):
     """Wrap an angle (scalar or array) into the principal branch (-pi, pi]."""
-    return math.pi - np.mod(math.pi - np.asarray(theta, dtype=float), TWO_PI)
+    wrapped = math.pi - np.mod(math.pi - np.asarray(theta, dtype=float), TWO_PI)
+    # np.mod rounds a remainder just below 2*pi up to 2*pi, which lands on -pi
+    return wrapped + TWO_PI * (wrapped == -math.pi)
 
 
 def wedge(theta: float) -> np.ndarray:

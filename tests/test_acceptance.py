@@ -259,7 +259,7 @@ def test_criterion_7_riccati_fixed_point():
     q_c, dt, r = 2e-4, 0.1, 0.03
     state = iekf.FilterState.from_angle(0.0, 1.0)
     noise = iekf.ProcessNoise(q_c)
-    m = heading.HeadingMeasurement(rot=np.eye(2), var_theta=r)
+    m = heading.HeadingMeasurement(angle=0.0, var_theta=r)
     for _ in range(10_000):
         state = iekf.predict(state, iekf.GyroSample(rate=0.0, dt=dt), noise)
         state, _ = iekf.correct(state, m)

@@ -267,6 +267,12 @@ def test_training_set_rejects_bad_data():
         gp.TrainingSet.from_raw(np.zeros((2, 1)), np.array([1.0]))
 
 
+def test_chol_rejects_nan_matrix_without_jitter():
+    k = np.array([[1.0, np.nan], [np.nan, 1.0]])
+    with pytest.raises(ValueError):
+        gp._chol_with_jitter(k)
+
+
 def test_model_factorization_invariants():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(20, 2))

@@ -69,6 +69,45 @@ def test_normalize_scale_invariance_and_validity(s, c, a):
     assert np.abs(m1.rot - m2.rot).max() < 1e-9
 
 
+def matrix_normalize(pt):
+    """Reference: variance from the perturbation matrices D and E of the
+    scaled rotation, angle from the projected matrix."""
+    eye, omega = np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])
+    s, c = pt.s, pt.c
+    norm = math.hypot(s, c)
+    y = np.array([[c, -s], [s, c]]) / norm
+    a1, a2, a3 = 1.0 / norm, -c / norm**3, -s / norm**3
+    d_mat = (a1 + a2 * c) * eye + (a2 * s) * omega
+    e_mat = (a1 + a3 * s) * omega + (a3 * c) * eye
+
+    def skew(m):
+        return 0.5 * (m[1, 0] - m[0, 1])
+
+    jac_c = skew(-(y.T @ d_mat))
+    jac_s = skew(-(y.T @ e_mat))
+    var = jac_c**2 * pt.var_c + jac_s**2 * pt.var_s
+    return so2.log_so2(so2.project_to_so2(y)), max(var, heading.VAR_FLOOR)
+
+
+@given(
+    st.floats(min_value=heading.NORM_EPS, max_value=100.0),
+    st.floats(min_value=-math.pi, max_value=math.pi),
+    st.floats(min_value=1e-10, max_value=10.0),
+    st.floats(min_value=1e-10, max_value=10.0),
+)
+@settings(max_examples=300)
+def test_normalize_matches_matrix_reference(radius, theta, var_s, var_c):
+    pt = heading.PseudoTrig(
+        s=radius * math.sin(theta), c=radius * math.cos(theta), var_s=var_s, var_c=var_c
+    )
+    if math.hypot(pt.s, pt.c) < heading.NORM_EPS:
+        return
+    angle, var = matrix_normalize(pt)
+    m = heading.normalize(pt)
+    assert abs(so2.wrap_angle(m.angle - angle)) < 1e-12
+    assert m.var_theta == pytest.approx(var, rel=1e-12)
+
+
 def test_normalize_radial_perturbation_insensitive():
     # perturbing (s, c) along its own direction leaves the angle unchanged
     # to first order: the D/E jacobians are tangential only
@@ -111,9 +150,9 @@ def test_feature_validation():
 
 def test_measurement_requires_rotation_and_positive_variance():
     with pytest.raises(ValueError):
-        heading.HeadingMeasurement(rot=np.eye(2) * 2.0, var_theta=0.1)
+        heading.HeadingMeasurement(angle=math.nan, var_theta=0.1)
     with pytest.raises(ValueError):
-        heading.HeadingMeasurement(rot=np.eye(2), var_theta=0.0)
+        heading.HeadingMeasurement(angle=0.0, var_theta=0.0)
 
 
 # --- training ------------------------------------------------------------------

@@ -13,7 +13,7 @@ def state(theta, cov):
 
 
 def meas(theta, var):
-    return heading.HeadingMeasurement(rot=so2.exp_so2(theta), var_theta=var)
+    return heading.HeadingMeasurement(angle=theta, var_theta=var)
 
 
 # --- predict -------------------------------------------------------------------
@@ -32,7 +32,7 @@ def test_predict_quarter_turn():
         iekf.GyroSample(rate=math.pi / 2, dt=1.0),
         iekf.ProcessNoise(1e-5),
     )
-    assert np.allclose(s1.rot, so2.exp_so2(math.pi / 2), atol=1e-12)
+    assert s1.angle == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_predict_thousand_small_steps_exact():
@@ -76,14 +76,12 @@ def test_correct_wrap_immune_innovation():
 
 
 def test_correct_left_invariance():
-    shift = so2.exp_so2(1.9)
+    shift = 1.9
     s0 = state(0.8, 0.1)
     m0 = meas(0.2, 0.05)
     _, stats0 = iekf.correct(s0, m0)
-    s_shift = iekf.FilterState(rot=so2.compose(shift, s0.rot), cov=0.1)
-    m_shift = heading.HeadingMeasurement(
-        rot=so2.compose(shift, m0.rot), var_theta=0.05
-    )
+    s_shift = iekf.FilterState(angle=shift + s0.angle, cov=0.1)
+    m_shift = heading.HeadingMeasurement(angle=shift + m0.angle, var_theta=0.05)
     _, stats1 = iekf.correct(s_shift, m_shift)
     assert stats1.innovation == pytest.approx(stats0.innovation, abs=1e-12)
 
@@ -108,6 +106,52 @@ def test_covariance_stays_positive(steps):
         if do_correct:
             s, _ = iekf.correct(s, meas(theta, var))
         assert s.cov > 0.0
+
+
+def matrix_predict(rot, cov, rate, dt, psd):
+    rot = so2.compose(rot, so2.exp_so2(rate * dt))
+    return so2.project_to_so2(rot), cov + psd * dt
+
+
+def matrix_correct(rot, cov, meas_rot, var):
+    """Matrix-form reference: innovation log(Y^-1 X), update X exp(-K z)."""
+    z = so2.log_so2(so2.compose(so2.inverse(meas_rot), rot))
+    gain = cov / (cov + var)
+    rot = so2.compose(rot, so2.exp_so2(-gain * z))
+    cov = (1.0 - gain) ** 2 * cov + gain**2 * var
+    return so2.project_to_so2(rot), cov, z
+
+
+@given(
+    st.floats(min_value=-math.pi, max_value=math.pi),
+    st.lists(
+        st.tuples(
+            st.floats(min_value=-40.0, max_value=40.0),
+            st.floats(min_value=-10.0, max_value=10.0),
+            st.floats(min_value=1e-6, max_value=2.0),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_angle_form_matches_matrix_reference(theta0, steps):
+    s = state(theta0, 0.5)
+    rot, cov = so2.exp_so2(theta0), 0.5
+    noise = iekf.ProcessNoise(1e-3)
+    for rate, theta_meas, var, do_correct in steps:
+        s = iekf.predict(s, iekf.GyroSample(rate=rate, dt=0.1), noise)
+        rot, cov = matrix_predict(rot, cov, rate, 0.1, 1e-3)
+        if do_correct:
+            s, stats = iekf.correct(s, meas(theta_meas, var))
+            rot, cov, z = matrix_correct(rot, cov, so2.exp_so2(theta_meas), var)
+            if abs(abs(z) - math.pi) < 1e-9:
+                return  # antipodal measurement: the innovation's sign is a branch choice
+            assert abs(so2.wrap_angle(stats.innovation - z)) < 1e-12
+        assert -math.pi < s.angle <= math.pi
+        assert abs(so2.wrap_angle(s.angle - so2.log_so2(rot))) < 1e-12
+        assert s.cov == pytest.approx(cov, rel=1e-12)
 
 
 def test_converges_within_twenty_corrections():
@@ -141,9 +185,17 @@ def test_steady_state_matches_riccati_fixed_point():
 # --- dead reckoning ---------------------------------------------------------------
 
 
+def predict_only(s, gyros, noise):
+    traj = []
+    for g in gyros:
+        s = iekf.predict(s, g, noise)
+        traj.append(s)
+    return traj
+
+
 def test_dead_reckon_zero_rates():
     s0 = state(0.5, 0.01)
-    traj = iekf.dead_reckon(
+    traj = predict_only(
         s0, [iekf.GyroSample(rate=0.0, dt=0.1)] * 50, iekf.ProcessNoise(1e-3)
     )
     assert len(traj) == 50
@@ -154,7 +206,7 @@ def test_dead_reckon_zero_rates():
 
 def test_dead_reckon_constant_rate():
     s0 = state(0.0, 0.01)
-    traj = iekf.dead_reckon(
+    traj = predict_only(
         s0, [iekf.GyroSample(rate=0.7, dt=0.1)] * 100, iekf.ProcessNoise(1e-6)
     )
     assert traj[-1].angle == pytest.approx(so2.wrap_angle(0.7 * 10.0), abs=1e-9)
@@ -172,11 +224,6 @@ def test_dead_reckon_random_walk_statistics():
             s = iekf.predict(s, iekf.GyroSample(rate=w, dt=dt), iekf.ProcessNoise(q_c))
         final.append(s.angle)
     assert np.std(final) == pytest.approx(math.sqrt(q_c * dt * steps), rel=0.15)
-
-
-def test_dead_reckon_requires_samples():
-    with pytest.raises(ValueError):
-        iekf.dead_reckon(state(0.0, 1.0), [], iekf.ProcessNoise(1e-3))
 
 
 # --- consistency bound ---------------------------------------------------------------
@@ -219,9 +266,9 @@ def test_mahalanobis_bound_monotone_and_validated():
 
 def test_state_validation():
     with pytest.raises(ValueError):
-        iekf.FilterState(rot=np.eye(2), cov=0.0)
+        iekf.FilterState(angle=0.0, cov=0.0)
     with pytest.raises(ValueError):
-        iekf.FilterState(rot=np.ones((2, 2)), cov=1.0)
+        iekf.FilterState(angle=math.nan, cov=1.0)
     with pytest.raises(ValueError):
         iekf.GyroSample(rate=0.1, dt=0.0)
     with pytest.raises(ValueError):

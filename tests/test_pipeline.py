@@ -144,7 +144,7 @@ def test_run_filter_error_invariant_to_full_turn_offset():
 def test_run_filter_perfect_measurements_converge_fast():
     recs = clean_records()
     meas = [
-        heading.HeadingMeasurement(rot=so2.exp_so2(r.gt_heading), var_theta=1e-6)
+        heading.HeadingMeasurement(angle=r.gt_heading, var_theta=1e-6)
         for r in recs
     ]
     err, _, mahal = pipeline.run_filter(
@@ -159,7 +159,7 @@ def test_run_filter_gate_skips_outliers():
     # one wild measurement in the middle; everything else is None
     meas = [None] * len(recs)
     wild = so2.wrap_angle(recs[150].gt_heading + 3.0)
-    meas[150] = heading.HeadingMeasurement(rot=so2.exp_so2(wild), var_theta=1e-4)
+    meas[150] = heading.HeadingMeasurement(angle=wild, var_theta=1e-4)
     gated, _, _ = pipeline.run_filter(
         recs, meas, 1e-12, recs[0].gt_heading, 1e-2, gate=True
     )
@@ -296,6 +296,22 @@ def test_cli_end_to_end(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "RMSE" in out
     assert (tmp_path / "report" / "abs_error.csv").exists()
+
+
+def test_cli_nan_mag_is_data_error(workspace, tmp_path, capsys):
+    src = workspace / "data" / "test.csv"
+    lines = src.read_text().splitlines()
+    col = world.DATASET_COLUMNS.index("mag")
+    cells = lines[3].split(",")
+    cells[col] = "nan"
+    lines[3] = ",".join(cells)
+    bad = tmp_path / "test.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    world.metadata_path(bad).write_text(world.metadata_path(src).read_text())
+    argv = ["run", "--estimator", "mag-iekf", "--runs", "1", "--out", str(tmp_path / "r")]
+    assert pipeline.main(argv + ["--dataset", str(src)]) == 0
+    assert pipeline.main(argv + ["--dataset", str(bad)]) == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_cli_exit_codes(tmp_path):

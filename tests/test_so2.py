@@ -78,6 +78,7 @@ def test_compose_inverse_examples():
 def test_wrap_angle_branch_convention():
     assert so2.wrap_angle(math.pi) == pytest.approx(math.pi)
     assert so2.wrap_angle(-math.pi) == pytest.approx(math.pi)
+    assert -math.pi < so2.wrap_angle(np.nextafter(math.pi, 4.0)) <= math.pi
     assert so2.wrap_angle(0.0) == 0.0
     assert float(so2.wrap_angle(3.5)) == pytest.approx(3.5 - 2 * math.pi, abs=1e-12)
 
