@@ -5,8 +5,10 @@ samples range, RSS, gyroscope, and magnetometer readings against ground
 truth. RSS combines log-distance path loss with a heading-dependent antenna
 gain pattern and is quantized to a configurable dBi step.
 
-Determinism: one numpy Generator per dataset, draws ordered per epoch as
-5 ranges, 5 RSS, gyro, mag.
+Sensors are sampled for the whole trajectory at once. Determinism: one
+numpy Generator per dataset and one (n, k) standard-normal block drawn from
+it, whose row for each epoch is ordered 5 ranges, 5 RSS, gyro, mag; a sensor
+whose std (or PSD) is zero draws nothing and leaves its columns out.
 """
 
 from __future__ import annotations
@@ -30,10 +32,6 @@ __all__ = [
     "SampleRecord",
     "default_anchors",
     "generate_trajectory",
-    "measure_range",
-    "measure_rss",
-    "measure_gyro",
-    "measure_mag",
     "quantize",
     "build_dataset",
     "write_dataset",
@@ -306,48 +304,14 @@ def quantize(x, quantum: float):
     return np.round(np.asarray(x, dtype=float) / quantum) * quantum
 
 
-def measure_range(
-    pose: TruePose, anchor: Anchor, cfg: SensorNoiseConfig, rng
-) -> float:
-    d = float(np.linalg.norm(pose.position - anchor.position))
-    d += cfg.range_std * rng.standard_normal() if cfg.range_std > 0 else 0.0
-    return max(d, RANGE_FLOOR_M)
+def _distance(delta: np.ndarray) -> np.ndarray:
+    """Euclidean length over the last axis, as sqrt of a self dot product.
 
-
-def _relative_bearing(pose: TruePose, anchor: Anchor) -> float:
-    delta = anchor.position - pose.position
-    return math.atan2(delta[1], delta[0]) - pose.heading
-
-
-def measure_rss(
-    pose: TruePose,
-    anchor: Anchor,
-    pattern: AntennaPattern,
-    cfg: SensorNoiseConfig,
-    rng,
-    path_loss: PathLossModel = PathLossModel(),
-) -> float:
-    d = float(np.linalg.norm(pose.position - anchor.position))
-    rss = float(path_loss.loss(d)) + float(pattern.gain(_relative_bearing(pose, anchor)))
-    rss += cfg.rss_std * rng.standard_normal() if cfg.rss_std > 0 else 0.0
-    return float(quantize(rss, cfg.rss_quantum))
-
-
-def measure_gyro(pose: TruePose, cfg: SensorNoiseConfig, dt: float, rng) -> float:
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    noise = math.sqrt(cfg.gyro_psd / dt) * rng.standard_normal() if cfg.gyro_psd > 0 else 0.0
-    return pose.rate + noise
-
-
-def measure_mag(pose: TruePose, cfg: SensorNoiseConfig, rng) -> float:
-    bias = 0.0
-    if cfg.mag_disturbance_center is not None:
-        center = np.asarray(cfg.mag_disturbance_center, dtype=float)
-        if np.linalg.norm(pose.position - center) <= cfg.mag_disturbance_radius:
-            bias = cfg.mag_disturbance_bias
-    noise = cfg.mag_std * rng.standard_normal() if cfg.mag_std > 0 else 0.0
-    return float(so2.wrap_angle(pose.heading + bias + noise))
+    A 1-D ``np.linalg.norm`` is ``sqrt(dot(v, v))``; ``vecdot`` rounds the
+    same way, while an axis-wise ``norm`` or ``hypot`` can differ in the
+    last bit.
+    """
+    return np.sqrt(np.vecdot(delta, delta))
 
 
 def build_dataset(
@@ -357,35 +321,77 @@ def build_dataset(
     cfg: SensorNoiseConfig,
     path_loss: PathLossModel = PathLossModel(),
 ) -> list[SampleRecord]:
-    """One SampleRecord per pose, all sensors sampled at that epoch."""
+    """One SampleRecord per pose, all sensors sampled at that epoch.
+
+    The gyro noise of an epoch scales with the time since the previous pose
+    (the first pose uses the gap to the second, or 0.1 s if it is alone);
+    times that do not strictly increase raise ValueError.
+    """
     if len({a.id for a in anchors}) != len(anchors):
         raise ValueError("anchor ids must be unique")
     anchors = sorted(anchors, key=lambda a: a.id)
-    rng = np.random.default_rng(cfg.seed)
-    records = []
-    prev_t = None
-    for pose in trajectory:
-        dt = pose.t - prev_t if prev_t is not None else None
-        if dt is None:
-            dt = trajectory[1].t - trajectory[0].t if len(trajectory) > 1 else 0.1
-        ranges = np.array([measure_range(pose, a, cfg, rng) for a in anchors])
-        rss = np.array(
-            [measure_rss(pose, a, pattern, cfg, rng, path_loss) for a in anchors]
+    return _records(*_sample(trajectory, anchors, pattern, cfg, path_loss))
+
+
+def _sample(trajectory, anchors, pattern, cfg, path_loss):
+    """Sensor columns (t, ranges, rss, gyro, mag, gt_heading) for all poses.
+
+    Kept apart from build_dataset so that its temporaries are freed before
+    the records are built.
+    """
+    n, m = len(trajectory), len(anchors)
+    t = np.array([p.t for p in trajectory], dtype=float)
+    pos = np.array([p.position for p in trajectory], dtype=float).reshape(n, 2)
+    heading = np.array([p.heading for p in trajectory], dtype=float)
+    rate = np.array([p.rate for p in trajectory], dtype=float)
+    dt = np.diff(t)
+    dt = np.concatenate([dt[:1] if n > 1 else [0.1], dt])
+    if np.any(dt <= 0):
+        k = int(np.argmax(dt <= 0))
+        raise ValueError(f"dt must be positive (epoch {k}: dt = {dt[k]})")
+
+    # one draw block in per-epoch order: ranges, rss, gyro, mag; a sensor
+    # with zero std/PSD draws nothing
+    widths = [
+        m * (cfg.range_std > 0),
+        m * (cfg.rss_std > 0),
+        int(cfg.gyro_psd > 0),
+        int(cfg.mag_std > 0),
+    ]
+    z = np.random.default_rng(cfg.seed).standard_normal((n, sum(widths)))
+    z_range, z_rss, z_gyro, z_mag = np.split(z, np.cumsum(widths)[:-1], axis=1)
+
+    delta = np.array([a.position for a in anchors]).reshape(1, m, 2) - pos[:, None, :]
+    dist = _distance(delta)
+    ranges = dist + (cfg.range_std * z_range if cfg.range_std > 0 else 0.0)
+    ranges = np.maximum(ranges, RANGE_FLOOR_M)
+
+    bearing = np.arctan2(delta[..., 1], delta[..., 0]) - heading[:, None]
+    rss = path_loss.loss(dist) + pattern.gain(bearing)
+    rss = rss + (cfg.rss_std * z_rss if cfg.rss_std > 0 else 0.0)
+    rss = quantize(rss, cfg.rss_quantum)
+
+    gyro = rate + (np.sqrt(cfg.gyro_psd / dt) * z_gyro[:, 0] if cfg.gyro_psd > 0 else 0.0)
+
+    bias = np.zeros(n)
+    if cfg.mag_disturbance_center is not None:
+        center = np.asarray(cfg.mag_disturbance_center, dtype=float)
+        inside = _distance(pos - center) <= cfg.mag_disturbance_radius
+        bias[inside] = cfg.mag_disturbance_bias
+    mag = so2.wrap_angle(
+        heading + bias + (cfg.mag_std * z_mag[:, 0] if cfg.mag_std > 0 else 0.0)
+    )
+    return t, ranges, rss, gyro, mag, so2.wrap_angle(heading)
+
+
+def _records(t, ranges, rss, gyro, mag, gt_heading) -> list[SampleRecord]:
+    """SampleRecords from column arrays; ranges/rss rows are views."""
+    return [
+        SampleRecord(t=ti, ranges=r, rss=s, gyro=g, mag=mg, gt_heading=gt)
+        for ti, r, s, g, mg, gt in zip(
+            t.tolist(), ranges, rss, gyro.tolist(), mag.tolist(), gt_heading.tolist()
         )
-        gyro = measure_gyro(pose, cfg, dt, rng)
-        mag = measure_mag(pose, cfg, rng)
-        records.append(
-            SampleRecord(
-                t=pose.t,
-                ranges=ranges,
-                rss=rss,
-                gyro=gyro,
-                mag=mag,
-                gt_heading=float(so2.wrap_angle(pose.heading)),
-            )
-        )
-        prev_t = pose.t
-    return records
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +402,18 @@ def write_dataset(path, records: list[SampleRecord], metadata: dict | None = Non
     """Write CSV (header + repr-precision decimals, round-trips exactly) and,
     if given, a JSON metadata sidecar at <stem>.meta.json."""
     path = Path(path)
+    table = np.column_stack(
+        [
+            [r.t for r in records],
+            [r.ranges for r in records],
+            [r.rss for r in records],
+            [r.gyro for r in records],
+            [r.mag for r in records],
+            [r.gt_heading for r in records],
+        ]
+    )
     lines = [",".join(DATASET_COLUMNS)]
-    for r in records:
-        vals = [r.t, *r.ranges, *r.rss, r.gyro, r.mag, r.gt_heading]
-        lines.append(",".join(repr(float(v)) for v in vals))
+    lines += [",".join(map(repr, row.tolist())) for row in table]
     path.write_text("\n".join(lines) + "\n")
     if metadata is not None:
         metadata_path(path).write_text(json.dumps(metadata, indent=2, sort_keys=True) + "\n")
@@ -411,26 +425,36 @@ def metadata_path(dataset_path) -> Path:
 
 
 def read_dataset(path) -> list[SampleRecord]:
-    path = Path(path)
+    """Read a dataset CSV; rows must be finite, with strictly increasing t
+    and positive ranges (ValueError naming the first bad line otherwise)."""
+    table = _read_table(Path(path))
+    finite = np.isfinite(table).all(axis=1)
+    increasing = np.concatenate([[True], np.diff(table[:, 0]) > 0])
+    positive = (table[:, 1:6] > 0).all(axis=1)
+    bad = np.flatnonzero(~(finite & increasing & positive))
+    if bad.size:
+        i = int(bad[0])
+        reason = (
+            "non-finite value" if not finite[i]
+            else "t does not increase" if not increasing[i]
+            else "non-positive range"
+        )
+        raise ValueError(f"{path} line {i + 2}: {reason}")
+    return _records(
+        table[:, 0], table[:, 1:6], table[:, 6:11], table[:, 11], table[:, 12], table[:, 13]
+    )
+
+
+def _read_table(path: Path) -> np.ndarray:
+    """The CSV's rows as an (n, 14) array, header and row widths checked;
+    the parsed text is freed on return, before the records are built."""
     lines = path.read_text().strip().splitlines()
     if not lines or lines[0].split(",") != DATASET_COLUMNS:
         raise ValueError(f"bad dataset header in {path}")
-    records = []
-    for ln in lines[1:]:
-        v = [float(tok) for tok in ln.split(",")]
-        if len(v) != len(DATASET_COLUMNS):
-            raise ValueError(f"bad row width in {path}")
-        records.append(
-            SampleRecord(
-                t=v[0],
-                ranges=np.array(v[1:6]),
-                rss=np.array(v[6:11]),
-                gyro=v[11],
-                mag=v[12],
-                gt_heading=v[13],
-            )
-        )
-    return records
+    rows = [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
+    if any(len(v) != len(DATASET_COLUMNS) for v in rows):
+        raise ValueError(f"bad row width in {path}")
+    return np.array(rows, dtype=float).reshape(len(rows), len(DATASET_COLUMNS))
 
 
 def read_metadata(dataset_path) -> dict:

@@ -56,7 +56,7 @@ def gp_heading_rmse(pair, records):
             m = heading.normalize(pt)
         except heading.DegeneratePredictionError:
             continue
-        errs.append(so2.wrap_angle(so2.log_so2(m.rot) - rec.gt_heading))
+        errs.append(so2.wrap_angle(m.angle - rec.gt_heading))
     return math.degrees(float(np.sqrt(np.mean(np.square(errs)))))
 
 

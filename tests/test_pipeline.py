@@ -256,7 +256,7 @@ def test_shuffled_anchor_columns_degrade_gp(workspace):
                 m = heading.normalize(pt)
             except heading.DegeneratePredictionError:
                 continue
-            errs.append(so2.wrap_angle(so2.log_so2(m.rot) - gt))
+            errs.append(so2.wrap_angle(m.angle - gt))
         return math.degrees(float(np.sqrt(np.mean(np.square(errs))))) if errs else 180.0
 
     base = rmse(feats)
@@ -312,6 +312,31 @@ def test_cli_nan_mag_is_data_error(workspace, tmp_path, capsys):
     assert pipeline.main(argv + ["--dataset", str(src)]) == 0
     assert pipeline.main(argv + ["--dataset", str(bad)]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [("gyro", "nan"), ("t", None), ("range_0", "-1.0"), ("mag", "inf")],
+    ids=["nan-gyro", "duplicate-t", "negative-range", "inf-mag"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["train"], ["run", "--estimator", "deadreckon", "--runs", "1"]],
+    ids=["train", "run-deadreckon"],
+)
+def test_cli_bad_dataset_row_is_data_error(workspace, tmp_path, capsys, column, value, command):
+    # value None: copy the previous row's cell (a duplicate timestamp)
+    src = workspace / "data" / "test.csv"
+    lines = src.read_text().splitlines()
+    col = world.DATASET_COLUMNS.index(column)
+    cells = lines[3].split(",")
+    cells[col] = lines[2].split(",")[col] if value is None else value
+    lines[3] = ",".join(cells)
+    bad = tmp_path / "test.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    world.metadata_path(bad).write_text(world.metadata_path(src).read_text())
+    assert pipeline.main(command + ["--dataset", str(bad), "--out", str(tmp_path / "out")]) == 2
+    assert "line 4" in capsys.readouterr().err
 
 
 def test_cli_exit_codes(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uwbheading import so2, world
 
@@ -68,27 +70,177 @@ def test_trajectory_rejects_bad_arguments():
         world.Rectangle(0.0, 0.0, 0.0, 1.0)
 
 
+# --- per-epoch reference ---------------------------------------------------------
+# The per-sample loop that build_dataset replaced, kept as the reference the
+# vectorized version must match bit for bit.
+
+
+def ref_measure_range(pose, anchor, cfg, rng):
+    d = float(np.linalg.norm(pose.position - anchor.position))
+    d += cfg.range_std * rng.standard_normal() if cfg.range_std > 0 else 0.0
+    return max(d, world.RANGE_FLOOR_M)
+
+
+def ref_relative_bearing(pose, anchor):
+    delta = anchor.position - pose.position
+    return math.atan2(delta[1], delta[0]) - pose.heading
+
+
+def ref_measure_rss(pose, anchor, pattern, cfg, rng, path_loss):
+    d = float(np.linalg.norm(pose.position - anchor.position))
+    rss = float(path_loss.loss(d)) + float(pattern.gain(ref_relative_bearing(pose, anchor)))
+    rss += cfg.rss_std * rng.standard_normal() if cfg.rss_std > 0 else 0.0
+    return float(world.quantize(rss, cfg.rss_quantum))
+
+
+def ref_measure_gyro(pose, cfg, dt, rng):
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    noise = math.sqrt(cfg.gyro_psd / dt) * rng.standard_normal() if cfg.gyro_psd > 0 else 0.0
+    return pose.rate + noise
+
+
+def ref_measure_mag(pose, cfg, rng):
+    bias = 0.0
+    if cfg.mag_disturbance_center is not None:
+        center = np.asarray(cfg.mag_disturbance_center, dtype=float)
+        if np.linalg.norm(pose.position - center) <= cfg.mag_disturbance_radius:
+            bias = cfg.mag_disturbance_bias
+    noise = cfg.mag_std * rng.standard_normal() if cfg.mag_std > 0 else 0.0
+    return float(so2.wrap_angle(pose.heading + bias + noise))
+
+
+def ref_build_dataset(trajectory, anchors, pattern, cfg, path_loss=world.PathLossModel()):
+    if len({a.id for a in anchors}) != len(anchors):
+        raise ValueError("anchor ids must be unique")
+    anchors = sorted(anchors, key=lambda a: a.id)
+    rng = np.random.default_rng(cfg.seed)
+    records = []
+    prev_t = None
+    for p in trajectory:
+        dt = p.t - prev_t if prev_t is not None else None
+        if dt is None:
+            dt = trajectory[1].t - trajectory[0].t if len(trajectory) > 1 else 0.1
+        ranges = np.array([ref_measure_range(p, a, cfg, rng) for a in anchors])
+        rss = np.array(
+            [ref_measure_rss(p, a, pattern, cfg, rng, path_loss) for a in anchors]
+        )
+        gyro = ref_measure_gyro(p, cfg, dt, rng)
+        mag = ref_measure_mag(p, cfg, rng)
+        records.append(
+            world.SampleRecord(
+                t=p.t, ranges=ranges, rss=rss, gyro=gyro, mag=mag,
+                gt_heading=float(so2.wrap_angle(p.heading)),
+            )
+        )
+        prev_t = p.t
+    return records
+
+
+def records_bit_equal(a, b):
+    return len(a) == len(b) and all(
+        ra.t == rb.t
+        and np.array_equal(ra.ranges, rb.ranges)
+        and np.array_equal(ra.rss, rb.rss)
+        and ra.gyro == rb.gyro
+        and ra.mag == rb.mag
+        and ra.gt_heading == rb.gt_heading
+        for ra, rb in zip(a, b)
+    )
+
+
+_std = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+_table = st.lists(
+    st.tuples(st.floats(-math.pi, math.pi), st.floats(-6.0, 6.0)),
+    min_size=1, max_size=6, unique_by=lambda row: row[0],
+).map(lambda rows: world.AntennaPattern(table=np.array(rows)))
+_formula = st.builds(
+    world.AntennaPattern,
+    a2=st.floats(0.0, 6.0), phi2=st.floats(-math.pi, math.pi),
+    a1=st.floats(0.0, 3.0), phi1=st.floats(-math.pi, math.pi),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    profile=st.sampled_from(["smooth-random", "waypoint-loop", "spin-in-place"]),
+    traj_seed=st.integers(0, 2**16),
+    size=st.sampled_from(["empty", "one", "many"]),
+    duration=st.floats(1.0, 8.0),
+    rate_hz=st.sampled_from([2.0, 5.0, 10.0]),
+    pattern=st.one_of(_formula, _table),
+    range_std=_std, rss_std=_std, gyro_psd=_std, mag_std=_std,
+    rss_quantum=st.sampled_from([1e-9, 0.1, 1.0]),
+    # (where along the trajectory the disc is centred, radius, bias)
+    disturbance=st.one_of(
+        st.none(), st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 3.0), st.floats(-1.0, 1.0))
+    ),
+    noise_seed=st.integers(0, 2**16),
+    anchor_order=st.permutations(range(5)),
+)
+def test_build_dataset_matches_per_epoch_reference(
+    profile, traj_seed, size, duration, rate_hz, pattern, range_std, rss_std,
+    gyro_psd, mag_std, rss_quantum, disturbance, noise_seed, anchor_order,
+):
+    traj = world.generate_trajectory(AREA, duration, rate_hz, profile, seed=traj_seed)
+    traj = {"empty": [], "one": traj[:1], "many": traj}[size]
+    dist = {}
+    if disturbance is not None:
+        where, radius, bias = disturbance
+        center = traj[int(where * (len(traj) - 1))].position if traj else AREA.center
+        dist = dict(
+            mag_disturbance_center=tuple(center),
+            mag_disturbance_radius=radius,
+            mag_disturbance_bias=bias,
+        )
+    cfg = world.SensorNoiseConfig(
+        range_std=range_std, rss_std=rss_std, gyro_psd=gyro_psd, mag_std=mag_std,
+        rss_quantum=rss_quantum, seed=noise_seed, **dist,
+    )
+    anchors = [ANCHORS[i] for i in anchor_order]
+    path_loss = world.PathLossModel(p0=-70.0, gamma=2.1)
+    got = world.build_dataset(traj, anchors, pattern, cfg, path_loss)
+    assert records_bit_equal(got, ref_build_dataset(traj, anchors, pattern, cfg, path_loss))
+
+
+@pytest.mark.parametrize("times", [(0.0, 0.0, 0.1), (0.0, 0.1, 0.1), (0.0, 0.2, 0.1)])
+def test_build_dataset_rejects_non_increasing_time(times):
+    traj = [pose(t=t) for t in times]
+    cfg = world.SensorNoiseConfig(seed=0)
+    with pytest.raises(ValueError):
+        ref_build_dataset(traj, ANCHORS, PATTERN, cfg)
+    with pytest.raises(ValueError):
+        world.build_dataset(traj, ANCHORS, PATTERN, cfg)
+
+
+def build(poses, anchors, cfg, pattern=PATTERN):
+    """build_dataset on hand-made poses, spaced 0.1 s apart."""
+    traj = [
+        world.TruePose(t=0.1 * k, position=p.position, heading=p.heading, rate=p.rate)
+        for k, p in enumerate(poses)
+    ]
+    return world.build_dataset(traj, anchors, pattern, cfg)
+
+
 # --- range sensor -----------------------------------------------------------------
 
 
 def test_range_pythagorean():
-    rng = np.random.default_rng(0)
-    d = world.measure_range(pose(0.0, 0.0), world.Anchor(0, (3.0, 4.0)), quiet(), rng)
-    assert d == pytest.approx(5.0, abs=1e-12)
+    (rec,) = build([pose(0.0, 0.0)], [world.Anchor(0, (3.0, 4.0))], quiet())
+    assert rec.ranges[0] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_range_noise_statistics():
-    rng = np.random.default_rng(1)
-    cfg = world.SensorNoiseConfig(range_std=0.1, seed=0)
+    cfg = world.SensorNoiseConfig(range_std=0.1, seed=1)
     anchor = world.Anchor(0, (3.0, 0.0))
-    draws = np.array([world.measure_range(pose(), anchor, cfg, rng) for _ in range(10_000)])
+    recs = build([pose()] * 10_000, [anchor], cfg)
+    draws = np.array([r.ranges[0] for r in recs])
     assert np.std(draws) == pytest.approx(0.1, rel=0.05)
 
 
 def test_range_clamp_for_coincident_positions():
-    rng = np.random.default_rng(2)
-    d = world.measure_range(pose(1.0, 1.0), world.Anchor(0, (1.0, 1.0)), quiet(), rng)
-    assert d == world.RANGE_FLOOR_M
+    (rec,) = build([pose(1.0, 1.0)], [world.Anchor(0, (1.0, 1.0))], quiet())
+    assert rec.ranges[0] == world.RANGE_FLOOR_M
 
 
 # --- rss sensor --------------------------------------------------------------------
@@ -102,38 +254,33 @@ def test_rss_pattern_spread_two_lobe():
 
 
 def test_rss_sweep_range_when_spinning():
-    rng = np.random.default_rng(3)
     pattern = world.AntennaPattern(a2=5.0, a1=0.0)
     anchor = world.Anchor(0, (2.0, 0.0))
-    cfg = quiet()
-    vals = [
-        world.measure_rss(pose(heading=h), anchor, pattern, cfg, rng)
-        for h in np.linspace(0.0, 2 * math.pi, 360)
-    ]
+    poses = [pose(heading=h) for h in np.linspace(0.0, 2 * math.pi, 360)]
+    vals = [r.rss[0] for r in build(poses, [anchor], quiet(seed=3), pattern)]
     assert np.ptp(vals) >= 9.0
 
 
 def test_rss_quantization():
     assert float(world.quantize(-81.4, 1.0)) == -81.0
     assert float(world.quantize(world.quantize(-81.4, 1.0), 1.0)) == -81.0
-    rng = np.random.default_rng(4)
-    cfg = world.SensorNoiseConfig(rss_std=0.5, rss_quantum=1.0, seed=0)
-    v = world.measure_rss(pose(), world.Anchor(0, (2.0, 1.0)), PATTERN, cfg, rng)
+    cfg = world.SensorNoiseConfig(rss_std=0.5, rss_quantum=1.0, seed=4)
+    (rec,) = build([pose()], [world.Anchor(0, (2.0, 1.0))], cfg)
+    v = rec.rss[0]
     assert v == round(v)
 
 
 def test_rss_world_rotation_invariance():
     # rotating robot heading and anchor bearing together leaves rss unchanged
-    rng = np.random.default_rng(5)
-    cfg = quiet()
+    cfg = quiet(seed=5)
     shift = 1.234
     r = 2.5
     for phi in np.linspace(0, 2 * math.pi, 17):
         a0 = world.Anchor(0, (r * math.cos(phi), r * math.sin(phi)))
         a1 = world.Anchor(0, (r * math.cos(phi + shift), r * math.sin(phi + shift)))
-        v0 = world.measure_rss(pose(heading=0.3), a0, PATTERN, cfg, rng)
-        v1 = world.measure_rss(pose(heading=0.3 + shift), a1, PATTERN, cfg, rng)
-        assert v0 == pytest.approx(v1, abs=1e-9)
+        (v0,) = build([pose(heading=0.3)], [a0], cfg)
+        (v1,) = build([pose(heading=0.3 + shift)], [a1], cfg)
+        assert v0.rss[0] == pytest.approx(v1.rss[0], abs=1e-9)
 
 
 def test_rss_gain_table_interpolation_is_periodic():
@@ -156,49 +303,45 @@ def test_path_loss_monotone_in_distance():
 
 
 def test_gyro_tiny_psd_tracks_true_rate():
-    rng = np.random.default_rng(6)
-    out = world.measure_gyro(pose(rate=0.42), quiet(), 0.1, rng)
-    assert out == pytest.approx(0.42, abs=1e-4)
+    # a lone pose takes dt = 0.1 s
+    (rec,) = world.build_dataset([pose(rate=0.42)], ANCHORS, PATTERN, quiet(seed=6))
+    assert rec.gyro == pytest.approx(0.42, abs=1e-4)
 
 
 def test_gyro_random_walk_scaling():
     dt, steps, psd = 0.1, 200, 1e-3
+    traj = [pose(rate=0.0, t=k * dt) for k in range(steps)]
     finals = []
     for seed in range(300):
-        rng = np.random.default_rng(seed)
         cfg = world.SensorNoiseConfig(gyro_psd=psd, seed=seed)
-        errs = [
-            world.measure_gyro(pose(rate=0.0), cfg, dt, rng) * dt for _ in range(steps)
-        ]
-        finals.append(sum(errs))
+        recs = world.build_dataset(traj, ANCHORS, PATTERN, cfg)
+        finals.append(sum(r.gyro * dt for r in recs))
     assert np.std(finals) == pytest.approx(math.sqrt(psd * dt * steps), rel=0.15)
 
 
 def test_gyro_seeded_determinism():
-    cfg = world.SensorNoiseConfig(gyro_psd=1e-3, seed=0)
-    a = world.measure_gyro(pose(rate=0.1), cfg, 0.1, np.random.default_rng(7))
-    b = world.measure_gyro(pose(rate=0.1), cfg, 0.1, np.random.default_rng(7))
-    assert a == b
+    cfg = world.SensorNoiseConfig(gyro_psd=1e-3, seed=7)
+    (a,) = world.build_dataset([pose(rate=0.1)], ANCHORS, PATTERN, cfg)
+    (b,) = world.build_dataset([pose(rate=0.1)], ANCHORS, PATTERN, cfg)
+    assert a.gyro == b.gyro
 
 
 def test_mag_zero_noise_and_wrap():
-    rng = np.random.default_rng(8)
-    assert world.measure_mag(pose(heading=0.4), quiet(), rng) == pytest.approx(0.4)
-    wrapped = world.measure_mag(pose(heading=math.pi + 0.1), quiet(), rng)
-    assert wrapped == pytest.approx(-math.pi + 0.1, abs=1e-12)
+    plain, wrapped = build([pose(heading=0.4), pose(heading=math.pi + 0.1)], ANCHORS, quiet(seed=8))
+    assert plain.mag == pytest.approx(0.4)
+    assert wrapped.mag == pytest.approx(-math.pi + 0.1, abs=1e-12)
 
 
 def test_mag_localized_disturbance():
-    rng = np.random.default_rng(9)
     cfg = quiet(
+        seed=9,
         mag_disturbance_center=(0.0, 0.0),
         mag_disturbance_radius=0.5,
         mag_disturbance_bias=0.3,
     )
-    inside = world.measure_mag(pose(0.1, 0.0, heading=0.0), cfg, rng)
-    outside = world.measure_mag(pose(2.0, 0.0, heading=0.0), cfg, rng)
-    assert inside == pytest.approx(0.3)
-    assert outside == pytest.approx(0.0)
+    inside, outside = build([pose(0.1, 0.0, heading=0.0), pose(2.0, 0.0, heading=0.0)], ANCHORS, cfg)
+    assert inside.mag == pytest.approx(0.3)
+    assert outside.mag == pytest.approx(0.0)
 
 
 # --- dataset assembly -----------------------------------------------------------------
@@ -238,11 +381,7 @@ def test_dataset_file_round_trip(tmp_path):
     world.write_dataset(path, recs, meta)
     back = world.read_dataset(path)
     assert len(back) == len(recs)
-    for a, b in zip(recs, back):
-        assert abs(a.t - b.t) < 1e-9
-        assert np.abs(a.ranges - b.ranges).max() < 1e-9
-        assert np.abs(a.rss - b.rss).max() < 1e-9
-        assert abs(a.gt_heading - b.gt_heading) < 1e-9
+    assert records_bit_equal(back, recs)
     meta_back = world.read_metadata(path)
     assert meta_back["noise"]["seed"] == 1
     assert len(meta_back["anchors"]) == 5
@@ -283,7 +422,7 @@ def test_zero_noise_dataset_supports_heading_regression():
             pair, heading.UwbFeature(ranges=r.ranges, rss=r.rss)
         )
         m = heading.normalize(pt)
-        errs.append(so2.wrap_angle(so2.log_so2(m.rot) - r.gt_heading))
+        errs.append(so2.wrap_angle(m.angle - r.gt_heading))
     rmse_deg = math.degrees(float(np.sqrt(np.mean(np.square(errs)))))
     assert rmse_deg < 15.0
 
@@ -309,7 +448,7 @@ def test_isotropic_pattern_removes_heading_information():
             m = heading.normalize(pt)
         except heading.DegeneratePredictionError:
             continue
-        errs.append(so2.wrap_angle(so2.log_so2(m.rot) - gt))
+        errs.append(so2.wrap_angle(m.angle - gt))
     # without heading-dependent gain the GP reverts toward the prior:
     # heading error is at chance level
     rmse_deg = math.degrees(float(np.sqrt(np.mean(np.square(errs))))) if errs else 180.0
