@@ -345,7 +345,7 @@ def _sample(trajectory, anchors, pattern, cfg, path_loss):
     heading = np.array([p.heading for p in trajectory], dtype=float)
     rate = np.array([p.rate for p in trajectory], dtype=float)
     dt = np.diff(t)
-    dt = np.concatenate([dt[:1] if n > 1 else [0.1], dt])
+    dt = np.concatenate([dt[:1] if n > 1 else [0.1] * n, dt])
     if np.any(dt <= 0):
         k = int(np.argmax(dt <= 0))
         raise ValueError(f"dt must be positive (epoch {k}: dt = {dt[k]})")
