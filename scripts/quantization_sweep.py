@@ -34,7 +34,7 @@ def main() -> int:
     ap.add_argument("--test-s", type=float, default=60.0)
     args = ap.parse_args()
 
-    search = gp.HyperparamSearchConfig(grid_size=3, descent_rounds=30, max_points=400)
+    search = gp.HyperparamSearchConfig(max_points=400)
     print(f"{'quantum_dBi':>12} {'rmse_deg (per seed)':>30} {'mean':>8}")
     for quantum in args.quanta:
         rmses = []

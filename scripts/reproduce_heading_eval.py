@@ -28,7 +28,7 @@ def main() -> int:
 
     if args.fast:
         gen = {"train_duration_s": 300.0, "test_duration_s": 60.0, "rate_hz": 5.0}
-        train = {"grid_size": 3, "descent_rounds": 25, "max_points": 300}
+        train = {"max_points": 300}
         runs = 10
     else:
         gen, train, runs = {}, {}, 100

@@ -1,21 +1,23 @@
 """Exact scalar-output Gaussian-process regression with the squared
 exponential kernel.
 
-Hyperparameters are fitted by maximizing the log marginal likelihood over a
-multi-start log-space grid around data-derived heuristics, refined by
-coordinate descent. Inputs are standardized internally (the isotropic
-lengthscale is meaningless across mixed units); outputs are centered and the
-training mean is added back at prediction.
+Hyperparameters are fitted by maximizing the log marginal likelihood with one
+bounded L-BFGS-B run on its analytic gradient (Rasmussen & Williams 2006,
+GPML eq. 5.9) over log(sigma_f, sigma_l, sigma_n). The run starts at
+data-derived heuristics, and each log-parameter is boxed to a fixed span of
+decades around its heuristic. Inputs are standardized internally (the
+isotropic lengthscale is meaningless across mixed units); outputs are
+centered and the training mean is added back at prediction.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky, lapack, solve_triangular
+from scipy.optimize import minimize
 
 __all__ = [
     "SeKernelParams",
@@ -34,9 +36,14 @@ __all__ = [
 _JITTER_START = 1e-10
 _JITTER_MAX = 1e-4
 
+# Half-width, in decades, of the box that bounds each log-hyperparameter
+# around its heuristic. Unbounded, noiseless data drives sigma_n -> 0, where
+# the log marginal likelihood has no maximum.
+_BOUND_DECADES = 3.0
+
 
 class UnfittableDataError(RuntimeError):
-    """No hyperparameter candidate produced a valid factorization."""
+    """A covariance matrix could not be factorized, even at maximum jitter."""
 
 
 @dataclass(frozen=True)
@@ -116,16 +123,18 @@ class TrainingSet:
 
 @dataclass
 class HyperparamSearchConfig:
-    """Settings for the log-space grid + coordinate-descent search."""
+    """Settings for the hyperparameter fit.
 
-    grid_size: int = 5
-    decades: float = 1.0  # grid half-span around each heuristic, in decades
-    descent_rounds: int = 60
+    The fit itself (L-BFGS-B on the analytic gradient, bounds fixed at
+    ``_BOUND_DECADES`` around the heuristics) has no settings; only the
+    training-set size is capped.
+    """
+
     max_points: int = 1000  # stride-subsample cap on training rows
 
     def __post_init__(self):
-        if self.grid_size < 1 or self.max_points < 2:
-            raise ValueError("grid_size >= 1 and max_points >= 2 required")
+        if self.max_points < 2:
+            raise ValueError("max_points >= 2 required")
 
 
 def kernel_eval(x: np.ndarray, x_prime: np.ndarray, params: SeKernelParams) -> float:
@@ -158,13 +167,15 @@ def gram_matrix(a: np.ndarray, b: np.ndarray, params: SeKernelParams) -> np.ndar
     return _gram_from_sqdist(_sq_dists(a, b), params)
 
 
-def _chol_with_jitter(k_noisy: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor, escalating diagonal jitter on failure."""
+def _chol_with_jitter(k_noisy: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor and the diagonal jitter added to obtain it,
+    escalating the jitter on failure."""
     base = float(np.mean(np.diag(k_noisy)))
     jitter = 0.0
     while True:
         try:
-            return cholesky(k_noisy + jitter * np.eye(k_noisy.shape[0]), lower=True)
+            chol = cholesky(k_noisy + jitter * np.eye(k_noisy.shape[0]), lower=True)
+            return chol, jitter
         except np.linalg.LinAlgError:
             pass
         jitter = _JITTER_START * base if jitter == 0.0 else jitter * 10.0
@@ -177,7 +188,7 @@ def _chol_with_jitter(k_noisy: np.ndarray) -> np.ndarray:
 def _lml_from_sqdist(d2: np.ndarray, y: np.ndarray, params: SeKernelParams) -> float:
     n = y.shape[0]
     k = _gram_from_sqdist(d2, params) + params.sigma_n**2 * np.eye(n)
-    chol = _chol_with_jitter(k)
+    chol, _ = _chol_with_jitter(k)
     half = solve_triangular(chol, y, lower=True)
     return float(
         -0.5 * np.dot(half, half)
@@ -202,10 +213,48 @@ def _heuristic_center(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float
     return sf, sl, 0.1 * sf
 
 
+def _neg_lml_and_grad(
+    log_params: np.ndarray, d2: np.ndarray, y: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Negative log marginal likelihood and its gradient with respect to
+    log(sigma_f, sigma_l, sigma_n), from one Cholesky factorization.
+
+    dL/dtheta = 1/2 tr((alpha alpha^T - K^-1) dK/dtheta) (GPML eq. 5.9), with
+    dK/dlog sigma_f = 2 K_f, dK/dlog sigma_l = K_f * D^2 / sigma_l^2 and
+    dK/dlog sigma_n = 2 sigma_n^2 I.
+    """
+    sf2, sl2, sn2 = np.exp(2.0 * log_params)
+    n = y.shape[0]
+    k_f = sf2 * np.exp(-d2 / (2.0 * sl2))
+    chol, _ = _chol_with_jitter(k_f + sn2 * np.eye(n))
+    alpha = cho_solve((chol, True), y, check_finite=False)
+    lml = (
+        -0.5 * float(np.dot(y, alpha))
+        - float(np.sum(np.log(np.diag(chol))))
+        - 0.5 * n * math.log(2.0 * math.pi)
+    )
+    k_inv, info = lapack.dpotri(chol, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpotri failed with info={info}")
+    k_inv = np.tril(k_inv) + np.tril(k_inv, -1).T  # dpotri fills one triangle
+    w = np.outer(alpha, alpha) - k_inv
+    wk = w * k_f
+    grad = np.array(
+        [np.sum(wk), 0.5 * np.sum(wk * d2) / sl2, sn2 * np.trace(w)]
+    )
+    return -lml, -grad
+
+
 def fit(train: TrainingSet, search: HyperparamSearchConfig | None = None) -> "GpModel":
     """Fit hyperparameters by log-marginal-likelihood maximization.
 
-    Deterministic: grid construction and coordinate descent use no RNG.
+    One bounded L-BFGS-B run on the analytic gradient, over the log of
+    (sigma_f, sigma_l, sigma_n), starting at ``_heuristic_center``; each
+    log-parameter is bounded to +-``_BOUND_DECADES`` decades around its start.
+    The model keeps the best point evaluated. Deterministic: no RNG. Raises
+    ``UnfittableDataError`` when the start point cannot be factorized; a trial
+    point that cannot be factorized later in the search counts as infinitely
+    unlikely and marks the fit as not converged.
     """
     if search is None:
         search = HyperparamSearchConfig()
@@ -221,55 +270,36 @@ def fit(train: TrainingSet, search: HyperparamSearchConfig | None = None) -> "Gp
     yc = y - y_mean
     d2 = _sq_dists(x, x)
 
-    centers = _heuristic_center(x, yc)
-    axes = [
-        np.logspace(
-            math.log10(c) - search.decades, math.log10(c) + search.decades,
-            search.grid_size,
-        )
-        for c in centers
-    ]
+    start = np.log(_heuristic_center(x, yc))
+    span = _BOUND_DECADES * math.log(10.0)
+    evals, best_f, best_x = 0, math.inf, start
 
-    best_lml = -math.inf
-    best = None
-    for sf, sl, sn in itertools.product(*axes):
+    def objective(log_params):
+        nonlocal evals, best_f, best_x
+        evals += 1
         try:
-            lml = _lml_from_sqdist(d2, yc, SeKernelParams(sf, sl, sn))
+            f, g = _neg_lml_and_grad(log_params, d2, yc)
         except UnfittableDataError:
-            continue
-        if lml > best_lml:
-            best_lml, best = lml, np.log([sf, sl, sn])
-    if best is None:
-        raise UnfittableDataError("all hyperparameter grid starts failed")
+            if evals == 1:
+                raise
+            return math.inf, np.zeros(3)
+        if f < best_f:
+            best_f, best_x = f, log_params.copy()
+        return f, g
 
-    # Coordinate descent in log space, shrinking the step when stuck.
-    step = (
-        search.decades * math.log(10.0) / max(search.grid_size - 1, 1)
-        if search.grid_size > 1
-        else 0.5 * math.log(10.0)
+    result = minimize(
+        objective, start, jac=True, method="L-BFGS-B",
+        bounds=[(c - span, c + span) for c in start],
     )
-    for _ in range(search.descent_rounds):
-        moved = False
-        for i in range(3):
-            for sign in (+1.0, -1.0):
-                cand = best.copy()
-                cand[i] += sign * step
-                try:
-                    lml = _lml_from_sqdist(
-                        d2, yc, SeKernelParams(*np.exp(cand))
-                    )
-                except UnfittableDataError:
-                    continue
-                if lml > best_lml:
-                    best_lml, best, moved = lml, cand, True
-        if not moved:
-            step *= 0.5
-            if step < 5e-3:
-                break
+    # L-BFGS-B can report success after stepping onto an unfittable point.
+    converged = bool(result.success) and math.isfinite(result.fun)
 
-    params = SeKernelParams(*np.exp(best))
+    params = SeKernelParams(*np.exp(best_x))
     used = TrainingSet(x=x, y=y, standardizer=std)
-    return GpModel.from_params(used, params, y_mean=y_mean, lml=best_lml)
+    model = GpModel.from_params(
+        used, params, y_mean=y_mean, lml=_lml_from_sqdist(d2, yc, params)
+    )
+    return replace(model, lml_evals=evals, converged=converged)
 
 
 @dataclass(frozen=True)
@@ -282,6 +312,9 @@ class GpModel:
     alpha: np.ndarray = field(repr=False)  # solves (K + sigma_n^2 I) alpha = yc
     y_mean: float = 0.0
     lml: float = math.nan
+    jitter: float = 0.0  # diagonal jitter added to factorize K + sigma_n^2 I
+    lml_evals: int = 0  # objective evaluations of the fit that chose params
+    converged: bool | None = None  # the fit's optimizer success; None if not fitted
 
     @classmethod
     def from_params(
@@ -293,11 +326,11 @@ class GpModel:
     ) -> "GpModel":
         yc = train.y - y_mean
         k = gram_matrix(train.x, train.x, params) + params.sigma_n**2 * np.eye(train.n)
-        chol = _chol_with_jitter(k)
+        chol, jitter = _chol_with_jitter(k)
         half = solve_triangular(chol, yc, lower=True)
         alpha = solve_triangular(chol.T, half, lower=False)
         return cls(train=train, params=params, chol=chol, alpha=alpha,
-                   y_mean=y_mean, lml=lml)
+                   y_mean=y_mean, lml=lml, jitter=jitter)
 
     def predict(self, x_star_raw: np.ndarray) -> tuple[float, float]:
         """Posterior mean and variance at one raw (unstandardized) query."""

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -154,16 +155,19 @@ def cmd_train(dataset_path, cfg: TrainConfig, out_dir) -> heading.HeadingGpPair:
     if len(records) < 2:
         raise DataError(f"training dataset {dataset_path} has fewer than 2 rows")
     feats, gts = _dataset_features(records)
+    t0 = time.perf_counter()
     try:
         pair = heading.train_heading_gps(feats, gts, cfg)
     except gp.UnfittableDataError as exc:
         raise NumericalError(str(exc)) from exc
+    fit_s = time.perf_counter() - t0
     pair.save(out_dir)
     summary = {
         "n_records": len(records),
         "n_used": int(pair.gp_sin.train.n),
         "max_points": cfg.max_points,
         "capped": len(records) > cfg.max_points,
+        "fit_s": fit_s,
         "sin": _gp_summary(pair.gp_sin),
         "cos": _gp_summary(pair.gp_cos),
     }
@@ -177,6 +181,9 @@ def _gp_summary(model: gp.GpModel) -> dict:
         "sigma_l": model.params.sigma_l,
         "sigma_n": model.params.sigma_n,
         "log_marginal_likelihood": model.lml,
+        "lml_evals": model.lml_evals,
+        "converged": model.converged,
+        "jitter": model.jitter,
     }
 
 

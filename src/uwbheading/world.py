@@ -41,10 +41,12 @@ __all__ = [
 
 RANGE_FLOOR_M = 0.01
 
+_DATASET_ANCHORS = 5  # the dataset header has range/RSS columns for this many
+
 DATASET_COLUMNS = (
     ["t"]
-    + [f"range_{i}" for i in range(5)]
-    + [f"rss_{i}" for i in range(5)]
+    + [f"range_{i}" for i in range(_DATASET_ANCHORS)]
+    + [f"rss_{i}" for i in range(_DATASET_ANCHORS)]
     + ["gyro", "mag", "gt_theta"]
 )
 
@@ -400,7 +402,14 @@ def _records(t, ranges, rss, gyro, mag, gt_heading) -> list[SampleRecord]:
 
 def write_dataset(path, records: list[SampleRecord], metadata: dict | None = None) -> None:
     """Write CSV (header + repr-precision decimals, round-trips exactly) and,
-    if given, a JSON metadata sidecar at <stem>.meta.json."""
+    if given, a JSON metadata sidecar at <stem>.meta.json. Records with other
+    than 5 ranges or RSS values raise ValueError before anything is written."""
+    for i, r in enumerate(records):
+        if len(r.ranges) != _DATASET_ANCHORS or len(r.rss) != _DATASET_ANCHORS:
+            raise ValueError(
+                f"record {i} has {len(r.ranges)} ranges and {len(r.rss)} RSS values;"
+                f" a dataset holds {_DATASET_ANCHORS} anchors"
+            )
     path = Path(path)
     table = np.column_stack(
         [

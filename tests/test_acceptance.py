@@ -41,9 +41,7 @@ def make_world(seed, train_s, test_s, rate, **noise_overrides):
 def train_pair(records, max_points):
     feats = np.array([r.feature_vector() for r in records])
     gts = np.array([r.gt_heading for r in records])
-    search = gp.HyperparamSearchConfig(
-        grid_size=3, descent_rounds=30, max_points=max_points
-    )
+    search = gp.HyperparamSearchConfig(max_points=max_points)
     return heading.train_heading_gps(feats, gts, search)
 
 

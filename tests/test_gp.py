@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -245,7 +246,7 @@ def test_fit_caps_training_size():
     y = np.sin(x[:, 0])
     model = gp.fit(
         gp.TrainingSet.from_raw(x, y),
-        gp.HyperparamSearchConfig(grid_size=3, descent_rounds=10, max_points=50),
+        gp.HyperparamSearchConfig(max_points=50),
     )
     assert model.train.n <= 50
 
@@ -297,3 +298,158 @@ def test_serialization_round_trip(tmp_path):
     m1, v1 = loaded.predict_many(queries)
     assert np.abs(m0 - m1).max() < 1e-10
     assert np.abs(v0 - v1).max() < 1e-10
+
+
+# --- L-BFGS-B fit against its gradient and the grid search it replaced ---------
+
+
+def reference_grid_descent_lml(train, max_points, grid_size=5, decades=1.0,
+                               descent_rounds=60):
+    """Best LML of the log-space grid + coordinate-descent search that the
+    L-BFGS-B fit replaced, on the same stride-capped, centered outputs."""
+    x, y = train.x, train.y
+    if train.n > max_points:
+        stride = int(math.ceil(train.n / max_points))
+        x, y = x[::stride], y[::stride]
+    yc = y - float(np.mean(y))
+    d2 = gp._sq_dists(x, x)
+    axes = [
+        np.logspace(math.log10(c) - decades, math.log10(c) + decades, grid_size)
+        for c in gp._heuristic_center(x, yc)
+    ]
+    best_lml, best = -math.inf, None
+    for sf, sl, sn in itertools.product(*axes):
+        try:
+            lml = gp._lml_from_sqdist(d2, yc, gp.SeKernelParams(sf, sl, sn))
+        except gp.UnfittableDataError:
+            continue
+        if lml > best_lml:
+            best_lml, best = lml, np.log([sf, sl, sn])
+    step = decades * math.log(10.0) / max(grid_size - 1, 1)
+    for _ in range(descent_rounds):
+        moved = False
+        for i in range(3):
+            for sign in (+1.0, -1.0):
+                cand = best.copy()
+                cand[i] += sign * step
+                try:
+                    lml = gp._lml_from_sqdist(d2, yc, gp.SeKernelParams(*np.exp(cand)))
+                except gp.UnfittableDataError:
+                    continue
+                if lml > best_lml:
+                    best_lml, best, moved = lml, cand, True
+        if not moved:
+            step *= 0.5
+            if step < 5e-3:
+                break
+    return best_lml
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lml_gradient_matches_central_differences(seed):
+    rng = np.random.default_rng(100 + seed)
+    n, d = int(rng.integers(5, 30)), int(rng.integers(1, 4))
+    x = rng.normal(size=(n, d))
+    y = np.sin(x[:, 0]) + 0.3 * rng.normal(size=n)
+    log_params = np.log(rng.uniform([0.3, 0.3, 0.05], [2.0, 2.0, 0.8]))
+    train = identity_train(x, y)
+    neg_lml, neg_grad = gp._neg_lml_and_grad(log_params, gp._sq_dists(x, x), y)
+    assert -neg_lml == pytest.approx(
+        gp.log_marginal_likelihood(train, gp.SeKernelParams(*np.exp(log_params))),
+        rel=1e-12,
+    )
+    h = 1e-5
+    numeric = np.empty(3)
+    for i in range(3):
+        step = np.zeros(3)
+        step[i] = h
+        up, down = (
+            gp.log_marginal_likelihood(train, gp.SeKernelParams(*np.exp(log_params + s)))
+            for s in (step, -step)
+        )
+        numeric[i] = (up - down) / (2 * h)
+    assert np.abs(-neg_grad - numeric).max() <= 1e-5 * np.abs(numeric).max()
+
+
+@pytest.fixture(scope="module")
+def bench_world_train(tmp_path_factory):
+    """The seed-0 world at benchmark scale: 600 s at 5 Hz, 3000 rows."""
+    from uwbheading import pipeline, world
+
+    cfg = pipeline.GenerateConfig(
+        seed=0, train_duration_s=600.0, test_duration_s=200.0, rate_hz=5.0
+    )
+    paths = pipeline.cmd_generate(cfg, tmp_path_factory.mktemp("bench_world"))
+    records = world.read_dataset(paths["train"])
+    feats = np.array([r.feature_vector() for r in records])
+    headings = np.array([r.gt_heading for r in records])
+    return feats, headings
+
+
+def _synthetic_set(case):
+    rng = np.random.default_rng(21)
+    if case == "synthetic-1d":
+        x = rng.uniform(0.0, 6.0, size=(50, 1))
+        return gp.TrainingSet.from_raw(x, np.sin(x[:, 0]) + 0.05 * rng.normal(size=50))
+    x = rng.normal(size=(80, 3))
+    y = np.cos(x[:, 0]) * x[:, 1] + 0.2 * rng.normal(size=80)
+    return gp.TrainingSet.from_raw(x, y)
+
+
+@pytest.mark.parametrize("case", ["bench-sin", "bench-cos", "synthetic-1d", "synthetic-3d"])
+def test_fit_lml_at_least_grid_descent_reference(case, bench_world_train):
+    if case.startswith("bench"):
+        feats, headings = bench_world_train
+        trig = np.sin if case == "bench-sin" else np.cos
+        train = gp.TrainingSet.from_raw(feats, trig(headings))
+        max_points = 200
+    else:
+        train = _synthetic_set(case)
+        max_points = 1000
+    model = gp.fit(train, gp.HyperparamSearchConfig(max_points=max_points))
+    assert model.converged
+    assert model.lml >= reference_grid_descent_lml(train, max_points) - 1e-9
+
+
+def test_fit_raises_when_start_point_cannot_be_factorized(monkeypatch):
+    def unfittable(k):
+        raise gp.UnfittableDataError("forced")
+
+    monkeypatch.setattr(gp, "_chol_with_jitter", unfittable)
+    x = np.linspace(0.0, 3.0, 10)[:, None]
+    with pytest.raises(gp.UnfittableDataError):
+        gp.fit(gp.TrainingSet.from_raw(x, np.sin(x[:, 0])))
+
+
+def test_fit_survives_unfittable_trial_point(monkeypatch):
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(40, 2))
+    train = gp.TrainingSet.from_raw(x, np.sin(x[:, 0]) + 0.1 * rng.normal(size=40))
+    calls = 0
+    chol_with_jitter = gp._chol_with_jitter
+
+    def fails_on_second_and_third_call(k):
+        nonlocal calls
+        calls += 1
+        if calls in (2, 3):
+            raise gp.UnfittableDataError("forced")
+        return chol_with_jitter(k)
+
+    monkeypatch.setattr(gp, "_chol_with_jitter", fails_on_second_and_third_call)
+    model = gp.fit(train)
+    monkeypatch.undo()
+    yc = train.y - train.y.mean()
+    start = gp.SeKernelParams(*gp._heuristic_center(train.x, yc))
+    assert model.converged is False
+    assert model.lml_evals >= 3
+    assert model.lml >= gp.log_marginal_likelihood(
+        gp.TrainingSet(x=train.x, y=yc, standardizer=train.standardizer), start
+    ) - 1e-9
+
+
+def test_chol_reports_jitter_added():
+    k = np.ones((3, 3))  # rank one: needs jitter
+    chol, jitter = gp._chol_with_jitter(k)
+    assert jitter > 0
+    assert np.abs(chol @ chol.T - (k + jitter * np.eye(3))).max() < 1e-12
+    assert gp._chol_with_jitter(np.eye(3))[1] == 0.0

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from uwbheading import gp, heading, so2
 
-SMALL_SEARCH = gp.HyperparamSearchConfig(grid_size=3, descent_rounds=20, max_points=300)
+SMALL_SEARCH = gp.HyperparamSearchConfig(max_points=300)
 
 
 def unit_circle_trig(theta, r_s=0.0025, r_c=0.0025):

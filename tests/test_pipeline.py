@@ -14,7 +14,7 @@ SMALL_GEN = dict(
     rss_std=0.25,
     rss_quantum=0.1,
 )
-SMALL_TRAIN = pipeline.TrainConfig(grid_size=3, descent_rounds=25, max_points=500)
+SMALL_TRAIN = pipeline.TrainConfig(max_points=500)
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +96,13 @@ def test_train_writes_model_and_summary(workspace):
     )
     assert summary["n_used"] <= SMALL_TRAIN.max_points
     assert summary["sin"]["sigma_f"] > 0
+    assert summary["fit_s"] > 0
+    for name in ("sin", "cos"):
+        gp_summary = summary[name]
+        assert math.isfinite(gp_summary["log_marginal_likelihood"])
+        assert gp_summary["lml_evals"] >= 1
+        assert gp_summary["converged"] is True
+        assert gp_summary["jitter"] >= 0.0
     pair = heading.HeadingGpPair.load(workspace / "models")
     assert pair.gp_sin.train.d == 10
 
@@ -277,7 +284,7 @@ def test_cli_end_to_end(tmp_path, capsys):
         json.dumps(
             {
                 "generate": dict(SMALL_GEN, train_duration_s=120.0, test_duration_s=30.0),
-                "train": {"grid_size": 3, "descent_rounds": 20, "max_points": 250},
+                "train": {"max_points": 250},
                 "run": {"estimator": "mag-iekf", "monte_carlo_runs": 3},
             }
         )

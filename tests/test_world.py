@@ -396,6 +396,15 @@ def test_dataset_write_is_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_write_dataset_rejects_other_anchor_counts(tmp_path):
+    traj = world.generate_trajectory(AREA, 2.0, 10.0, "smooth-random", seed=0)
+    recs = world.build_dataset(traj, ANCHORS[:3], PATTERN, world.SensorNoiseConfig(seed=1))
+    path = tmp_path / "three.csv"
+    with pytest.raises(ValueError, match="5 anchors"):
+        world.write_dataset(path, recs, {"anchors": 3})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_read_dataset_rejects_bad_header(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("a,b,c\n1,2,3\n")
@@ -412,7 +421,7 @@ def test_zero_noise_dataset_supports_heading_regression():
     feats = np.array([r.feature_vector() for r in recs])
     gts = np.array([r.gt_heading for r in recs])
     pair = heading.train_heading_gps(
-        feats, gts, gp.HyperparamSearchConfig(grid_size=3, descent_rounds=25, max_points=400)
+        feats, gts, gp.HyperparamSearchConfig(max_points=400)
     )
     traj2 = world.generate_trajectory(AREA, 60.0, 5.0, "smooth-random", seed=1)
     recs2 = world.build_dataset(traj2, ANCHORS, PATTERN, quiet(seed=2))
@@ -436,7 +445,7 @@ def test_isotropic_pattern_removes_heading_information():
     feats = np.array([r.feature_vector() for r in recs])
     gts = np.array([r.gt_heading for r in recs])
     pair = heading.train_heading_gps(
-        feats, gts, gp.HyperparamSearchConfig(grid_size=3, descent_rounds=20, max_points=250)
+        feats, gts, gp.HyperparamSearchConfig(max_points=250)
     )
     traj2 = world.generate_trajectory(AREA, 60.0, 5.0, "smooth-random", seed=1)
     recs2 = world.build_dataset(traj2, ANCHORS, flat, quiet(seed=2))
