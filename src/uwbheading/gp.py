@@ -272,16 +272,17 @@ def fit(train: TrainingSet, search: HyperparamSearchConfig | None = None) -> "Gp
 
     start = np.log(_heuristic_center(x, yc))
     span = _BOUND_DECADES * math.log(10.0)
-    evals, best_f, best_x = 0, math.inf, start
+    evals, best_f, best_x, hit_unfittable = 0, math.inf, start, False
 
     def objective(log_params):
-        nonlocal evals, best_f, best_x
+        nonlocal evals, best_f, best_x, hit_unfittable
         evals += 1
         try:
             f, g = _neg_lml_and_grad(log_params, d2, yc)
         except UnfittableDataError:
             if evals == 1:
                 raise
+            hit_unfittable = True
             return math.inf, np.zeros(3)
         if f < best_f:
             best_f, best_x = f, log_params.copy()
@@ -291,8 +292,7 @@ def fit(train: TrainingSet, search: HyperparamSearchConfig | None = None) -> "Gp
         objective, start, jac=True, method="L-BFGS-B",
         bounds=[(c - span, c + span) for c in start],
     )
-    # L-BFGS-B can report success after stepping onto an unfittable point.
-    converged = bool(result.success) and math.isfinite(result.fun)
+    converged = bool(result.success) and not hit_unfittable
 
     params = SeKernelParams(*np.exp(best_x))
     used = TrainingSet(x=x, y=y, standardizer=std)
