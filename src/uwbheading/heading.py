@@ -26,7 +26,9 @@ __all__ = [
     "train_heading_gps",
     "predict_pseudo_trig",
     "predict_pseudo_trig_many",
+    "predict_pseudo_trig_arrays",
     "normalize",
+    "normalize_many",
     "NORM_EPS",
     "VAR_FLOOR",
 ]
@@ -165,12 +167,15 @@ def train_heading_gps(
 def predict_pseudo_trig(pair: HeadingGpPair, feature: UwbFeature) -> PseudoTrig:
     s, c, vs, vc = (
         float(v[0])
-        for v in _predict_arrays(pair, feature.as_vector()[None, :])
+        for v in predict_pseudo_trig_arrays(pair, feature.as_vector()[None, :])
     )
     return PseudoTrig(s=s, c=c, var_s=vs, var_c=vc)
 
 
-def _predict_arrays(pair, vectors):
+def predict_pseudo_trig_arrays(pair: HeadingGpPair, vectors: np.ndarray):
+    """Batch pseudo-trig prediction over (m, 10) raw feature vectors as
+    (s, c, var_s, var_c) arrays, variances floored at VAR_FLOOR."""
+    vectors = np.atleast_2d(vectors)
     s, vs = pair.gp_sin.predict_many(vectors)
     c, vc = pair.gp_cos.predict_many(vectors)
     return s, c, np.maximum(vs, VAR_FLOOR), np.maximum(vc, VAR_FLOOR)
@@ -180,11 +185,21 @@ def predict_pseudo_trig_many(
     pair: HeadingGpPair, vectors: np.ndarray
 ) -> list[PseudoTrig]:
     """Batch pseudo-trig prediction over (m, 10) raw feature vectors."""
-    s, c, vs, vc = _predict_arrays(pair, np.atleast_2d(vectors))
+    s, c, vs, vc = predict_pseudo_trig_arrays(pair, vectors)
     return [
         PseudoTrig(s=float(si), c=float(ci), var_s=float(vi), var_c=float(wi))
         for si, ci, vi, wi in zip(s, c, vs, vc)
     ]
+
+
+def _normalize(s: float, c: float, var_s: float, var_c: float):
+    """(angle, variance) of one pseudo-trig pair, or None if its radius is
+    below NORM_EPS."""
+    norm = math.hypot(s, c)
+    if norm < NORM_EPS:
+        return None
+    var = (c * c * var_s + s * s * var_c) / norm**4
+    return math.atan2(s, c), max(var, VAR_FLOOR)
 
 
 def normalize(pt: PseudoTrig) -> HeadingMeasurement:
@@ -193,11 +208,35 @@ def normalize(pt: PseudoTrig) -> HeadingMeasurement:
     The heading is atan2(s, c). Its variance is the first-order push-forward
     of (var_s, var_c) through atan2, whose gradient is (c, -s) / r^2.
     """
-    s, c = pt.s, pt.c
-    norm = math.hypot(s, c)
-    if norm < NORM_EPS:
+    projected = _normalize(pt.s, pt.c, pt.var_s, pt.var_c)
+    if projected is None:
         raise DegeneratePredictionError(
-            f"pseudo-trig radius {norm:.3e} below {NORM_EPS}; skip this epoch"
+            f"pseudo-trig radius {math.hypot(pt.s, pt.c):.3e} below {NORM_EPS};"
+            " skip this epoch"
         )
-    var = (c * c * pt.var_s + s * s * pt.var_c) / norm**4
-    return HeadingMeasurement(angle=math.atan2(s, c), var_theta=max(var, VAR_FLOOR))
+    return HeadingMeasurement(angle=projected[0], var_theta=projected[1])
+
+
+def normalize_many(s, c, var_s, var_c):
+    """`normalize` over (m,) arrays, bit for bit: returns (angle, var_theta,
+    degenerate) arrays, with NaN angle and variance where `degenerate`
+    (radius below NORM_EPS) marks an epoch to skip.
+
+    Each element goes through math.atan2/math.hypot, as in `normalize`:
+    numpy's SIMD arctan2 and hypot can differ from libm in the last bit.
+    Non-finite values or non-positive variances raise ValueError, as
+    PseudoTrig does.
+    """
+    s, c, var_s, var_c = (np.asarray(v, dtype=float).ravel() for v in (s, c, var_s, var_c))
+    if not (np.isfinite(s).all() and np.isfinite(c).all()):
+        raise ValueError("pseudo-trig values must be finite")
+    if not ((var_s > 0).all() and (var_c > 0).all()):
+        raise ValueError("pseudo-trig variances must be positive")
+    projected = [
+        _normalize(*v) for v in zip(s.tolist(), c.tolist(), var_s.tolist(), var_c.tolist())
+    ]
+    degenerate = np.array([p is None for p in projected], dtype=bool)
+    pairs = np.array(
+        [(math.nan, math.nan) if p is None else p for p in projected], dtype=float
+    ).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1], degenerate

@@ -7,6 +7,12 @@ and abelian, so that innovation is exactly the wrapped angle difference and
 the state is a wrapped angle. The linearized Jacobians are constants
 (A = 1, C = 1, M = -1), so the covariance is a scalar. The Joseph-form
 update keeps it strictly positive.
+
+The arithmetic is written once, on plain floats, in `_predict` and
+`_correct`. The online API (`predict`/`correct` on a validated
+`FilterState`) and the batch pass `filter_runs` (many runs over the same
+epochs, validated only at its inputs) both call it, so they agree bit for
+bit.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.stats import chi2
 
 from . import so2
@@ -26,6 +33,7 @@ __all__ = [
     "InnovationStats",
     "predict",
     "correct",
+    "filter_runs",
     "mahalanobis_bound",
 ]
 
@@ -38,7 +46,7 @@ class FilterState:
     def __post_init__(self):
         if not math.isfinite(self.angle):
             raise ValueError(f"filter angle must be finite, got {self.angle}")
-        object.__setattr__(self, "angle", float(so2.wrap_angle(self.angle)))
+        object.__setattr__(self, "angle", so2.wrap_float(float(self.angle)))
         if not (math.isfinite(self.cov) and self.cov > 0):
             raise ValueError(f"covariance must be strictly positive, got {self.cov}")
 
@@ -62,8 +70,8 @@ class ProcessNoise:
     psd: float  # rad^2/s
 
     def __post_init__(self):
-        if self.psd <= 0:
-            raise ValueError("gyro noise PSD must be strictly positive")
+        if not (math.isfinite(self.psd) and self.psd > 0):
+            raise ValueError(f"gyro noise PSD must be finite and positive, got {self.psd}")
 
 
 @dataclass(frozen=True)
@@ -73,11 +81,30 @@ class InnovationStats:
     mahalanobis: float  # innovation^2 / innovation_var
 
 
+# The kernels return the new angle unwrapped: the holder of the state wraps
+# it exactly once (FilterState on construction, filter_runs in its loop).
+
+
+def _predict(theta: float, cov: float, increment: float, process_var: float):
+    """Propagate by `increment` (rate * dt) and grow the covariance by
+    `process_var` (psd * dt)."""
+    return theta + increment, cov + process_var
+
+
+def _correct(theta: float, cov: float, y: float, meas_var: float):
+    """Fuse heading y with variance meas_var (Joseph form); returns the
+    updated angle and covariance, the innovation z and its variance S."""
+    z = so2.wrap_float(theta - y)
+    s_var = cov + meas_var
+    gain = cov / s_var
+    cov = (1.0 - gain) ** 2 * cov + gain**2 * meas_var
+    return theta - gain * z, cov, z, s_var
+
+
 def predict(state: FilterState, gyro: GyroSample, noise: ProcessNoise) -> FilterState:
     """Propagate with the measured rate; exact for piecewise-constant rate."""
-    return FilterState(
-        angle=state.angle + gyro.rate * gyro.dt, cov=state.cov + noise.psd * gyro.dt
-    )
+    theta, cov = _predict(state.angle, state.cov, gyro.rate * gyro.dt, noise.psd * gyro.dt)
+    return FilterState(angle=theta, cov=cov)
 
 
 def correct(
@@ -85,16 +112,50 @@ def correct(
 ) -> tuple[FilterState, InnovationStats]:
     """Fuse one SO(2) heading measurement; returns the updated state and
     innovation statistics (Joseph-form covariance update)."""
-    z = float(so2.wrap_angle(state.angle - meas.angle))
-    s_var = state.cov + meas.var_theta
-    if s_var <= 0:  # impossible given invariants; guard regardless
-        raise ValueError("non-positive innovation variance")
-    gain = state.cov / s_var
-    cov = (1.0 - gain) ** 2 * state.cov + gain**2 * meas.var_theta
-    stats = InnovationStats(
-        innovation=z, innovation_var=s_var, mahalanobis=z * z / s_var
-    )
-    return FilterState(angle=state.angle - gain * z, cov=cov), stats
+    theta, cov, z, s_var = _correct(state.angle, state.cov, meas.angle, meas.var_theta)
+    stats = InnovationStats(innovation=z, innovation_var=s_var, mahalanobis=z * z / s_var)
+    return FilterState(angle=theta, cov=cov), stats
+
+
+def filter_runs(starts, increments, process_vars, measurements, gate_bound=math.inf):
+    """Filter every start in `starts` over the same n epochs.
+
+    `starts` are FilterStates at epoch 0. `increments[k]` and
+    `process_vars[k]` (n - 1 floats each) are rate * dt and psd * dt of the
+    step from epoch k to k + 1. `measurements[k]` is an (angle, variance)
+    pair or None for no correction. A correction whose Mahalanobis distance
+    exceeds `gate_bound` is not applied (math.inf: none is gated); its
+    distance is still reported. The steps are not validated: a non-finite
+    value propagates into the output.
+
+    Returns (angle, cov, mahalanobis) arrays of shape (len(starts), n);
+    mahalanobis is NaN where no correction ran.
+    """
+    if not len(increments) == len(process_vars) == max(len(measurements) - 1, 0):
+        raise ValueError(
+            f"{len(increments)} increments and {len(process_vars)} process variances"
+            f" for {len(measurements)} epochs; need one step between each two epochs"
+        )
+    steps = list(zip([None, *increments], [None, *process_vars], measurements))
+    angles, covs, mahals = [], [], []
+    for start in starts:
+        theta, cov = start.angle, start.cov
+        for increment, process_var, meas in steps:
+            if increment is not None:
+                theta, cov = _predict(theta, cov, increment, process_var)
+                theta = so2.wrap_float(theta)
+            if meas is None:
+                mahal = math.nan
+            else:
+                new_theta, new_cov, z, s_var = _correct(theta, cov, *meas)
+                mahal = z * z / s_var
+                if not mahal > gate_bound:
+                    theta, cov = so2.wrap_float(new_theta), new_cov
+            angles.append(theta)
+            covs.append(cov)
+            mahals.append(mahal)
+    shape = (len(starts), len(steps))
+    return tuple(np.array(v, dtype=float).reshape(shape) for v in (angles, covs, mahals))
 
 
 def mahalanobis_bound(confidence: float, dof: int = 1) -> float:

@@ -2,6 +2,10 @@
 execution (gp-iekf / mag-iekf / deadreckon), Monte-Carlo evaluation, and
 plot-data export.
 
+`cmd_run` filters all Monte-Carlo runs in one `run_filter` call, a single
+float-level pass (`iekf.filter_runs`), and writes and reads traces column
+by column.
+
 Subcommands: generate, train, run, report. Exit codes: 0 success,
 1 usage/config error, 2 data error, 3 numerical failure.
 """
@@ -10,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -23,6 +28,7 @@ from . import gp, heading, iekf, so2, world
 
 ESTIMATORS = ("gp-iekf", "mag-iekf", "deadreckon")
 MAHALANOBIS_BOUND_997 = 8.807  # chi-square 99.7% quantile, 1 DOF
+TRACE_COLUMNS = ("t", "run", "error", "three_sigma", "mahalanobis")
 
 
 class DataError(RuntimeError):
@@ -103,8 +109,12 @@ class RunConfig:
     gate: bool = False  # reject corrections above the 99.7% bound
 
     def __post_init__(self):
-        if self.monte_carlo_runs < 1 or self.init_error_var <= 0:
-            raise ValueError("runs >= 1 and init_error_var > 0 required")
+        if self.monte_carlo_runs < 1 or not (
+            math.isfinite(self.init_error_var) and self.init_error_var > 0
+        ):
+            raise ValueError("runs >= 1 and a finite init_error_var > 0 required")
+        if self.q_c is not None and not (math.isfinite(self.q_c) and self.q_c > 0):
+            raise ValueError(f"q_c must be finite and positive, got {self.q_c}")
         if self.estimator not in ESTIMATORS:
             raise ValueError(f"estimator must be one of {ESTIMATORS}")
 
@@ -199,96 +209,143 @@ def _measurements_for(estimator, records, pair, mag_var):
             for r in records
         ]
     vectors = np.array([r.feature_vector() for r in records])
-    out = []
-    for pt in heading.predict_pseudo_trig_many(pair, vectors):
-        try:
-            out.append(heading.normalize(pt))
-        except heading.DegeneratePredictionError:
-            out.append(None)
-    return out
+    angle, var, degenerate = heading.normalize_many(
+        *heading.predict_pseudo_trig_arrays(pair, vectors)
+    )
+    return [
+        None if skip else heading.HeadingMeasurement(angle=a, var_theta=v)
+        for a, v, skip in zip(angle.tolist(), var.tolist(), degenerate.tolist())
+    ]
 
 
 def run_filter(
     records,
     measurements,
     q_c: float,
-    init_theta: float,
+    init_theta,
     init_var: float,
     gate: bool = False,
 ):
-    """One filter pass; returns (error, three_sigma, mahalanobis) arrays.
+    """Filter every start angle over `records`; returns (error, three_sigma,
+    mahalanobis) arrays, of shape (n,) for a scalar `init_theta` and (R, n)
+    for a sequence of R start angles.
 
-    The error is the left-invariant group error log(gt^-1 est), wrapped into
-    the principal branch; Mahalanobis entries are NaN where no correction ran.
+    All runs share one float-level pass (`iekf.filter_runs`); the inputs are
+    validated here, once, instead of at every step. The error is the
+    left-invariant group error log(gt^-1 est), wrapped into the principal
+    branch; Mahalanobis entries are NaN where no correction ran. A
+    non-finite error or covariance raises NumericalError naming the first
+    epoch where one appears.
     """
-    n = len(records)
+    if len(measurements) != len(records):
+        raise ValueError(f"{len(measurements)} measurements for {len(records)} records")
     noise = iekf.ProcessNoise(psd=q_c)
-    state = iekf.FilterState.from_angle(init_theta, init_var)
-    err = np.empty(n)
-    sig3 = np.empty(n)
-    mahal = np.full(n, math.nan)
-    for k in range(n):
-        if k > 0:
-            dt = records[k].t - records[k - 1].t
-            state = iekf.predict(
-                state, iekf.GyroSample(rate=records[k - 1].gyro, dt=dt), noise
-            )
-        meas = measurements[k]
-        if meas is not None:
-            updated, stats = iekf.correct(state, meas)
-            if not (gate and stats.mahalanobis > MAHALANOBIS_BOUND_997):
-                state = updated
-            mahal[k] = stats.mahalanobis
-        err[k] = so2.wrap_angle(state.angle - records[k].gt_heading)
-        sig3[k] = 3.0 * math.sqrt(state.cov)
-        if not (math.isfinite(err[k]) and math.isfinite(sig3[k])):
-            raise NumericalError(f"NaN propagation at epoch {k}")
+    starts = [iekf.FilterState(angle=a, cov=init_var) for a in np.ravel(init_theta)]
+    t = np.array([r.t for r in records], dtype=float)
+    gyro = np.array([r.gyro for r in records[:-1]], dtype=float)
+    dt = np.diff(t)
+    if not (np.all(dt > 0) and np.all(np.isfinite(gyro))):
+        raise ValueError("gyro samples need finite rates and increasing t")
+    angle, cov, mahal = iekf.filter_runs(
+        starts,
+        (gyro * dt).tolist(),
+        (noise.psd * dt).tolist(),
+        [None if m is None else (m.angle, m.var_theta) for m in measurements],
+        MAHALANOBIS_BOUND_997 if gate else math.inf,
+    )
+    gt = np.array([r.gt_heading for r in records], dtype=float)
+    with np.errstate(invalid="ignore"):
+        err = so2.wrap_angle(angle - gt)
+        sig3 = 3.0 * np.sqrt(cov)
+    bad = ~(np.isfinite(err) & np.isfinite(sig3)).all(axis=0)
+    if bad.any():
+        raise NumericalError(f"NaN propagation at epoch {int(np.argmax(bad))}")
+    if np.ndim(init_theta) == 0:
+        return err[0], sig3[0], mahal[0]
     return err, sig3, mahal
 
 
+def _noise_metadata(dataset_path, estimator) -> dict:
+    """The dataset's `noise` metadata, with gyro_psd (and mag_std for
+    mag-iekf) checked; DataError if the sidecar file is missing."""
+    path = world.metadata_path(dataset_path)
+    try:
+        noise = world.read_metadata(dataset_path).get("noise", {})
+    except FileNotFoundError as exc:
+        raise DataError(f"missing dataset metadata: {path}") from exc
+    psd = noise.get("gyro_psd")
+    if psd is not None and not (_finite_number(psd) and psd > 0):
+        raise DataError(f"{path}: gyro_psd must be finite and positive, got {psd!r}")
+    mag_std = noise.get("mag_std")
+    if estimator == "mag-iekf" and not (_finite_number(mag_std) and mag_std >= 0):
+        raise DataError(f"{path}: mag-iekf needs a finite noise.mag_std >= 0, got {mag_std!r}")
+    return noise
+
+
+def _finite_number(x) -> bool:
+    return isinstance(x, (int, float)) and math.isfinite(x)
+
+
 def cmd_run(dataset_path, model_dir, cfg: RunConfig, out_dir) -> dict:
-    """Monte-Carlo filter evaluation; writes traces.csv and metrics.json."""
+    """Monte-Carlo filter evaluation; writes traces.csv and metrics.json.
+
+    The runs differ only in their start angle, so one `run_filter` call
+    filters them all.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    stamps = [time.perf_counter()]  # stage boundaries: load, predict, filter, write
     records = world.read_dataset(dataset_path)
     if not records:
         raise DataError(f"empty dataset: {dataset_path}")
-    try:
-        meta = world.read_metadata(dataset_path)
-    except FileNotFoundError:
-        meta = {}
-    noise_meta = meta.get("noise", {})
+    noise_meta = _noise_metadata(dataset_path, cfg.estimator)
     q_c = cfg.q_c if cfg.q_c is not None else noise_meta.get("gyro_psd")
     if q_c is None:
         raise DataError("q_c not given and dataset metadata lacks gyro_psd")
 
     pair = None
-    mag_var = noise_meta.get("mag_std", 0.05) ** 2
+    mag_var = noise_meta["mag_std"] ** 2 if cfg.estimator == "mag-iekf" else None
     if cfg.estimator == "gp-iekf":
         if model_dir is None:
             raise DataError("gp-iekf requires --models")
         pair = heading.HeadingGpPair.load(model_dir)
+    stamps.append(time.perf_counter())
     measurements = _measurements_for(cfg.estimator, records, pair, mag_var)
+    stamps.append(time.perf_counter())
+
+    thetas0 = []
+    for r in range(cfg.monte_carlo_runs):
+        rng = np.random.default_rng([cfg.seed, r])
+        thetas0.append(
+            so2.wrap_angle(
+                records[0].gt_heading
+                + math.sqrt(cfg.init_error_var) * rng.standard_normal()
+            )
+        )
+    errs, sigs, mahals = run_filter(
+        records, measurements, q_c, thetas0, cfg.init_error_var, gate=cfg.gate
+    )
+    stamps.append(time.perf_counter())
 
     t = np.array([r.t for r in records])
     n = len(records)
-    steady_start = int(n * (1.0 - cfg.steady_fraction))
-    errs, sigs, mahals = [], [], []
+    t_cells = list(map(repr, t.tolist()))
+    lines = [",".join(TRACE_COLUMNS)]
     for r in range(cfg.monte_carlo_runs):
-        rng = np.random.default_rng([cfg.seed, r])
-        theta0 = so2.wrap_angle(
-            records[0].gt_heading + math.sqrt(cfg.init_error_var) * rng.standard_normal()
+        lines += map(
+            ",".join,
+            zip(
+                t_cells,
+                itertools.repeat(str(r)),
+                map(repr, errs[r].tolist()),
+                map(repr, sigs[r].tolist()),
+                map(repr, mahals[r].tolist()),
+            ),
         )
-        e, s3, mh = run_filter(
-            records, measurements, q_c, theta0, cfg.init_error_var, gate=cfg.gate
-        )
-        errs.append(e)
-        sigs.append(s3)
-        mahals.append(mh)
-    errs = np.array(errs)
-    sigs = np.array(sigs)
-    mahals = np.array(mahals)
+    (out_dir / "traces.csv").write_text("\n".join(lines) + "\n")
+    stamps.append(time.perf_counter())
 
+    steady_start = int(n * (1.0 - cfg.steady_fraction))
     rmse_deg = float(np.degrees(np.sqrt(np.mean(errs**2, axis=1))).mean())
     mean_3sigma_deg = float(np.degrees(sigs[:, steady_start:]).mean())
     finite = np.isfinite(mahals)
@@ -308,25 +365,27 @@ def cmd_run(dataset_path, model_dir, cfg: RunConfig, out_dir) -> dict:
         "seed": cfg.seed,
         "dataset_duration_s": float(t[-1] - t[0]) if n > 1 else 0.0,
         "n_epochs": n,
+        # epochs whose pseudo-trig radius was below NORM_EPS (gp-iekf only)
+        "degenerate_epochs": (
+            sum(m is None for m in measurements) if cfg.estimator == "gp-iekf" else 0
+        ),
+        # corrections not applied because of the gate, summed over runs
+        "corrections_gated": int(np.sum(mahals > MAHALANOBIS_BOUND_997)) if cfg.gate else 0,
     }
+    metrics.update(zip(("load_s", "predict_s", "filter_s", "write_s"), np.diff(stamps).tolist()))
     (out_dir / "metrics.json").write_text(json.dumps(metrics, indent=2) + "\n")
-
-    lines = ["t,run,error,three_sigma,mahalanobis"]
-    for r in range(cfg.monte_carlo_runs):
-        for k in range(n):
-            lines.append(
-                f"{float(t[k])!r},{r},{float(errs[r, k])!r},"
-                f"{float(sigs[r, k])!r},{float(mahals[r, k])!r}"
-            )
-    (out_dir / "traces.csv").write_text("\n".join(lines) + "\n")
     return metrics
 
 
 def _load_traces(run_dir):
     run_dir = Path(run_dir)
     metrics = json.loads((run_dir / "metrics.json").read_text())
-    raw = np.genfromtxt(run_dir / "traces.csv", delimiter=",", skip_header=1)
-    raw = np.atleast_2d(raw)
+    path = run_dir / "traces.csv"
+    header, _, body = path.read_text().partition("\n")
+    cells = body.replace(",", " ").split()
+    if header.split(",") != list(TRACE_COLUMNS) or len(cells) % len(TRACE_COLUMNS):
+        raise DataError(f"malformed traces file {path}")
+    raw = np.array(cells, dtype=float).reshape(-1, len(TRACE_COLUMNS))
     t = np.unique(raw[:, 0])
     runs = int(raw[:, 1].max()) + 1
     n = t.size
@@ -334,6 +393,13 @@ def _load_traces(run_dir):
     sig = raw[:, 3].reshape(runs, n)
     mahal = raw[:, 4].reshape(runs, n)
     return metrics["estimator"], t, err, sig, mahal
+
+
+def _write_columns(path: Path, header, columns) -> None:
+    """CSV of equal-length float columns, each value as its exact repr."""
+    cells = [map(repr, np.asarray(c, dtype=float).tolist()) for c in columns]
+    lines = [",".join(header), *map(",".join, zip(*cells))]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def cmd_report(run_dirs, out_dir) -> list[Path]:
@@ -348,15 +414,13 @@ def cmd_report(run_dirs, out_dir) -> list[Path]:
     written = []
 
     for est, t, err, sig, _ in loaded:
-        lines = ["t,mean_error,mean_three_sigma,minus_three_sigma"]
-        me = err.mean(axis=0)
         ms = sig.mean(axis=0)
-        for k in range(t.size):
-            lines.append(
-                f"{float(t[k])!r},{float(me[k])!r},{float(ms[k])!r},{float(-ms[k])!r}"
-            )
         p = out_dir / f"error_bounds_{est}.csv"
-        p.write_text("\n".join(lines) + "\n")
+        _write_columns(
+            p,
+            ["t", "mean_error", "mean_three_sigma", "minus_three_sigma"],
+            [t, err.mean(axis=0), ms, -ms],
+        )
         written.append(p)
 
     with_mahal = [
@@ -364,26 +428,23 @@ def cmd_report(run_dirs, out_dir) -> list[Path]:
     ]
     if with_mahal:
         t = with_mahal[0][1]
-        header = ["t"] + [f"mean_mahalanobis_{est}" for est, _, _ in with_mahal] + ["bound"]
-        lines = [",".join(header)]
-        cols = [np.nanmean(mh, axis=0) for _, _, mh in with_mahal]
-        for k in range(t.size):
-            vals = [repr(float(t[k]))] + [repr(float(c[k])) for c in cols]
-            vals.append(repr(MAHALANOBIS_BOUND_997))
-            lines.append(",".join(vals))
         p = out_dir / "mahalanobis.csv"
-        p.write_text("\n".join(lines) + "\n")
+        _write_columns(
+            p,
+            ["t"] + [f"mean_mahalanobis_{est}" for est, _, _ in with_mahal] + ["bound"],
+            [t]
+            + [np.nanmean(mh, axis=0) for _, _, mh in with_mahal]
+            + [np.full(t.size, MAHALANOBIS_BOUND_997)],
+        )
         written.append(p)
 
     t = loaded[0][1]
-    header = ["t"] + [f"abs_error_{est}" for est, *_ in loaded]
-    lines = [",".join(header)]
-    cols = [np.abs(err).mean(axis=0) for _, _, err, _, _ in loaded]
-    for k in range(t.size):
-        vals = [repr(float(t[k]))] + [repr(float(c[k])) for c in cols]
-        lines.append(",".join(vals))
     p = out_dir / "abs_error.csv"
-    p.write_text("\n".join(lines) + "\n")
+    _write_columns(
+        p,
+        ["t"] + [f"abs_error_{est}" for est, *_ in loaded],
+        [t] + [np.abs(err).mean(axis=0) for _, _, err, _, _ in loaded],
+    )
     written.append(p)
     return written
 

@@ -25,6 +25,15 @@ def wrap_angle(theta):
     return wrapped + TWO_PI * (wrapped == -math.pi)
 
 
+def wrap_float(theta: float) -> float:
+    """wrap_angle for one Python float, bit for bit, without numpy.
+
+    Python's float % takes the same fmod-and-sign-fix steps as np.mod.
+    """
+    wrapped = math.pi - (math.pi - theta) % TWO_PI
+    return math.pi if wrapped == -math.pi else wrapped
+
+
 def wedge(theta: float) -> np.ndarray:
     """Map an angle to its skew-symmetric algebra matrix [[0, -t], [t, 0]]."""
     theta = float(theta)

@@ -460,10 +460,13 @@ def _read_table(path: Path) -> np.ndarray:
     lines = path.read_text().strip().splitlines()
     if not lines or lines[0].split(",") != DATASET_COLUMNS:
         raise ValueError(f"bad dataset header in {path}")
-    rows = [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
-    if any(len(v) != len(DATASET_COLUMNS) for v in rows):
+    rows = lines[1:]
+    if any(ln.count(",") != len(DATASET_COLUMNS) - 1 for ln in rows):
         raise ValueError(f"bad row width in {path}")
-    return np.array(rows, dtype=float).reshape(len(rows), len(DATASET_COLUMNS))
+    if not rows:
+        return np.empty((0, len(DATASET_COLUMNS)))
+    cells = np.array(",".join(rows).split(","), dtype=float)
+    return cells.reshape(len(rows), len(DATASET_COLUMNS))
 
 
 def read_metadata(dataset_path) -> dict:

@@ -69,6 +69,79 @@ def test_normalize_scale_invariance_and_validity(s, c, a):
     assert np.abs(m1.rot - m2.rot).max() < 1e-9
 
 
+def normalize_or_none(s, c, var_s, var_c):
+    try:
+        return heading.normalize(heading.PseudoTrig(s=s, c=c, var_s=var_s, var_c=var_c))
+    except heading.DegeneratePredictionError:
+        return None
+
+
+def assert_normalize_many_matches(s, c, var_s, var_c):
+    angle, var, degenerate = heading.normalize_many(s, c, var_s, var_c)
+    for k, args in enumerate(zip(s, c, var_s, var_c)):
+        m = normalize_or_none(*args)
+        assert degenerate[k] == (m is None)
+        if m is None:
+            assert math.isnan(angle[k]) and math.isnan(var[k])
+        else:
+            assert float(angle[k]) == m.angle and float(var[k]) == m.var_theta
+
+
+# radii straddling NORM_EPS, at a few ulps and at 1% either side
+EDGE_RADII = [
+    heading.NORM_EPS * f for f in (0.99, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 1.01)
+] + [0.0, 1.0, 3.0]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(EDGE_RADII) | st.floats(min_value=0.0, max_value=10.0),
+            st.floats(min_value=-math.pi, max_value=math.pi),
+            st.floats(min_value=heading.VAR_FLOOR, max_value=10.0),
+            st.floats(min_value=heading.VAR_FLOOR, max_value=10.0),
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+@settings(max_examples=200)
+def test_normalize_many_matches_normalize(rows):
+    s = [r * math.sin(th) for r, th, _, _ in rows]
+    c = [r * math.cos(th) for r, th, _, _ in rows]
+    assert_normalize_many_matches(
+        s, c, [v for *_, v, _ in rows], [v for *_, v in rows]
+    )
+
+
+def test_normalize_many_degenerate_mask_at_norm_eps():
+    # along an axis the radius is exact, so the mask flips exactly at NORM_EPS
+    eps = heading.NORM_EPS
+    c = [math.nextafter(eps, 0.0), eps, math.nextafter(eps, 1.0), 0.0, -eps]
+    s = [0.0] * len(c)
+    _, _, degenerate = heading.normalize_many(s, c, [0.01] * 5, [0.02] * 5)
+    assert degenerate.tolist() == [True, False, False, True, False]
+    assert_normalize_many_matches(s, c, [0.01] * 5, [0.02] * 5)
+
+
+def test_normalize_many_matches_normalize_on_gp_predictions():
+    rng = np.random.default_rng(3)
+    feats = random_features(rng, 60)
+    pair = heading.train_heading_gps(feats, rng.uniform(-math.pi, math.pi, 60), SMALL_SEARCH)
+    queries = random_features(rng, 200)
+    s, c, vs, vc = heading.predict_pseudo_trig_arrays(pair, queries)
+    assert_normalize_many_matches(s.tolist(), c.tolist(), vs.tolist(), vc.tolist())
+    many = heading.predict_pseudo_trig_many(pair, queries)
+    assert [pt.s for pt in many] == s.tolist() and [pt.var_c for pt in many] == vc.tolist()
+
+
+def test_normalize_many_rejects_what_pseudo_trig_rejects():
+    with pytest.raises(ValueError):
+        heading.normalize_many([math.nan], [1.0], [0.1], [0.1])
+    with pytest.raises(ValueError):
+        heading.normalize_many([0.0], [1.0], [0.0], [0.1])
+
+
 def matrix_normalize(pt):
     """Reference: variance from the perturbation matrices D and E of the
     scaled rotation, angle from the projected matrix."""

@@ -273,3 +273,24 @@ def test_state_validation():
         iekf.GyroSample(rate=0.1, dt=0.0)
     with pytest.raises(ValueError):
         iekf.ProcessNoise(psd=0.0)
+    for psd in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            iekf.ProcessNoise(psd=psd)
+
+
+def test_filter_runs_shapes_and_gate_bound():
+    starts = [state(0.0, 1e-2), state(0.1, 1e-2)]
+    meas_pairs = [None, (3.0, 1e-4), (0.0, 1e-4)]
+    angle, cov, mahal = iekf.filter_runs(starts, [0.0, 0.0], [1e-6, 1e-6], meas_pairs)
+    assert angle.shape == cov.shape == mahal.shape == (2, 3)
+    assert np.isnan(mahal[:, 0]).all() and np.isfinite(mahal[:, 1:]).all()
+    gated, _, gated_mahal = iekf.filter_runs(
+        starts, [0.0, 0.0], [1e-6, 1e-6], meas_pairs, gate_bound=8.807
+    )
+    assert np.array_equal(gated_mahal[:, 1], mahal[:, 1])  # reported even when gated
+    assert np.abs(gated[:, 1] - angle[:, 0]).max() == 0.0  # the wild fix is not applied
+    assert np.abs(angle[:, 1] - 3.0).max() < 0.1  # ungated, it is
+    empty = iekf.filter_runs(starts, [], [], [])
+    assert all(a.shape == (2, 0) for a in empty)
+    with pytest.raises(ValueError):
+        iekf.filter_runs(starts, [0.0], [1e-6, 1e-6], meas_pairs)

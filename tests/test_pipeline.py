@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uwbheading import heading, iekf, pipeline, so2, world
 
@@ -37,6 +39,12 @@ def test_run_config_validation():
         pipeline.RunConfig(monte_carlo_runs=0)
     with pytest.raises(ValueError):
         pipeline.RunConfig(init_error_var=0.0)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            pipeline.RunConfig(q_c=bad)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            pipeline.RunConfig(init_error_var=bad)
 
 
 def test_config_file_unknown_key_rejected(tmp_path):
@@ -177,6 +185,96 @@ def test_run_filter_gate_skips_outliers():
     assert abs(ungated[151]) > 1.0
 
 
+def test_run_filter_overflowing_covariance_is_numerical_error():
+    recs = clean_records()
+    with pytest.raises(pipeline.NumericalError, match="epoch"):
+        pipeline.run_filter(recs, [None] * len(recs), 1e308, 0.0, 1.0)
+
+
+def test_run_filter_rejects_mismatched_measurements():
+    recs = clean_records()
+    with pytest.raises(ValueError):
+        pipeline.run_filter(recs, [None] * (len(recs) - 1), 1e-6, 0.0, 1.0)
+
+
+def reference_run(records, measurements, q_c, theta0, init_var, gate):
+    """One run through the online API, epoch by epoch."""
+    noise = iekf.ProcessNoise(psd=q_c)
+    state = iekf.FilterState(angle=theta0, cov=init_var)
+    err, sig3, mahal = [], [], []
+    for k, (rec, meas) in enumerate(zip(records, measurements)):
+        if k:
+            prev = records[k - 1]
+            state = iekf.predict(state, iekf.GyroSample(rate=prev.gyro, dt=rec.t - prev.t), noise)
+        d = math.nan
+        if meas is not None:
+            updated, stats = iekf.correct(state, meas)
+            d = stats.mahalanobis
+            if not (gate and d > pipeline.MAHALANOBIS_BOUND_997):
+                state = updated
+        err.append(float(so2.wrap_angle(state.angle - rec.gt_heading)))
+        sig3.append(3.0 * math.sqrt(state.cov))
+        mahal.append(d)
+    return np.array(err), np.array(sig3), np.array(mahal)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+near_pi = st.sampled_from([math.pi, -math.pi, math.pi - 1e-3, -math.pi + 1e-3, 3.0, -3.0])
+epoch = st.tuples(
+    st.floats(min_value=1e-3, max_value=1.0),  # dt
+    st.floats(min_value=-3.0, max_value=3.0),  # gyro rate
+    near_pi | st.floats(min_value=-math.pi, max_value=math.pi),  # ground truth
+    st.none() | near_pi | st.floats(min_value=-math.pi, max_value=math.pi),  # measurement
+    st.floats(min_value=1e-6, max_value=1.0),  # measurement variance
+)
+
+
+@given(
+    st.lists(epoch, min_size=1, max_size=25),
+    st.lists(near_pi | st.floats(min_value=-10.0, max_value=10.0), min_size=1, max_size=4),
+    st.floats(min_value=1e-8, max_value=1.0),
+    st.floats(min_value=1e-6, max_value=2.0),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_run_filter_matches_online_loops_bit_for_bit(epochs, starts, q_c, init_var, gate):
+    records, measurements, t = [], [], 0.0
+    for dt, rate, gt, y, var in epochs:
+        t += dt
+        records.append(world.SampleRecord(
+            t=t, ranges=np.ones(5), rss=np.zeros(5), gyro=rate, mag=0.0, gt_heading=gt,
+        ))
+        measurements.append(None if y is None else heading.HeadingMeasurement(y, var))
+    err, sig3, mahal = pipeline.run_filter(records, measurements, q_c, starts, init_var, gate)
+    assert err.shape == sig3.shape == mahal.shape == (len(starts), len(records))
+    for r, theta0 in enumerate(starts):
+        ref = reference_run(records, measurements, q_c, theta0, init_var, gate)
+        assert all(same_bits(got[r], want) for got, want in zip((err, sig3, mahal), ref))
+        single = pipeline.run_filter(records, measurements, q_c, theta0, init_var, gate)
+        assert all(same_bits(got, want) for got, want in zip(single, ref))
+
+
+def test_run_filter_innovation_across_pi_and_gate():
+    # state just below +pi, measurement just above -pi: the innovation is
+    # small once wrapped, so the gate keeps the correction
+    recs = [
+        world.SampleRecord(t=float(k), ranges=np.ones(5), rss=np.zeros(5), gyro=0.0,
+                           mag=0.0, gt_heading=math.pi)
+        for k in range(3)
+    ]
+    meas = [None, heading.HeadingMeasurement(-math.pi + 0.05, 1e-2), None]
+    for gate in (False, True):
+        err, _, mahal = pipeline.run_filter(recs, meas, 1e-6, [math.pi - 0.05], 1e-2, gate)
+        ref = reference_run(recs, meas, 1e-6, math.pi - 0.05, 1e-2, gate)
+        assert same_bits(err[0], ref[0]) and same_bits(mahal[0], ref[2])
+        assert mahal[0, 1] == pytest.approx(0.1**2 / (2e-2 + 1e-6), rel=1e-9)
+        assert abs(err[0, 2]) < 0.05
+
+
 # --- run / report ------------------------------------------------------------------
 
 
@@ -215,6 +313,35 @@ def test_run_traces_shape(run_dirs):
     assert err.shape == (5, t.size)
     assert np.all(sig > 0)
     assert np.isfinite(mahal).mean() > 0.9
+
+
+def test_run_metrics_report_counts_and_stage_times(run_dirs):
+    for est, d in run_dirs.items():
+        m = json.loads((d / "metrics.json").read_text())
+        _, _, _, _, mahal = pipeline._load_traces(d)
+        skipped = int(np.isnan(mahal[0]).sum())
+        assert m["degenerate_epochs"] == (skipped if est == "gp-iekf" else 0)
+        assert m["corrections_gated"] == 0  # gate off
+        assert all(m[k] >= 0.0 for k in ("load_s", "predict_s", "filter_s", "write_s"))
+
+
+def test_gated_run_counts_gated_corrections(workspace, tmp_path):
+    cfg = pipeline.RunConfig(estimator="gp-iekf", monte_carlo_runs=3, seed=1, gate=True)
+    m = pipeline.cmd_run(workspace / "data" / "test.csv", workspace / "models", cfg, tmp_path)
+    _, _, _, _, mahal = pipeline._load_traces(tmp_path)
+    assert m["corrections_gated"] == int(np.sum(mahal > pipeline.MAHALANOBIS_BOUND_997))
+
+
+def test_load_traces_matches_genfromtxt(run_dirs):
+    for d in run_dirs.values():
+        raw = np.atleast_2d(np.genfromtxt(d / "traces.csv", delimiter=",", skip_header=1))
+        _, t, err, sig, mahal = pipeline._load_traces(d)
+        runs = err.shape[0]
+        assert same_bits(t, np.unique(raw[:, 0]))
+        for col, got in zip((2, 3, 4), (err, sig, mahal)):
+            assert same_bits(got, raw[:, col].reshape(runs, t.size))
+    # deadreckon never corrects: every Mahalanobis entry is NaN
+    assert np.isnan(pipeline._load_traces(run_dirs["deadreckon"])[4]).all()
 
 
 def test_run_is_seed_deterministic(workspace, run_dirs):
@@ -363,3 +490,73 @@ def test_cli_exit_codes(tmp_path):
             "--estimator", "gp-iekf", "--out", str(tmp_path / "r"),
         ]
     ) == 2
+
+
+def copy_dataset(workspace, tmp_path, edit_meta=None):
+    """The test split copied into tmp_path; `edit_meta(meta)` edits its
+    metadata, None drops the metadata file."""
+    src = workspace / "data" / "test.csv"
+    dst = tmp_path / "test.csv"
+    dst.write_text(src.read_text())
+    if edit_meta is not None:
+        meta = world.read_metadata(src)
+        edit_meta(meta)
+        world.metadata_path(dst).write_text(json.dumps(meta))
+    return dst
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("q_c", -1.0), ("q_c", 0.0), ("q_c", math.nan), ("q_c", math.inf),
+        ("init_error_var", math.nan), ("init_error_var", math.inf),
+    ],
+)
+def test_cli_bad_run_config_is_usage_error(workspace, tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"run": {"estimator": "deadreckon", key: value}}))
+    argv = ["run", "--config", str(cfg), "--dataset", str(workspace / "data" / "test.csv"),
+            "--out", str(tmp_path / "r")]
+    assert pipeline.main(argv) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def _set_noise(key, value):
+    def edit(meta):
+        if value is None:
+            del meta["noise"][key]
+        else:
+            meta["noise"][key] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "estimator, edit, q_c, message",
+    [
+        ("deadreckon", _set_noise("gyro_psd", -1.0), None, "gyro_psd"),
+        ("deadreckon", _set_noise("gyro_psd", 0.0), None, "gyro_psd"),
+        ("deadreckon", _set_noise("gyro_psd", math.nan), None, "gyro_psd"),
+        ("deadreckon", _set_noise("gyro_psd", math.inf), None, "gyro_psd"),
+        ("deadreckon", _set_noise("gyro_psd", "fast"), None, "gyro_psd"),
+        ("deadreckon", _set_noise("gyro_psd", None), None, "gyro_psd"),
+        ("mag-iekf", _set_noise("mag_std", None), 3e-3, "mag_std"),
+        ("mag-iekf", _set_noise("mag_std", "0.05"), 3e-3, "mag_std"),
+        ("mag-iekf", _set_noise("mag_std", math.nan), 3e-3, "mag_std"),
+        ("mag-iekf", None, 3e-3, "meta.json"),
+        ("deadreckon", None, 3e-3, "meta.json"),
+    ],
+    ids=[
+        "negative-psd", "zero-psd", "nan-psd", "inf-psd", "string-psd", "no-psd",
+        "mag-without-mag-std", "string-mag-std", "nan-mag-std", "mag-without-metadata",
+        "deadreckon-without-metadata",
+    ],
+)
+def test_cli_bad_metadata_is_data_error(workspace, tmp_path, capsys, estimator, edit, q_c, message):
+    dataset = copy_dataset(workspace, tmp_path, edit)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"run": {} if q_c is None else {"q_c": q_c}}))
+    argv = ["run", "--config", str(cfg), "--estimator", estimator, "--runs", "1",
+            "--dataset", str(dataset), "--out", str(tmp_path / "r")]
+    assert pipeline.main(argv) == 2
+    assert message in capsys.readouterr().err

@@ -83,6 +83,37 @@ def test_wrap_angle_branch_convention():
     assert float(so2.wrap_angle(3.5)) == pytest.approx(3.5 - 2 * math.pi, abs=1e-12)
 
 
+def same_float(a: float, b: float) -> bool:
+    """Bit-for-bit equality (distinguishes -0.0 from 0.0; NaN equals NaN)."""
+    return np.array(a, dtype=float).tobytes() == np.array(b, dtype=float).tobytes()
+
+
+WRAP_EDGES = [
+    math.pi, -math.pi, math.nextafter(math.pi, 4.0), math.nextafter(math.pi, 0.0),
+    math.nextafter(-math.pi, -4.0), math.nextafter(-math.pi, 0.0),
+    0.0, -0.0, 2 * math.pi, -2 * math.pi, 3 * math.pi, -3 * math.pi, 1e-300, -1e-300,
+    1e15, -1e15,
+]
+
+
+@pytest.mark.parametrize("theta", WRAP_EDGES, ids=repr)
+def test_wrap_float_matches_wrap_angle_on_edges(theta):
+    assert same_float(so2.wrap_float(theta), float(so2.wrap_angle(theta)))
+    assert type(so2.wrap_float(theta)) is float
+
+
+def test_wrap_float_matches_wrap_angle_on_random_batch():
+    rng = np.random.default_rng(0)
+    xs = np.concatenate([rng.uniform(-20.0, 20.0, 20000), rng.normal(0.0, 1e4, 20000)])
+    assert [so2.wrap_float(x) for x in xs.tolist()] == so2.wrap_angle(xs).tolist()
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12))
+@settings(max_examples=500)
+def test_wrap_float_matches_wrap_angle(theta):
+    assert same_float(so2.wrap_float(theta), float(so2.wrap_angle(theta)))
+
+
 @given(angles)
 @settings(max_examples=200)
 def test_exp_log_round_trip_mod_2pi(theta):

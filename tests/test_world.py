@@ -412,6 +412,35 @@ def test_read_dataset_rejects_bad_header(tmp_path):
         world.read_dataset(p)
 
 
+def test_read_dataset_checks_row_width_and_tokens(tmp_path):
+    header = ",".join(world.DATASET_COLUMNS)
+    row = ",".join(["1.0"] * len(world.DATASET_COLUMNS))
+    p = tmp_path / "rows.csv"
+    for body, message in (
+        (row + ",2.0", "bad row width"),  # one cell too many
+        (row.rsplit(",", 1)[0], "bad row width"),  # one cell short
+        (row.replace("1.0", "abc", 1), "abc"),  # not a number
+        (row.replace("1.0", "", 1), "convert"),  # empty cell
+    ):
+        p.write_text(f"{header}\n{row}\n{body}\n")
+        with pytest.raises(ValueError, match=message):
+            world.read_dataset(p)
+    p.write_text(header + "\n")
+    assert world.read_dataset(p) == []
+
+
+def test_read_table_matches_float_per_cell(tmp_path):
+    traj = world.generate_trajectory(AREA, 20.0, 10.0, "smooth-random", seed=4)
+    recs = world.build_dataset(traj, ANCHORS, PATTERN, world.SensorNoiseConfig(seed=5))
+    path = tmp_path / "data.csv"
+    world.write_dataset(path, recs)
+    lines = path.read_text().strip().splitlines()[1:]
+    reference = np.array([[float(tok) for tok in ln.split(",")] for ln in lines])
+    table = world._read_table(path)
+    assert table.shape == reference.shape
+    assert table.tobytes() == reference.tobytes()
+
+
 def test_zero_noise_dataset_supports_heading_regression():
     # end-to-end sanity: clean world -> GP -> heading RMSE far below chance
     from uwbheading import gp, heading
