@@ -8,6 +8,11 @@ data-derived heuristics, and each log-parameter is boxed to a fixed span of
 decades around its heuristic. Inputs are standardized internally (the
 isotropic lengthscale is meaningless across mixed units); outputs are
 centered and the training mean is added back at prediction.
+
+Fitting, factorizing and batch prediction run on one BLAS thread (see
+`_blas`): threaded OpenBLAS workers keep spinning after a call and slow the
+work that follows, and a threaded Cholesky factor depends in its last bits
+on the CPU count.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, lapack, solve_triangular
 from scipy.optimize import minimize
+
+from . import _blas
 
 __all__ = [
     "SeKernelParams",
@@ -197,6 +204,7 @@ def _lml_from_sqdist(d2: np.ndarray, y: np.ndarray, params: SeKernelParams) -> f
     )
 
 
+@_blas.one_thread()
 def log_marginal_likelihood(train: TrainingSet, params: SeKernelParams) -> float:
     """Log marginal likelihood of the training outputs under the kernel."""
     return _lml_from_sqdist(_sq_dists(train.x, train.x), train.y, params)
@@ -245,6 +253,7 @@ def _neg_lml_and_grad(
     return -lml, -grad
 
 
+@_blas.one_thread()
 def fit(train: TrainingSet, search: HyperparamSearchConfig | None = None) -> "GpModel":
     """Fit hyperparameters by log-marginal-likelihood maximization.
 
@@ -317,6 +326,7 @@ class GpModel:
     converged: bool | None = None  # the fit's optimizer success; None if not fitted
 
     @classmethod
+    @_blas.one_thread()
     def from_params(
         cls,
         train: TrainingSet,
@@ -344,6 +354,12 @@ class GpModel:
             raise ValueError(
                 f"query dimension {xs.shape[1]} != training dimension {self.train.d}"
             )
+        if xs.shape[0] == 1:  # OpenBLAS keeps one-column products and solves on one thread
+            return self._posterior(xs)
+        with _blas.one_thread():
+            return self._posterior(xs)
+
+    def _posterior(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         k_star = gram_matrix(self.train.x, xs, self.params)  # (n, m)
         means = k_star.T @ self.alpha + self.y_mean
         v = solve_triangular(self.chol, k_star, lower=True)  # (n, m)

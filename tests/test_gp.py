@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from uwbheading import gp
+from uwbheading import _blas, gp
 
 RNG = np.random.default_rng(1234)
 
@@ -456,3 +456,60 @@ def test_chol_reports_jitter_added():
     assert jitter > 0
     assert np.abs(chol @ chol.T - (k + jitter * np.eye(3))).max() < 1e-12
     assert gp._chol_with_jitter(np.eye(3))[1] == 0.0
+
+
+# --- BLAS threads ------------------------------------------------------------
+
+
+def _set_blas_threads(n):
+    """Set every loaded OpenBLAS to n threads; returns their previous counts."""
+    return [set_threads(n) for set_threads in _blas._setters()]
+
+
+def _blas_threads():
+    counts = _set_blas_threads(1)
+    for set_threads, n in zip(_blas._setters(), counts):
+        set_threads(n)
+    return counts
+
+
+needs_openblas = pytest.mark.skipif(
+    not _blas._setters(), reason="no OpenBLAS with openblas_set_num_threads_local loaded"
+)
+
+
+@needs_openblas
+def test_one_thread_sets_and_restores_every_openblas():
+    before = _set_blas_threads(2)
+    try:
+        with _blas.one_thread():
+            assert _blas_threads() == [1] * len(before)
+        assert _blas_threads() == [2] * len(before)
+        with pytest.raises(RuntimeError), _blas.one_thread():
+            raise RuntimeError("inside")
+        assert _blas_threads() == [2] * len(before)
+    finally:
+        for set_threads, n in zip(_blas._setters(), before):
+            set_threads(n)
+
+
+@needs_openblas
+def test_fit_and_predict_do_not_depend_on_blas_thread_count():
+    # 300 points: large enough that OpenBLAS would split the Cholesky
+    # factorization and the batch solve over threads
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(300, 4))
+    train = gp.TrainingSet.from_raw(x, np.sin(x[:, 0]) + 0.1 * rng.normal(size=300))
+    queries = rng.normal(size=(500, 4))
+    results = []
+    before = _set_blas_threads(2)
+    try:
+        for n in (2, 1):
+            _set_blas_threads(n)
+            model = gp.fit(train, gp.HyperparamSearchConfig(max_points=300))
+            results.append((model.chol, model.alpha, *model.predict_many(queries)))
+    finally:
+        for set_threads, n in zip(_blas._setters(), before):
+            set_threads(n)
+    for threaded, single in zip(*results):
+        assert np.array_equal(threaded, single)
