@@ -14,15 +14,14 @@ import numpy as np
 from uwbheading import gp, heading, pipeline, so2, world
 
 
-def gp_rmse_deg(pair, records) -> float:
-    feats = np.array([r.feature_vector() for r in records])
+def gp_rmse_deg(pair, data) -> float:
     errs = []
-    for pt, rec in zip(heading.predict_pseudo_trig_many(pair, feats), records):
+    for pt, gt in zip(heading.predict_pseudo_trig_many(pair, data.features), data.gt_heading):
         try:
             m = heading.normalize(pt)
         except heading.DegeneratePredictionError:
             continue
-        errs.append(so2.wrap_angle(m.angle - rec.gt_heading))
+        errs.append(so2.wrap_angle(m.angle - gt))
     return math.degrees(float(np.sqrt(np.mean(np.square(errs)))))
 
 
@@ -58,9 +57,7 @@ def main() -> int:
                     )
                 )
             train, test = splits
-            feats = np.array([r.feature_vector() for r in train])
-            gts = np.array([r.gt_heading for r in train])
-            pair = heading.train_heading_gps(feats, gts, search)
+            pair = heading.train_heading_gps(train.features, train.gt_heading, search)
             rmses.append(gp_rmse_deg(pair, test))
         per_seed = " ".join(f"{r:6.2f}" for r in rmses)
         print(f"{quantum:>12.2f} {per_seed:>30} {np.mean(rmses):8.2f}")

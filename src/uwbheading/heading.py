@@ -128,11 +128,15 @@ class HeadingGpPair:
     @classmethod
     def load(cls, directory) -> "HeadingGpPair":
         directory = Path(directory)
-        manifest = json.loads((directory / "heading_model.json").read_text())
-        return cls(
-            gp_sin=gp.GpModel.load(directory / manifest["files"]["sin"]),
-            gp_cos=gp.GpModel.load(directory / manifest["files"]["cos"]),
-        )
+        path = directory / "heading_model.json"
+        try:
+            files = json.loads(path.read_text())["files"]
+            sin, cos = [directory / files[k] for k in ("sin", "cos")]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(
+                f"bad model manifest {path}: need 'files' naming the sin and cos models ({exc!r})"
+            ) from exc
+        return cls(gp_sin=gp.GpModel.load(sin), gp_cos=gp.GpModel.load(cos))
 
 
 def train_heading_gps(

@@ -27,7 +27,7 @@ import numpy as np
 from . import gp, heading, iekf, so2, world
 
 ESTIMATORS = ("gp-iekf", "mag-iekf", "deadreckon")
-MAHALANOBIS_BOUND_997 = 8.807  # chi-square 99.7% quantile, 1 DOF
+MAHALANOBIS_BOUND_997 = iekf.mahalanobis_bound(0.997)
 TRACE_COLUMNS = ("t", "run", "error", "three_sigma", "mahalanobis")
 
 
@@ -139,44 +139,35 @@ def cmd_generate(cfg: GenerateConfig, out_dir) -> dict:
         traj = world.generate_trajectory(
             area, duration, cfg.rate_hz, profile=profile, seed=traj_seed
         )
-        records = world.build_dataset(
-            traj, anchors, pattern, cfg.noise(noise_seed), path_loss
-        )
+        data = world.build_dataset(traj, anchors, pattern, cfg.noise(noise_seed), path_loss)
         meta = world.world_metadata(
             area, anchors, pattern, cfg.noise(noise_seed), path_loss,
             seed=traj_seed, duration=duration, rate_hz=cfg.rate_hz, profile=profile,
         )
         path = out_dir / f"{split}.csv"
-        world.write_dataset(path, records, meta)
+        world.write_dataset(path, data, meta)
         paths[split] = path
     return paths
-
-
-def _dataset_features(records) -> tuple[np.ndarray, np.ndarray]:
-    feats = np.array([r.feature_vector() for r in records])
-    headings = np.array([r.gt_heading for r in records])
-    return feats, headings
 
 
 def cmd_train(dataset_path, cfg: TrainConfig, out_dir) -> heading.HeadingGpPair:
     """Train the sin/cos GP pair and serialize it with a training summary."""
     out_dir = Path(out_dir)
-    records = world.read_dataset(dataset_path)
-    if len(records) < 2:
+    data = world.read_dataset(dataset_path)
+    if len(data) < 2:
         raise DataError(f"training dataset {dataset_path} has fewer than 2 rows")
-    feats, gts = _dataset_features(records)
     t0 = time.perf_counter()
     try:
-        pair = heading.train_heading_gps(feats, gts, cfg)
+        pair = heading.train_heading_gps(data.features, data.gt_heading, cfg)
     except gp.UnfittableDataError as exc:
         raise NumericalError(str(exc)) from exc
     fit_s = time.perf_counter() - t0
     pair.save(out_dir)
     summary = {
-        "n_records": len(records),
+        "n_records": len(data),
         "n_used": int(pair.gp_sin.train.n),
         "max_points": cfg.max_points,
-        "capped": len(records) > cfg.max_points,
+        "capped": len(data) > cfg.max_points,
         "fit_s": fit_s,
         "sin": _gp_summary(pair.gp_sin),
         "cos": _gp_summary(pair.gp_cos),
@@ -197,20 +188,15 @@ def _gp_summary(model: gp.GpModel) -> dict:
     }
 
 
-def _measurements_for(estimator, records, pair, mag_var):
+def _measurements_for(estimator, data, pair, mag_var):
     """Per-epoch HeadingMeasurement list (None -> no correction that epoch)."""
     if estimator == "deadreckon":
-        return [None] * len(records)
+        return [None] * len(data)
     if estimator == "mag-iekf":
-        return [
-            heading.HeadingMeasurement(
-                angle=r.mag, var_theta=max(mag_var, heading.VAR_FLOOR)
-            )
-            for r in records
-        ]
-    vectors = np.array([r.feature_vector() for r in records])
+        var = max(mag_var, heading.VAR_FLOOR)
+        return [heading.HeadingMeasurement(angle=a, var_theta=var) for a in data.mag.tolist()]
     angle, var, degenerate = heading.normalize_many(
-        *heading.predict_pseudo_trig_arrays(pair, vectors)
+        *heading.predict_pseudo_trig_arrays(pair, data.features)
     )
     return [
         None if skip else heading.HeadingMeasurement(angle=a, var_theta=v)
@@ -219,16 +205,16 @@ def _measurements_for(estimator, records, pair, mag_var):
 
 
 def run_filter(
-    records,
+    data,
     measurements,
     q_c: float,
     init_theta,
     init_var: float,
     gate: bool = False,
 ):
-    """Filter every start angle over `records`; returns (error, three_sigma,
-    mahalanobis) arrays, of shape (n,) for a scalar `init_theta` and (R, n)
-    for a sequence of R start angles.
+    """Filter every start angle over the world.Dataset `data`; returns
+    (error, three_sigma, mahalanobis) arrays, of shape (n,) for a scalar
+    `init_theta` and (R, n) for a sequence of R start angles.
 
     All runs share one float-level pass (`iekf.filter_runs`); the inputs are
     validated here, once, instead of at every step. The error is the
@@ -237,13 +223,12 @@ def run_filter(
     non-finite error or covariance raises NumericalError naming the first
     epoch where one appears.
     """
-    if len(measurements) != len(records):
-        raise ValueError(f"{len(measurements)} measurements for {len(records)} records")
+    if len(measurements) != len(data):
+        raise ValueError(f"{len(measurements)} measurements for {len(data)} epochs")
     noise = iekf.ProcessNoise(psd=q_c)
     starts = [iekf.FilterState(angle=a, cov=init_var) for a in np.ravel(init_theta)]
-    t = np.array([r.t for r in records], dtype=float)
-    gyro = np.array([r.gyro for r in records[:-1]], dtype=float)
-    dt = np.diff(t)
+    gyro = data.gyro[:-1]
+    dt = np.diff(data.t)
     if not (np.all(dt > 0) and np.all(np.isfinite(gyro))):
         raise ValueError("gyro samples need finite rates and increasing t")
     angle, cov, mahal = iekf.filter_runs(
@@ -253,9 +238,8 @@ def run_filter(
         [None if m is None else (m.angle, m.var_theta) for m in measurements],
         MAHALANOBIS_BOUND_997 if gate else math.inf,
     )
-    gt = np.array([r.gt_heading for r in records], dtype=float)
     with np.errstate(invalid="ignore"):
-        err = so2.wrap_angle(angle - gt)
+        err = so2.wrap_angle(angle - data.gt_heading)
         sig3 = 3.0 * np.sqrt(cov)
     bad = ~(np.isfinite(err) & np.isfinite(sig3)).all(axis=0)
     if bad.any():
@@ -267,12 +251,16 @@ def run_filter(
 
 def _noise_metadata(dataset_path, estimator) -> dict:
     """The dataset's `noise` metadata, with gyro_psd (and mag_std for
-    mag-iekf) checked; DataError if the sidecar file is missing."""
+    mag-iekf) checked; DataError if the sidecar file is missing or is not
+    a JSON object with an object `noise`."""
     path = world.metadata_path(dataset_path)
     try:
-        noise = world.read_metadata(dataset_path).get("noise", {})
+        meta = world.read_metadata(dataset_path)
     except FileNotFoundError as exc:
         raise DataError(f"missing dataset metadata: {path}") from exc
+    noise = meta.get("noise", {}) if isinstance(meta, dict) else None
+    if not isinstance(noise, dict):
+        raise DataError(f"{path}: metadata and its noise section must be JSON objects")
     psd = noise.get("gyro_psd")
     if psd is not None and not (_finite_number(psd) and psd > 0):
         raise DataError(f"{path}: gyro_psd must be finite and positive, got {psd!r}")
@@ -295,8 +283,8 @@ def cmd_run(dataset_path, model_dir, cfg: RunConfig, out_dir) -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stamps = [time.perf_counter()]  # stage boundaries: load, predict, filter, write
-    records = world.read_dataset(dataset_path)
-    if not records:
+    data = world.read_dataset(dataset_path)
+    if len(data) == 0:
         raise DataError(f"empty dataset: {dataset_path}")
     noise_meta = _noise_metadata(dataset_path, cfg.estimator)
     q_c = cfg.q_c if cfg.q_c is not None else noise_meta.get("gyro_psd")
@@ -310,7 +298,7 @@ def cmd_run(dataset_path, model_dir, cfg: RunConfig, out_dir) -> dict:
             raise DataError("gp-iekf requires --models")
         pair = heading.HeadingGpPair.load(model_dir)
     stamps.append(time.perf_counter())
-    measurements = _measurements_for(cfg.estimator, records, pair, mag_var)
+    measurements = _measurements_for(cfg.estimator, data, pair, mag_var)
     stamps.append(time.perf_counter())
 
     thetas0 = []
@@ -318,17 +306,17 @@ def cmd_run(dataset_path, model_dir, cfg: RunConfig, out_dir) -> dict:
         rng = np.random.default_rng([cfg.seed, r])
         thetas0.append(
             so2.wrap_angle(
-                records[0].gt_heading
+                data.gt_heading[0]
                 + math.sqrt(cfg.init_error_var) * rng.standard_normal()
             )
         )
     errs, sigs, mahals = run_filter(
-        records, measurements, q_c, thetas0, cfg.init_error_var, gate=cfg.gate
+        data, measurements, q_c, thetas0, cfg.init_error_var, gate=cfg.gate
     )
     stamps.append(time.perf_counter())
 
-    t = np.array([r.t for r in records])
-    n = len(records)
+    t = data.t
+    n = len(t)
     t_cells = list(map(repr, t.tolist()))
     lines = [",".join(TRACE_COLUMNS)]
     for r in range(cfg.monte_carlo_runs):
@@ -469,7 +457,10 @@ def _config_section(path, section) -> dict:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"bad config file {path}: {exc}") from exc
-    return data.get(section, {})
+    values = data.get(section, {}) if isinstance(data, dict) else None
+    if not isinstance(values, dict):
+        raise ConfigError(f"config file {path} and its {section!r} section must be JSON objects")
+    return values
 
 
 class ConfigError(RuntimeError):

@@ -1,8 +1,8 @@
 """Exact SO(2) matrix Lie-group arithmetic.
 
 All functions are pure and operate on plain numpy arrays: a rotation is a
-2x2 matrix, an algebra element is a 2x2 skew-symmetric matrix, and angles
-are radians. Batch helpers work on stacked arrays of shape (n, 2, 2).
+2x2 matrix and angles are radians. Batch helpers work on stacked arrays of
+shape (n, 2, 2).
 """
 
 from __future__ import annotations
@@ -11,8 +11,7 @@ import math
 
 import numpy as np
 
-# Orthonormality / skewness tolerance for accepting inputs as group or
-# algebra elements.
+# Orthonormality tolerance for accepting inputs as group elements.
 ORTHO_TOL = 1e-9
 
 TWO_PI = 2.0 * math.pi
@@ -34,28 +33,6 @@ def wrap_float(theta: float) -> float:
     return math.pi if wrapped == -math.pi else wrapped
 
 
-def wedge(theta: float) -> np.ndarray:
-    """Map an angle to its skew-symmetric algebra matrix [[0, -t], [t, 0]]."""
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise ValueError(f"wedge requires a finite angle, got {theta}")
-    return np.array([[0.0, -theta], [theta, 0.0]])
-
-
-def vee(s: np.ndarray) -> float:
-    """Extract the angle from a skew-symmetric 2x2 matrix.
-
-    Rejects matrices whose symmetric part exceeds ORTHO_TOL.
-    """
-    s = np.asarray(s, dtype=float)
-    if s.shape != (2, 2):
-        raise ValueError(f"vee expects a 2x2 matrix, got shape {s.shape}")
-    sym = max(abs(s[0, 0]), abs(s[1, 1]), abs(s[0, 1] + s[1, 0]))
-    if not sym <= ORTHO_TOL:
-        raise ValueError(f"matrix is not skew-symmetric (symmetric part {sym:.3e})")
-    return float(s[1, 0])
-
-
 def exp_so2(theta: float) -> np.ndarray:
     """Exponential map: angle -> rotation matrix."""
     theta = float(theta)
@@ -70,19 +47,13 @@ def log_so2(r: np.ndarray) -> float:
 
     atan2 keeps the branch stable near +-pi.
     """
-    r = check_rotation(r)
+    r = np.asarray(r, dtype=float)
+    if not is_rotation(r):
+        raise ValueError("matrix is not a valid SO(2) element")
     theta = math.atan2(r[1, 0], r[0, 0])
     if theta <= -math.pi:  # atan2 may return -pi exactly
         theta = math.pi
     return theta
-
-
-def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.asarray(a, dtype=float) @ np.asarray(b, dtype=float)
-
-
-def inverse(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a, dtype=float).T.copy()
 
 
 def is_rotation(m: np.ndarray, tol: float = ORTHO_TOL) -> bool:
@@ -92,13 +63,6 @@ def is_rotation(m: np.ndarray, tol: float = ORTHO_TOL) -> bool:
     err = np.abs(m.T @ m - np.eye(2)).max()
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     return bool(err <= tol and abs(det - 1.0) <= tol)
-
-
-def check_rotation(m: np.ndarray, tol: float = ORTHO_TOL) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if not is_rotation(m, tol):
-        raise ValueError("matrix is not a valid SO(2) element")
-    return m
 
 
 def project_to_so2(m: np.ndarray) -> np.ndarray:

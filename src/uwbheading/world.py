@@ -30,6 +30,7 @@ __all__ = [
     "SensorNoiseConfig",
     "TruePose",
     "SampleRecord",
+    "Dataset",
     "default_anchors",
     "generate_trajectory",
     "quantize",
@@ -210,6 +211,42 @@ class SampleRecord:
         return np.concatenate([self.ranges, self.rss])
 
 
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """A dataset as columns, one row per epoch.
+
+    Indexing and iteration give SampleRecord rows holding Python floats and
+    views of the ranges/rss rows.
+    """
+
+    t: np.ndarray  # (n,) s
+    ranges: np.ndarray  # (n, 5) m, anchor-id order
+    rss: np.ndarray  # (n, 5) dBi, anchor-id order
+    gyro: np.ndarray  # (n,) rad/s
+    mag: np.ndarray  # (n,) rad
+    gt_heading: np.ndarray  # (n,) rad
+
+    @property
+    def features(self) -> np.ndarray:
+        """The (n, 10) GP feature matrix: ranges then RSS."""
+        return np.hstack([self.ranges, self.rss])
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, k: int) -> SampleRecord:
+        return SampleRecord(
+            self.t[k].item(), self.ranges[k], self.rss[k],
+            self.gyro[k].item(), self.mag[k].item(), self.gt_heading[k].item(),
+        )
+
+    def __iter__(self):
+        return map(
+            SampleRecord, self.t.tolist(), self.ranges, self.rss,
+            self.gyro.tolist(), self.mag.tolist(), self.gt_heading.tolist(),
+        )
+
+
 # ---------------------------------------------------------------------------
 # trajectories
 
@@ -322,8 +359,8 @@ def build_dataset(
     pattern: AntennaPattern,
     cfg: SensorNoiseConfig,
     path_loss: PathLossModel = PathLossModel(),
-) -> list[SampleRecord]:
-    """One SampleRecord per pose, all sensors sampled at that epoch.
+) -> Dataset:
+    """One row per pose, all sensors sampled at that epoch.
 
     The gyro noise of an epoch scales with the time since the previous pose
     (the first pose uses the gap to the second, or 0.1 s if it is alone);
@@ -332,15 +369,6 @@ def build_dataset(
     if len({a.id for a in anchors}) != len(anchors):
         raise ValueError("anchor ids must be unique")
     anchors = sorted(anchors, key=lambda a: a.id)
-    return _records(*_sample(trajectory, anchors, pattern, cfg, path_loss))
-
-
-def _sample(trajectory, anchors, pattern, cfg, path_loss):
-    """Sensor columns (t, ranges, rss, gyro, mag, gt_heading) for all poses.
-
-    Kept apart from build_dataset so that its temporaries are freed before
-    the records are built.
-    """
     n, m = len(trajectory), len(anchors)
     t = np.array([p.t for p in trajectory], dtype=float)
     pos = np.array([p.position for p in trajectory], dtype=float).reshape(n, 2)
@@ -383,46 +411,30 @@ def _sample(trajectory, anchors, pattern, cfg, path_loss):
     mag = so2.wrap_angle(
         heading + bias + (cfg.mag_std * z_mag[:, 0] if cfg.mag_std > 0 else 0.0)
     )
-    return t, ranges, rss, gyro, mag, so2.wrap_angle(heading)
-
-
-def _records(t, ranges, rss, gyro, mag, gt_heading) -> list[SampleRecord]:
-    """SampleRecords from column arrays; ranges/rss rows are views."""
-    return [
-        SampleRecord(t=ti, ranges=r, rss=s, gyro=g, mag=mg, gt_heading=gt)
-        for ti, r, s, g, mg, gt in zip(
-            t.tolist(), ranges, rss, gyro.tolist(), mag.tolist(), gt_heading.tolist()
-        )
-    ]
+    return Dataset(t, ranges, rss, gyro, mag, so2.wrap_angle(heading))
 
 
 # ---------------------------------------------------------------------------
 # dataset files
 
 
-def write_dataset(path, records: list[SampleRecord], metadata: dict | None = None) -> None:
+def write_dataset(path, data: Dataset, metadata: dict | None = None) -> None:
     """Write CSV (header + repr-precision decimals, round-trips exactly) and,
-    if given, a JSON metadata sidecar at <stem>.meta.json. Records with other
-    than 5 ranges or RSS values raise ValueError before anything is written."""
-    for i, r in enumerate(records):
-        if len(r.ranges) != _DATASET_ANCHORS or len(r.rss) != _DATASET_ANCHORS:
-            raise ValueError(
-                f"record {i} has {len(r.ranges)} ranges and {len(r.rss)} RSS values;"
-                f" a dataset holds {_DATASET_ANCHORS} anchors"
-            )
-    path = Path(path)
+    if given, a JSON metadata sidecar at <stem>.meta.json. A dataset with
+    other than 5 range or RSS columns raises ValueError before anything is
+    written."""
+    width = (data.ranges.shape[1], data.rss.shape[1])
+    if width != (_DATASET_ANCHORS, _DATASET_ANCHORS):
+        raise ValueError(
+            f"{width[0]} range and {width[1]} RSS columns;"
+            f" a dataset holds {_DATASET_ANCHORS} anchors"
+        )
     table = np.column_stack(
-        [
-            [r.t for r in records],
-            [r.ranges for r in records],
-            [r.rss for r in records],
-            [r.gyro for r in records],
-            [r.mag for r in records],
-            [r.gt_heading for r in records],
-        ]
+        [data.t, data.ranges, data.rss, data.gyro, data.mag, data.gt_heading]
     )
     lines = [",".join(DATASET_COLUMNS)]
     lines += [",".join(map(repr, row.tolist())) for row in table]
+    path = Path(path)
     path.write_text("\n".join(lines) + "\n")
     if metadata is not None:
         metadata_path(path).write_text(json.dumps(metadata, indent=2, sort_keys=True) + "\n")
@@ -433,7 +445,7 @@ def metadata_path(dataset_path) -> Path:
     return dataset_path.with_suffix(".meta.json")
 
 
-def read_dataset(path) -> list[SampleRecord]:
+def read_dataset(path) -> Dataset:
     """Read a dataset CSV; rows must be finite, with strictly increasing t
     and positive ranges (ValueError naming the first bad line otherwise)."""
     table = _read_table(Path(path))
@@ -449,14 +461,13 @@ def read_dataset(path) -> list[SampleRecord]:
             else "non-positive range"
         )
         raise ValueError(f"{path} line {i + 2}: {reason}")
-    return _records(
+    return Dataset(
         table[:, 0], table[:, 1:6], table[:, 6:11], table[:, 11], table[:, 12], table[:, 13]
     )
 
 
 def _read_table(path: Path) -> np.ndarray:
-    """The CSV's rows as an (n, 14) array, header and row widths checked;
-    the parsed text is freed on return, before the records are built."""
+    """The CSV's rows as an (n, 14) array, header and row widths checked."""
     lines = path.read_text().strip().splitlines()
     if not lines or lines[0].split(",") != DATASET_COLUMNS:
         raise ValueError(f"bad dataset header in {path}")

@@ -109,15 +109,15 @@ def test_covariance_stays_positive(steps):
 
 
 def matrix_predict(rot, cov, rate, dt, psd):
-    rot = so2.compose(rot, so2.exp_so2(rate * dt))
+    rot = rot @ so2.exp_so2(rate * dt)
     return so2.project_to_so2(rot), cov + psd * dt
 
 
 def matrix_correct(rot, cov, meas_rot, var):
     """Matrix-form reference: innovation log(Y^-1 X), update X exp(-K z)."""
-    z = so2.log_so2(so2.compose(so2.inverse(meas_rot), rot))
+    z = so2.log_so2(meas_rot.T @ rot)
     gain = cov / (cov + var)
-    rot = so2.compose(rot, so2.exp_so2(-gain * z))
+    rot = rot @ so2.exp_so2(-gain * z)
     cov = (1.0 - gain) ** 2 * cov + gain**2 * var
     return so2.project_to_so2(rot), cov, z
 

@@ -1,5 +1,7 @@
 import json
 import math
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,9 +77,7 @@ def test_generate_writes_disjoint_splits(workspace):
     assert len(train) == int(SMALL_GEN["train_duration_s"] * SMALL_GEN["rate_hz"])
     assert len(test) == int(SMALL_GEN["test_duration_s"] * SMALL_GEN["rate_hz"])
     # different trajectory seeds: ground truth must differ between splits
-    h_train = np.array([r.gt_heading for r in train[: len(test)]])
-    h_test = np.array([r.gt_heading for r in test])
-    assert np.abs(h_train - h_test).max() > 0.1
+    assert np.abs(train.gt_heading[: len(test)] - test.gt_heading).max() > 0.1
 
 
 def test_generate_is_reproducible(tmp_path):
@@ -197,6 +197,17 @@ def test_run_filter_rejects_mismatched_measurements():
         pipeline.run_filter(recs, [None] * (len(recs) - 1), 1e-6, 0.0, 1.0)
 
 
+def columns(t, gyro, gt_heading):
+    """A Dataset with these t, gyro and ground-truth columns; the UWB and
+    magnetometer columns are constant."""
+    n = len(t)
+    return world.Dataset(
+        t=np.asarray(t, dtype=float), ranges=np.ones((n, 5)), rss=np.zeros((n, 5)),
+        gyro=np.asarray(gyro, dtype=float), mag=np.zeros(n),
+        gt_heading=np.asarray(gt_heading, dtype=float),
+    )
+
+
 def reference_run(records, measurements, q_c, theta0, init_var, gate):
     """One run through the online API, epoch by epoch."""
     noise = iekf.ProcessNoise(psd=q_c)
@@ -242,13 +253,9 @@ epoch = st.tuples(
 )
 @settings(max_examples=300, deadline=None)
 def test_run_filter_matches_online_loops_bit_for_bit(epochs, starts, q_c, init_var, gate):
-    records, measurements, t = [], [], 0.0
-    for dt, rate, gt, y, var in epochs:
-        t += dt
-        records.append(world.SampleRecord(
-            t=t, ranges=np.ones(5), rss=np.zeros(5), gyro=rate, mag=0.0, gt_heading=gt,
-        ))
-        measurements.append(None if y is None else heading.HeadingMeasurement(y, var))
+    dt, rate, gt, ys, var = zip(*epochs)
+    records = columns(np.cumsum(dt), rate, gt)
+    measurements = [None if y is None else heading.HeadingMeasurement(y, v) for y, v in zip(ys, var)]
     err, sig3, mahal = pipeline.run_filter(records, measurements, q_c, starts, init_var, gate)
     assert err.shape == sig3.shape == mahal.shape == (len(starts), len(records))
     for r, theta0 in enumerate(starts):
@@ -261,11 +268,7 @@ def test_run_filter_matches_online_loops_bit_for_bit(epochs, starts, q_c, init_v
 def test_run_filter_innovation_across_pi_and_gate():
     # state just below +pi, measurement just above -pi: the innovation is
     # small once wrapped, so the gate keeps the correction
-    recs = [
-        world.SampleRecord(t=float(k), ranges=np.ones(5), rss=np.zeros(5), gyro=0.0,
-                           mag=0.0, gt_heading=math.pi)
-        for k in range(3)
-    ]
+    recs = columns(np.arange(3.0), np.zeros(3), np.full(3, math.pi))
     meas = [None, heading.HeadingMeasurement(-math.pi + 0.05, 1e-2), None]
     for gate in (False, True):
         err, _, mahal = pipeline.run_filter(recs, meas, 1e-6, [math.pi - 0.05], 1e-2, gate)
@@ -364,7 +367,8 @@ def test_report_outputs(run_dirs, tmp_path):
     } <= names
     mahal_lines = (tmp_path / "report" / "mahalanobis.csv").read_text().splitlines()
     assert mahal_lines[0].endswith(",bound")
-    assert all(line.endswith(",8.807") for line in mahal_lines[1:])
+    bound = repr(iekf.mahalanobis_bound(0.997))
+    assert all(line.endswith("," + bound) for line in mahal_lines[1:])
     abs_header = (tmp_path / "report" / "abs_error.csv").read_text().splitlines()[0]
     assert "abs_error_gp-iekf" in abs_header and "abs_error_deadreckon" in abs_header
 
@@ -559,4 +563,43 @@ def test_cli_bad_metadata_is_data_error(workspace, tmp_path, capsys, estimator, 
     argv = ["run", "--config", str(cfg), "--estimator", estimator, "--runs", "1",
             "--dataset", str(dataset), "--out", str(tmp_path / "r")]
     assert pipeline.main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def _write(text):
+    return lambda path: path.write_text(text)
+
+
+@pytest.mark.parametrize(
+    "target, edit, code, message",
+    [
+        ("data/test.csv", lambda p: p.write_text(p.read_text().rsplit(",", 1)[0]), 2, "row width"),
+        ("data/test.csv", _write(",".join(world.DATASET_COLUMNS) + "\n"), 2, "empty dataset"),
+        ("data/test.meta.json", Path.unlink, 2, "test.meta.json"),
+        ("data/test.meta.json", _write("[]"), 2, "JSON objects"),
+        ("data/test.meta.json", _write('{"noise": 3}'), 2, "JSON objects"),
+        ("models/gp_sin.npz", Path.unlink, 2, "gp_sin.npz"),
+        ("models/heading_model.json", _write("{"), 2, "bad model manifest"),
+        ("models/heading_model.json", _write('{"feature_dim": 10}'), 2, "bad model manifest"),
+        ("models/heading_model.json", _write('{"files": {"sin": 1, "cos": 2}}'), 2, "bad model manifest"),
+        ("cfg.json", _write("[1, 2]"), 1, "JSON objects"),
+        ("cfg.json", _write('{"run": "fast"}'), 1, "JSON objects"),
+    ],
+    ids=[
+        "truncated-csv", "empty-dataset", "missing-metadata", "metadata-not-object",
+        "noise-not-object", "missing-gp-sin", "corrupt-manifest", "manifest-without-files",
+        "manifest-files-not-names", "config-not-object", "config-section-not-object",
+    ],
+)
+def test_cli_malformed_input_exit_code(workspace, tmp_path, capsys, target, edit, code, message):
+    (tmp_path / "data").mkdir()
+    for name in ("test.csv", "test.meta.json"):
+        shutil.copy(workspace / "data" / name, tmp_path / "data" / name)
+    shutil.copytree(workspace / "models", tmp_path / "models")
+    (tmp_path / "cfg.json").write_text("{}")
+    edit(tmp_path / target)
+    argv = ["run", "--config", str(tmp_path / "cfg.json"), "--estimator", "gp-iekf",
+            "--runs", "1", "--dataset", str(tmp_path / "data" / "test.csv"),
+            "--models", str(tmp_path / "models"), "--out", str(tmp_path / "r")]
+    assert pipeline.main(argv) == code
     assert message in capsys.readouterr().err

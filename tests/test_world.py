@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -426,19 +427,65 @@ def test_read_dataset_checks_row_width_and_tokens(tmp_path):
         with pytest.raises(ValueError, match=message):
             world.read_dataset(p)
     p.write_text(header + "\n")
-    assert world.read_dataset(p) == []
+    assert len(world.read_dataset(p)) == 0
+
+
+def written_dataset(tmp_path):
+    traj = world.generate_trajectory(AREA, 20.0, 10.0, "smooth-random", seed=4)
+    data = world.build_dataset(traj, ANCHORS, PATTERN, world.SensorNoiseConfig(seed=5))
+    path = tmp_path / "data.csv"
+    world.write_dataset(path, data)
+    return path
 
 
 def test_read_table_matches_float_per_cell(tmp_path):
-    traj = world.generate_trajectory(AREA, 20.0, 10.0, "smooth-random", seed=4)
-    recs = world.build_dataset(traj, ANCHORS, PATTERN, world.SensorNoiseConfig(seed=5))
-    path = tmp_path / "data.csv"
-    world.write_dataset(path, recs)
+    path = written_dataset(tmp_path)
     lines = path.read_text().strip().splitlines()[1:]
     reference = np.array([[float(tok) for tok in ln.split(",")] for ln in lines])
     table = world._read_table(path)
     assert table.shape == reference.shape
     assert table.tobytes() == reference.tobytes()
+
+
+def test_read_dataset_rows_are_table_cells(tmp_path):
+    path = written_dataset(tmp_path)
+    table = world._read_table(path)
+    data = world.read_dataset(path)
+    assert len(data) == len(table)
+    for k, (row, cells) in enumerate(zip(data, table)):
+        for rec in (row, data[k]):
+            assert type(rec.t) is float and type(rec.gyro) is float
+            assert type(rec.mag) is float and type(rec.gt_heading) is float
+            got = [rec.t, *rec.ranges, *rec.rss, rec.gyro, rec.mag, rec.gt_heading]
+            assert np.array(got).tobytes() == cells.tobytes()
+    assert data.features.tobytes() == table[:, 1:11].tobytes()
+
+
+def test_write_of_read_dataset_is_byte_identical(tmp_path):
+    path = written_dataset(tmp_path)
+    again = tmp_path / "again.csv"
+    world.write_dataset(again, world.read_dataset(path))
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_generated_world_is_pinned(tmp_path):
+    """A small cmd_generate world hashes to the files that the per-record
+    dataset code wrote before datasets were carried as columns."""
+    from uwbheading import pipeline
+
+    cfg = pipeline.GenerateConfig(
+        seed=3, train_duration_s=30.0, test_duration_s=10.0, rate_hz=5.0
+    )
+    pipeline.cmd_generate(cfg, tmp_path)
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()
+    }
+    assert digests == {
+        "test.csv": "18db006e74b2b044a04bd02e284a71e014b1a644b46d50c3366fd1e8f8ff940e",
+        "test.meta.json": "2796af8803778a7a9c87c010fc49b0adde9369fe75347a80c44aced674c9697b",
+        "train.csv": "b8e79e6c7230405558ed9777bd160f6715fad7e3da6f832985f37301a84c6978",
+        "train.meta.json": "21aedf88fdfcfee10e399fa2bc8208444420d655f524c6aa30ee7c4af2e78330",
+    }
 
 
 def test_zero_noise_dataset_supports_heading_regression():
