@@ -166,12 +166,8 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-def _gram_from_sqdist(d2: np.ndarray, params: SeKernelParams) -> np.ndarray:
-    return params.sigma_f**2 * np.exp(-d2 / (2.0 * params.sigma_l**2))
-
-
 def gram_matrix(a: np.ndarray, b: np.ndarray, params: SeKernelParams) -> np.ndarray:
-    return _gram_from_sqdist(_sq_dists(a, b), params)
+    return params.sigma_f**2 * np.exp(-_sq_dists(a, b) / (2.0 * params.sigma_l**2))
 
 
 def _chol_with_jitter(k_noisy: np.ndarray) -> tuple[np.ndarray, float]:
@@ -192,22 +188,9 @@ def _chol_with_jitter(k_noisy: np.ndarray) -> tuple[np.ndarray, float]:
             )
 
 
-def _lml_from_sqdist(d2: np.ndarray, y: np.ndarray, params: SeKernelParams) -> float:
-    n = y.shape[0]
-    k = _gram_from_sqdist(d2, params) + params.sigma_n**2 * np.eye(n)
-    chol, _ = _chol_with_jitter(k)
-    half = solve_triangular(chol, y, lower=True)
-    return float(
-        -0.5 * np.dot(half, half)
-        - np.sum(np.log(np.diag(chol)))
-        - 0.5 * n * math.log(2.0 * math.pi)
-    )
-
-
-@_blas.one_thread()
 def log_marginal_likelihood(train: TrainingSet, params: SeKernelParams) -> float:
     """Log marginal likelihood of the training outputs under the kernel."""
-    return _lml_from_sqdist(_sq_dists(train.x, train.x), train.y, params)
+    return GpModel.from_params(train, params).lml
 
 
 def _heuristic_center(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -305,9 +288,7 @@ def fit(train: TrainingSet, search: HyperparamSearchConfig | None = None) -> "Gp
 
     params = SeKernelParams(*np.exp(best_x))
     used = TrainingSet(x=x, y=y, standardizer=std)
-    model = GpModel.from_params(
-        used, params, y_mean=y_mean, lml=_lml_from_sqdist(d2, yc, params)
-    )
+    model = GpModel.from_params(used, params, y_mean=y_mean)
     return replace(model, lml_evals=evals, converged=converged)
 
 
@@ -320,7 +301,7 @@ class GpModel:
     chol: np.ndarray = field(repr=False)  # lower factor of K + sigma_n^2 I
     alpha: np.ndarray = field(repr=False)  # solves (K + sigma_n^2 I) alpha = yc
     y_mean: float = 0.0
-    lml: float = math.nan
+    lml: float = math.nan  # log marginal likelihood of train.y - y_mean
     jitter: float = 0.0  # diagonal jitter added to factorize K + sigma_n^2 I
     lml_evals: int = 0  # objective evaluations of the fit that chose params
     converged: bool | None = None  # the fit's optimizer success; None if not fitted
@@ -328,17 +309,19 @@ class GpModel:
     @classmethod
     @_blas.one_thread()
     def from_params(
-        cls,
-        train: TrainingSet,
-        params: SeKernelParams,
-        y_mean: float = 0.0,
-        lml: float = math.nan,
+        cls, train: TrainingSet, params: SeKernelParams, y_mean: float = 0.0
     ) -> "GpModel":
+        """Factorize K + sigma_n^2 I once; the factor gives alpha and the LML."""
         yc = train.y - y_mean
         k = gram_matrix(train.x, train.x, params) + params.sigma_n**2 * np.eye(train.n)
         chol, jitter = _chol_with_jitter(k)
         half = solve_triangular(chol, yc, lower=True)
         alpha = solve_triangular(chol.T, half, lower=False)
+        lml = float(
+            -0.5 * np.dot(half, half)
+            - np.sum(np.log(np.diag(chol)))
+            - 0.5 * train.n * math.log(2.0 * math.pi)
+        )
         return cls(train=train, params=params, chol=chol, alpha=alpha,
                    y_mean=y_mean, lml=lml, jitter=jitter)
 
@@ -367,7 +350,8 @@ class GpModel:
         return means, np.maximum(variances, 0.0)
 
     def save(self, path) -> None:
-        """Serialize to an .npz archive; the factorization is rebuilt on load."""
+        """Serialize to an .npz archive; the factorization and LML are
+        rebuilt on load."""
         np.savez(
             path,
             x=self.train.x,
@@ -375,7 +359,6 @@ class GpModel:
             std_mean=self.train.standardizer.mean,
             std_scale=self.train.standardizer.scale,
             y_mean=np.array(self.y_mean),
-            lml=np.array(self.lml),
             hyper=np.array(
                 [self.params.sigma_f, self.params.sigma_l, self.params.sigma_n]
             ),
@@ -387,6 +370,4 @@ class GpModel:
             std = Standardizer(mean=z["std_mean"], scale=z["std_scale"])
             train = TrainingSet(x=z["x"], y=z["y"], standardizer=std)
             params = SeKernelParams(*z["hyper"])
-            return cls.from_params(
-                train, params, y_mean=float(z["y_mean"]), lml=float(z["lml"])
-            )
+            return cls.from_params(train, params, y_mean=float(z["y_mean"]))

@@ -17,6 +17,7 @@ import dataclasses
 import itertools
 import json
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass
@@ -43,6 +44,31 @@ class NumericalError(RuntimeError):
 # configs
 
 
+def _finite_number(x) -> bool:
+    """A finite real number; bools are not numbers here."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _check(cfg, rule, *names) -> None:
+    """ValueError for the first named field of `cfg` whose value fails
+    `rule`, a (test, description of the valid values) pair."""
+    test, valid = rule
+    for name in names:
+        value = getattr(cfg, name)
+        if not test(value):
+            raise ValueError(f"{name} must be {valid}, got {value!r}")
+
+
+_FINITE = (_finite_number, "a finite number")
+_POSITIVE = (lambda x: _finite_number(x) and x > 0, "a finite number > 0")
+_NON_NEGATIVE = (lambda x: _finite_number(x) and x >= 0, "a finite number >= 0")
+_SEED = (lambda x: _integer(x) and x >= 0, "an integer >= 0")
+
+
 @dataclass
 class GenerateConfig:
     area_width: float = 4.0
@@ -66,6 +92,19 @@ class GenerateConfig:
     pathloss_p0: float = -75.0
     pathloss_d0: float = 1.0
     pathloss_gamma: float = 1.8
+
+    def __post_init__(self):
+        side = 2 * world.TRAJECTORY_MARGIN_M
+        _check(self, (lambda x: _finite_number(x) and x >= side, f"a finite number >= {side}"),
+               "area_width", "area_height")
+        _check(self, _POSITIVE, "rate_hz", "train_duration_s", "test_duration_s",
+               "rss_quantum", "pathloss_d0")
+        _check(self, _NON_NEGATIVE, "range_std", "rss_std", "gyro_psd", "mag_std")
+        _check(self, _FINITE, "pattern_g0", "pattern_a2", "pattern_phi2", "pattern_a1",
+               "pattern_phi1", "pathloss_p0", "pathloss_gamma")
+        _check(self, (lambda x: x in world.TRAJECTORY_PROFILES,
+                      f"one of {world.TRAJECTORY_PROFILES}"), "train_profile", "test_profile")
+        _check(self, _SEED, "seed")
 
     def area(self) -> world.Rectangle:
         return world.Rectangle.centered(self.area_width, self.area_height)
@@ -109,14 +148,15 @@ class RunConfig:
     gate: bool = False  # reject corrections above the 99.7% bound
 
     def __post_init__(self):
-        if self.monte_carlo_runs < 1 or not (
-            math.isfinite(self.init_error_var) and self.init_error_var > 0
-        ):
-            raise ValueError("runs >= 1 and a finite init_error_var > 0 required")
-        if self.q_c is not None and not (math.isfinite(self.q_c) and self.q_c > 0):
-            raise ValueError(f"q_c must be finite and positive, got {self.q_c}")
-        if self.estimator not in ESTIMATORS:
-            raise ValueError(f"estimator must be one of {ESTIMATORS}")
+        _check(self, (lambda x: x in ESTIMATORS, f"one of {ESTIMATORS}"), "estimator")
+        _check(self, (lambda x: _integer(x) and x >= 1, "an integer >= 1"), "monte_carlo_runs")
+        _check(self, _POSITIVE, "init_error_var")
+        _check(self, (lambda x: x is None or _finite_number(x) and x > 0,
+                      "null or a finite number > 0"), "q_c")
+        _check(self, _SEED, "seed")
+        _check(self, (lambda x: _finite_number(x) and 0 < x <= 1, "a number in (0, 1]"),
+               "steady_fraction")
+        _check(self, (lambda x: isinstance(x, bool), "true or false"), "gate")
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +308,6 @@ def _noise_metadata(dataset_path, estimator) -> dict:
     if estimator == "mag-iekf" and not (_finite_number(mag_std) and mag_std >= 0):
         raise DataError(f"{path}: mag-iekf needs a finite noise.mag_std >= 0, got {mag_std!r}")
     return noise
-
-
-def _finite_number(x) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
 
 
 def cmd_run(dataset_path, model_dir, cfg: RunConfig, out_dir) -> dict:

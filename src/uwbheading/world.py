@@ -28,7 +28,7 @@ __all__ = [
     "AntennaPattern",
     "PathLossModel",
     "SensorNoiseConfig",
-    "TruePose",
+    "Trajectory",
     "SampleRecord",
     "Dataset",
     "default_anchors",
@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 RANGE_FLOOR_M = 0.01
+
+TRAJECTORY_PROFILES = ("smooth-random", "waypoint-loop", "spin-in-place")
+TRAJECTORY_MARGIN_M = 0.05  # gap between a trajectory's sweep and the walls
 
 _DATASET_ANCHORS = 5  # the dataset header has range/RSS columns for this many
 
@@ -73,11 +76,12 @@ class Rectangle:
             [(self.xmin + self.xmax) / 2.0, (self.ymin + self.ymax) / 2.0]
         )
 
-    def contains(self, p: np.ndarray, slack: float = 1e-9) -> bool:
-        return bool(
-            self.xmin - slack <= p[0] <= self.xmax + slack
-            and self.ymin - slack <= p[1] <= self.ymax + slack
-        )
+    def contains(self, p, slack: float = 1e-9) -> np.ndarray:
+        """Whether each point of an (..., 2) array lies inside, within slack."""
+        p = np.asarray(p, dtype=float)
+        lo = np.array([self.xmin, self.ymin]) - slack
+        hi = np.array([self.xmax, self.ymax]) + slack
+        return np.all((lo <= p) & (p <= hi), axis=-1)
 
 
 # Default experimental area: roughly 4 m x 2 m.
@@ -185,17 +189,14 @@ class SensorNoiseConfig:
             raise ValueError("rss quantum must be positive")
 
 
-@dataclass(frozen=True)
-class TruePose:
-    t: float
-    position: np.ndarray  # (2,) m
-    heading: float  # rad
-    rate: float  # rad/s
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """A ground-truth trajectory as columns, one row per epoch."""
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "position", np.asarray(self.position, dtype=float).ravel()
-        )
+    t: np.ndarray  # (n,) s
+    position: np.ndarray  # (n, 2) m
+    heading: np.ndarray  # (n,) rad, unwrapped
+    rate: np.ndarray  # (n,) rad/s
 
 
 @dataclass(frozen=True)
@@ -251,35 +252,13 @@ class Dataset:
 # trajectories
 
 
-def _smooth_random_heading(duration, rate_hz, rng):
-    """Heading as slow drift plus low-frequency sinusoids; the analytic rate
-    keeps finite-difference consistency below 1e-6 rad/s at 100 Hz."""
-    drift = rng.choice([-1.0, 1.0]) * rng.uniform(0.15, 0.25)
-    amps = rng.uniform(0.2, 0.5, size=3)
-    freqs = rng.uniform(0.05, 0.25, size=3)
-    phases = rng.uniform(0.0, 2 * math.pi, size=3)
-    theta0 = rng.uniform(-math.pi, math.pi)
-
-    def theta(t):
-        return theta0 + drift * t + np.sum(
-            amps * np.sin(np.outer(t, freqs) + phases), axis=-1
-        )
-
-    def rate(t):
-        return drift + np.sum(
-            amps * freqs * np.cos(np.outer(t, freqs) + phases), axis=-1
-        )
-
-    return theta, rate
-
-
 def generate_trajectory(
     area: Rectangle,
     duration: float,
     rate_hz: float,
     profile: str = "smooth-random",
     seed: int = 0,
-) -> list[TruePose]:
+) -> Trajectory:
     """Sample a ground-truth trajectory confined to ``area``.
 
     Profiles: smooth-random (drifting heading, quasi-random position sweep),
@@ -291,9 +270,10 @@ def generate_trajectory(
     n = int(round(duration * rate_hz))
     t = np.arange(n) / rate_hz
     cx, cy = area.center
-    margin = 0.05
-    ax = (area.xmax - area.xmin) / 2.0 - margin
-    ay = (area.ymax - area.ymin) / 2.0 - margin
+    ax = (area.xmax - area.xmin) / 2.0 - TRAJECTORY_MARGIN_M
+    ay = (area.ymax - area.ymin) / 2.0 - TRAJECTORY_MARGIN_M
+    if min(ax, ay) < 0:
+        raise ValueError(f"area sides must be at least {2 * TRAJECTORY_MARGIN_M} m")
 
     if profile == "spin-in-place":
         omega = 2.5 * 2 * math.pi / duration  # >= 2 full revolutions
@@ -301,9 +281,16 @@ def generate_trajectory(
         heading = omega * t
         rate = np.full(n, omega)
     elif profile == "smooth-random":
-        theta_f, rate_f = _smooth_random_heading(duration, rate_hz, rng)
-        heading = theta_f(t)
-        rate = rate_f(t)
+        # heading: slow drift plus low-frequency sinusoids; the analytic rate
+        # keeps finite-difference consistency below 1e-6 rad/s at 100 Hz
+        drift = rng.choice([-1.0, 1.0]) * rng.uniform(0.15, 0.25)
+        amps = rng.uniform(0.2, 0.5, size=3)
+        freqs = rng.uniform(0.05, 0.25, size=3)
+        phases = rng.uniform(0.0, 2 * math.pi, size=3)
+        theta0 = rng.uniform(-math.pi, math.pi)
+        arg = np.outer(t, freqs) + phases
+        heading = theta0 + drift * t + np.sum(amps * np.sin(arg), axis=-1)
+        rate = drift + np.sum(amps * freqs * np.cos(arg), axis=-1)
         # quasi-random bounded position sweep: two incommensurate sinusoids
         # per axis with amplitude budget inside the area
         nu = rng.uniform(0.03, 0.12, size=4)
@@ -325,14 +312,9 @@ def generate_trajectory(
     else:
         raise ValueError(f"unknown trajectory profile: {profile}")
 
-    poses = [
-        TruePose(t=float(ti), position=p, heading=float(h), rate=float(r))
-        for ti, p, h, r in zip(t, pos, heading, rate)
-    ]
-    for p in poses:
-        if not area.contains(p.position):
-            raise AssertionError("trajectory escaped the area")
-    return poses
+    if not area.contains(pos).all():
+        raise AssertionError("trajectory escaped the area")
+    return Trajectory(t, pos, heading, rate)
 
 
 # ---------------------------------------------------------------------------
@@ -354,26 +336,23 @@ def _distance(delta: np.ndarray) -> np.ndarray:
 
 
 def build_dataset(
-    trajectory: list[TruePose],
+    trajectory: Trajectory,
     anchors: list[Anchor],
     pattern: AntennaPattern,
     cfg: SensorNoiseConfig,
     path_loss: PathLossModel = PathLossModel(),
 ) -> Dataset:
-    """One row per pose, all sensors sampled at that epoch.
+    """One row per trajectory epoch, all sensors sampled at that epoch.
 
-    The gyro noise of an epoch scales with the time since the previous pose
-    (the first pose uses the gap to the second, or 0.1 s if it is alone);
-    times that do not strictly increase raise ValueError.
+    The gyro noise of an epoch scales with the time since the previous epoch
+    (the first uses the gap to the second, or 0.1 s if it is alone); times
+    that do not strictly increase raise ValueError.
     """
     if len({a.id for a in anchors}) != len(anchors):
         raise ValueError("anchor ids must be unique")
     anchors = sorted(anchors, key=lambda a: a.id)
-    n, m = len(trajectory), len(anchors)
-    t = np.array([p.t for p in trajectory], dtype=float)
-    pos = np.array([p.position for p in trajectory], dtype=float).reshape(n, 2)
-    heading = np.array([p.heading for p in trajectory], dtype=float)
-    rate = np.array([p.rate for p in trajectory], dtype=float)
+    t, pos, heading, rate = trajectory.t, trajectory.position, trajectory.heading, trajectory.rate
+    n, m = len(t), len(anchors)
     dt = np.diff(t)
     dt = np.concatenate([dt[:1] if n > 1 else [0.1] * n, dt])
     if np.any(dt <= 0):
@@ -450,7 +429,7 @@ def read_dataset(path) -> Dataset:
     and positive ranges (ValueError naming the first bad line otherwise)."""
     table = _read_table(Path(path))
     finite = np.isfinite(table).all(axis=1)
-    increasing = np.concatenate([[True], np.diff(table[:, 0]) > 0])
+    increasing = np.concatenate([[True], table[1:, 0] > table[:-1, 0]])
     positive = (table[:, 1:6] > 0).all(axis=1)
     bad = np.flatnonzero(~(finite & increasing & positive))
     if bad.size:

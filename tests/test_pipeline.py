@@ -514,6 +514,11 @@ def copy_dataset(workspace, tmp_path, edit_meta=None):
     [
         ("q_c", -1.0), ("q_c", 0.0), ("q_c", math.nan), ("q_c", math.inf),
         ("init_error_var", math.nan), ("init_error_var", math.inf),
+        ("q_c", True), ("q_c", "3e-3"), ("init_error_var", True),
+        ("monte_carlo_runs", 2.5), ("monte_carlo_runs", True), ("monte_carlo_runs", 0),
+        ("seed", "x"), ("seed", -1), ("seed", 1.0), ("seed", False),
+        ("steady_fraction", 2), ("steady_fraction", 0), ("steady_fraction", True),
+        ("gate", 1), ("gate", "yes"), ("estimator", ["deadreckon"]),
     ],
 )
 def test_cli_bad_run_config_is_usage_error(workspace, tmp_path, capsys, key, value):
@@ -522,7 +527,32 @@ def test_cli_bad_run_config_is_usage_error(workspace, tmp_path, capsys, key, val
     argv = ["run", "--config", str(cfg), "--dataset", str(workspace / "data" / "test.csv"),
             "--out", str(tmp_path / "r")]
     assert pipeline.main(argv) == 1
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("seed", "x"), ("seed", True), ("seed", -1), ("seed", 0.5),
+        ("rate_hz", -1), ("rate_hz", 0), ("rate_hz", math.inf), ("rate_hz", True),
+        ("train_duration_s", 0), ("test_duration_s", "300"),
+        ("train_profile", "zigzag"), ("test_profile", None),
+        ("area_width", 0.05), ("area_height", -2.0), ("area_width", False),
+        ("range_std", -0.1), ("rss_std", math.nan), ("gyro_psd", True), ("mag_std", "0.05"),
+        ("rss_quantum", 0), ("pattern_a2", "4"), ("pattern_phi1", math.inf),
+        ("pathloss_p0", None), ("pathloss_d0", 0), ("pathloss_gamma", True),
+    ],
+)
+def test_cli_bad_generate_config_is_usage_error(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"generate": {key: value}}))
+    out = tmp_path / "data"
+    assert pipeline.main(["generate", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not out.exists()
 
 
 def _set_noise(key, value):
@@ -544,15 +574,18 @@ def _set_noise(key, value):
         ("deadreckon", _set_noise("gyro_psd", math.inf), None, "gyro_psd"),
         ("deadreckon", _set_noise("gyro_psd", "fast"), None, "gyro_psd"),
         ("deadreckon", _set_noise("gyro_psd", None), None, "gyro_psd"),
+        ("deadreckon", _set_noise("gyro_psd", True), None, "gyro_psd"),
         ("mag-iekf", _set_noise("mag_std", None), 3e-3, "mag_std"),
         ("mag-iekf", _set_noise("mag_std", "0.05"), 3e-3, "mag_std"),
         ("mag-iekf", _set_noise("mag_std", math.nan), 3e-3, "mag_std"),
+        ("mag-iekf", _set_noise("mag_std", True), 3e-3, "mag_std"),
         ("mag-iekf", None, 3e-3, "meta.json"),
         ("deadreckon", None, 3e-3, "meta.json"),
     ],
     ids=[
-        "negative-psd", "zero-psd", "nan-psd", "inf-psd", "string-psd", "no-psd",
-        "mag-without-mag-std", "string-mag-std", "nan-mag-std", "mag-without-metadata",
+        "negative-psd", "zero-psd", "nan-psd", "inf-psd", "string-psd", "no-psd", "bool-psd",
+        "mag-without-mag-std", "string-mag-std", "nan-mag-std", "bool-mag-std",
+        "mag-without-metadata",
         "deadreckon-without-metadata",
     ],
 )

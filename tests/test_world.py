@@ -1,9 +1,12 @@
 import hashlib
 import math
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uwbheading import so2, world
@@ -21,8 +24,40 @@ def quiet(seed=0, **kw):
     return world.SensorNoiseConfig(seed=seed, **base)
 
 
+class Pose(NamedTuple):
+    """One epoch of a trajectory, for hand-made trajectories and the
+    per-epoch reference."""
+
+    t: float
+    position: np.ndarray  # (2,)
+    heading: float
+    rate: float
+
+
 def pose(x=0.0, y=0.0, heading=0.0, rate=0.0, t=0.0):
-    return world.TruePose(t=t, position=np.array([x, y]), heading=heading, rate=rate)
+    return Pose(t, np.array([x, y], dtype=float), heading, rate)
+
+
+def trajectory(poses):
+    """The world.Trajectory whose epochs are `poses`."""
+    return world.Trajectory(
+        np.array([p.t for p in poses], dtype=float),
+        np.array([p.position for p in poses], dtype=float).reshape(-1, 2),
+        np.array([p.heading for p in poses], dtype=float),
+        np.array([p.rate for p in poses], dtype=float),
+    )
+
+
+def poses_of(traj):
+    """The epochs of a world.Trajectory as Poses of Python floats."""
+    return list(
+        map(Pose, traj.t.tolist(), traj.position, traj.heading.tolist(), traj.rate.tolist())
+    )
+
+
+def head(traj, k):
+    """The first k epochs of a world.Trajectory."""
+    return world.Trajectory(traj.t[:k], traj.position[:k], traj.heading[:k], traj.rate[:k])
 
 
 # --- trajectories -----------------------------------------------------------------
@@ -30,34 +65,32 @@ def pose(x=0.0, y=0.0, heading=0.0, rate=0.0, t=0.0):
 
 def test_spin_in_place_covers_two_revolutions():
     traj = world.generate_trajectory(AREA, 120.0, 10.0, "spin-in-place", seed=3)
-    pos = np.array([p.position for p in traj])
-    assert np.ptp(pos, axis=0).max() == 0.0
-    total = traj[-1].heading - traj[0].heading
+    assert np.ptp(traj.position, axis=0).max() == 0.0
+    total = traj.heading[-1] - traj.heading[0]
     assert total >= 2 * 2 * math.pi
 
 
 def test_trajectory_deterministic_per_seed():
     a = world.generate_trajectory(AREA, 30.0, 10.0, "smooth-random", seed=5)
     b = world.generate_trajectory(AREA, 30.0, 10.0, "smooth-random", seed=5)
-    assert all(
-        pa.heading == pb.heading and np.array_equal(pa.position, pb.position)
-        for pa, pb in zip(a, b)
-    )
+    for column in ("t", "position", "heading", "rate"):
+        assert getattr(a, column).tobytes() == getattr(b, column).tobytes()
 
 
 @pytest.mark.parametrize("profile", ["smooth-random", "waypoint-loop", "spin-in-place"])
 def test_trajectory_confined_and_continuous(profile):
     traj = world.generate_trajectory(AREA, 60.0, 10.0, profile, seed=1)
-    for p in traj:
-        assert AREA.contains(p.position)
-    headings = np.array([p.heading for p in traj])
-    assert np.abs(np.diff(headings)).max() < math.pi
+    n = len(traj.t)
+    assert traj.position.shape == (n, 2)
+    assert traj.heading.shape == traj.rate.shape == (n,)
+    assert all(AREA.contains(p) for p in traj.position)
+    assert AREA.contains(traj.position).shape == (n,)
+    assert np.abs(np.diff(traj.heading)).max() < math.pi
 
 
 def test_smooth_random_rate_consistency_at_100hz():
     traj = world.generate_trajectory(AREA, 20.0, 100.0, "smooth-random", seed=2)
-    h = np.array([p.heading for p in traj])
-    r = np.array([p.rate for p in traj])
+    h, r = traj.heading, traj.rate
     central = (h[2:] - h[:-2]) * 100.0 / 2.0
     assert np.abs(central - r[1:-1]).max() < 1e-6
 
@@ -69,6 +102,8 @@ def test_trajectory_rejects_bad_arguments():
         world.generate_trajectory(AREA, 10.0, 10.0, "zigzag", 0)
     with pytest.raises(ValueError):
         world.Rectangle(0.0, 0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="area sides"):
+        world.generate_trajectory(world.Rectangle.centered(0.09, 2.0), 10.0, 10.0)
 
 
 # --- per-epoch reference ---------------------------------------------------------
@@ -116,12 +151,13 @@ def ref_build_dataset(trajectory, anchors, pattern, cfg, path_loss=world.PathLos
         raise ValueError("anchor ids must be unique")
     anchors = sorted(anchors, key=lambda a: a.id)
     rng = np.random.default_rng(cfg.seed)
+    poses = poses_of(trajectory)
     records = []
     prev_t = None
-    for p in trajectory:
+    for p in poses:
         dt = p.t - prev_t if prev_t is not None else None
         if dt is None:
-            dt = trajectory[1].t - trajectory[0].t if len(trajectory) > 1 else 0.1
+            dt = poses[1].t - poses[0].t if len(poses) > 1 else 0.1
         ranges = np.array([ref_measure_range(p, a, cfg, rng) for a in anchors])
         rss = np.array(
             [ref_measure_rss(p, a, pattern, cfg, rng, path_loss) for a in anchors]
@@ -184,11 +220,12 @@ def test_build_dataset_matches_per_epoch_reference(
     gyro_psd, mag_std, rss_quantum, disturbance, noise_seed, anchor_order,
 ):
     traj = world.generate_trajectory(AREA, duration, rate_hz, profile, seed=traj_seed)
-    traj = {"empty": [], "one": traj[:1], "many": traj}[size]
+    traj = head(traj, {"empty": 0, "one": 1, "many": len(traj.t)}[size])
+    n = len(traj.t)
     dist = {}
     if disturbance is not None:
         where, radius, bias = disturbance
-        center = traj[int(where * (len(traj) - 1))].position if traj else AREA.center
+        center = traj.position[int(where * (n - 1))] if n else AREA.center
         dist = dict(
             mag_disturbance_center=tuple(center),
             mag_disturbance_radius=radius,
@@ -206,7 +243,7 @@ def test_build_dataset_matches_per_epoch_reference(
 
 @pytest.mark.parametrize("times", [(0.0, 0.0, 0.1), (0.0, 0.1, 0.1), (0.0, 0.2, 0.1)])
 def test_build_dataset_rejects_non_increasing_time(times):
-    traj = [pose(t=t) for t in times]
+    traj = trajectory([pose(t=t) for t in times])
     cfg = world.SensorNoiseConfig(seed=0)
     with pytest.raises(ValueError):
         ref_build_dataset(traj, ANCHORS, PATTERN, cfg)
@@ -216,10 +253,7 @@ def test_build_dataset_rejects_non_increasing_time(times):
 
 def build(poses, anchors, cfg, pattern=PATTERN):
     """build_dataset on hand-made poses, spaced 0.1 s apart."""
-    traj = [
-        world.TruePose(t=0.1 * k, position=p.position, heading=p.heading, rate=p.rate)
-        for k, p in enumerate(poses)
-    ]
+    traj = trajectory([p._replace(t=0.1 * k) for k, p in enumerate(poses)])
     return world.build_dataset(traj, anchors, pattern, cfg)
 
 
@@ -305,13 +339,13 @@ def test_path_loss_monotone_in_distance():
 
 def test_gyro_tiny_psd_tracks_true_rate():
     # a lone pose takes dt = 0.1 s
-    (rec,) = world.build_dataset([pose(rate=0.42)], ANCHORS, PATTERN, quiet(seed=6))
+    (rec,) = world.build_dataset(trajectory([pose(rate=0.42)]), ANCHORS, PATTERN, quiet(seed=6))
     assert rec.gyro == pytest.approx(0.42, abs=1e-4)
 
 
 def test_gyro_random_walk_scaling():
     dt, steps, psd = 0.1, 200, 1e-3
-    traj = [pose(rate=0.0, t=k * dt) for k in range(steps)]
+    traj = trajectory([pose(rate=0.0, t=k * dt) for k in range(steps)])
     finals = []
     for seed in range(300):
         cfg = world.SensorNoiseConfig(gyro_psd=psd, seed=seed)
@@ -322,8 +356,8 @@ def test_gyro_random_walk_scaling():
 
 def test_gyro_seeded_determinism():
     cfg = world.SensorNoiseConfig(gyro_psd=1e-3, seed=7)
-    (a,) = world.build_dataset([pose(rate=0.1)], ANCHORS, PATTERN, cfg)
-    (b,) = world.build_dataset([pose(rate=0.1)], ANCHORS, PATTERN, cfg)
+    (a,) = world.build_dataset(trajectory([pose(rate=0.1)]), ANCHORS, PATTERN, cfg)
+    (b,) = world.build_dataset(trajectory([pose(rate=0.1)]), ANCHORS, PATTERN, cfg)
     assert a.gyro == b.gyro
 
 
@@ -353,7 +387,7 @@ def test_build_dataset_counts_and_determinism():
     recs1 = world.build_dataset(traj, ANCHORS, PATTERN, world.SensorNoiseConfig(seed=1))
     recs2 = world.build_dataset(traj, ANCHORS, PATTERN, world.SensorNoiseConfig(seed=1))
     recs3 = world.build_dataset(traj, ANCHORS, PATTERN, world.SensorNoiseConfig(seed=2))
-    assert len(recs1) == len(traj)
+    assert len(recs1) == len(traj.t)
     assert all(
         np.array_equal(a.ranges, b.ranges) and a.gyro == b.gyro
         for a, b in zip(recs1, recs2)
@@ -466,6 +500,56 @@ def test_write_of_read_dataset_is_byte_identical(tmp_path):
     again = tmp_path / "again.csv"
     world.write_dataset(again, world.read_dataset(path))
     assert again.read_bytes() == path.read_bytes()
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def dataset_tables(draw):
+    """(n, 14) tables that read_dataset accepts: finite cells, strictly
+    increasing t and positive ranges."""
+    t = sorted(draw(st.lists(_finite, max_size=8, unique=True)))
+    rows = draw(st.lists(st.tuples(*[_positive] * 5, *[_finite] * 8),
+                         min_size=len(t), max_size=len(t)))
+    return np.array([[ti, *row] for ti, row in zip(t, rows)]).reshape(-1, 14)
+
+
+_EXTREMES = np.array([
+    # t, 5 ranges, 5 rss, gyro, mag, gt_heading: signed zeros, the smallest
+    # and largest subnormals, the smallest normal and the largest finite
+    [-1.7976931348623157e308, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+     1.7976931348623157e308, 1e-300, -0.0, -5e-324, 1e308, -1e-310, 0.0,
+     -1.7976931348623157e308, 2.2250738585072009e-308, -0.0],
+    [-0.0, 1.0, 1e300, 5e-324, 3.0, 1e-320, -1e308, 5e-324, -0.0, 123.456, -81.0,
+     0.0, -2.2250738585072014e-308, 1.7976931348623157e308],
+    [5e-324, 1e-5, 2.0, 1.7976931348623157e308, 5e-324, 0.1, 0.0, -0.0, 1e-310,
+     -1e-310, 1e22, -0.0, -1e-322, 3.141592653589793],
+])
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=150, deadline=None)
+@given(table=dataset_tables())
+@example(table=_EXTREMES)
+@example(table=np.array([[-1e308] + [1.0] * 13, [1e308] + [1.0] * 13]))  # t gap > max float
+@example(table=np.empty((0, 14)))
+def test_dataset_csv_round_trip_is_exact(table):
+    data = world.Dataset(
+        table[:, 0], table[:, 1:6], table[:, 6:11], table[:, 11], table[:, 12], table[:, 13]
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.csv", Path(tmp) / "second.csv"
+        world.write_dataset(first, data)
+        back = world.read_dataset(first)
+        got = np.column_stack(
+            [back.t, back.ranges, back.rss, back.gyro, back.mag, back.gt_heading]
+        )
+        assert got.shape == table.shape
+        assert got.tobytes() == table.tobytes()
+        world.write_dataset(second, back)
+        assert second.read_bytes() == first.read_bytes()
 
 
 def test_generated_world_is_pinned(tmp_path):
