@@ -18,6 +18,8 @@ on the CPU count.
 from __future__ import annotations
 
 import math
+import numbers
+import zipfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -140,8 +142,9 @@ class HyperparamSearchConfig:
     max_points: int = 1000  # stride-subsample cap on training rows
 
     def __post_init__(self):
-        if self.max_points < 2:
-            raise ValueError("max_points >= 2 required")
+        m = self.max_points
+        if not (isinstance(m, numbers.Integral) and not isinstance(m, bool) and m >= 2):
+            raise ValueError(f"max_points must be an integer >= 2, got {m!r}")
 
 
 def kernel_eval(x: np.ndarray, x_prime: np.ndarray, params: SeKernelParams) -> float:
@@ -366,8 +369,13 @@ class GpModel:
 
     @classmethod
     def load(cls, path) -> "GpModel":
-        with np.load(path) as z:
-            std = Standardizer(mean=z["std_mean"], scale=z["std_scale"])
-            train = TrainingSet(x=z["x"], y=z["y"], standardizer=std)
-            params = SeKernelParams(*z["hyper"])
-            return cls.from_params(train, params, y_mean=float(z["y_mean"]))
+        """ValueError naming `path` if it is not an archive as `save` writes."""
+        try:
+            with np.load(path) as z:
+                x, y, mean, scale, y_mean, hyper = (
+                    z[k] for k in ("x", "y", "std_mean", "std_scale", "y_mean", "hyper")
+                )
+        except (zipfile.BadZipFile, KeyError, EOFError, ValueError) as exc:
+            raise ValueError(f"bad model archive {path}: {exc}") from exc
+        train = TrainingSet(x=x, y=y, standardizer=Standardizer(mean=mean, scale=scale))
+        return cls.from_params(train, SeKernelParams(*hyper), y_mean=float(y_mean))

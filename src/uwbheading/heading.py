@@ -28,7 +28,7 @@ __all__ = [
     "predict_pseudo_trig_many",
     "predict_pseudo_trig_arrays",
     "normalize",
-    "normalize_many",
+    "normalize_values",
     "NORM_EPS",
     "VAR_FLOOR",
 ]
@@ -196,9 +196,9 @@ def predict_pseudo_trig_many(
     ]
 
 
-def _normalize(s: float, c: float, var_s: float, var_c: float):
-    """(angle, variance) of one pseudo-trig pair, or None if its radius is
-    below NORM_EPS."""
+def normalize_values(s: float, c: float, var_s: float, var_c: float):
+    """`normalize` on plain floats: (angle, variance) of one pseudo-trig
+    pair, or None if its radius is below NORM_EPS."""
     norm = math.hypot(s, c)
     if norm < NORM_EPS:
         return None
@@ -212,35 +212,10 @@ def normalize(pt: PseudoTrig) -> HeadingMeasurement:
     The heading is atan2(s, c). Its variance is the first-order push-forward
     of (var_s, var_c) through atan2, whose gradient is (c, -s) / r^2.
     """
-    projected = _normalize(pt.s, pt.c, pt.var_s, pt.var_c)
+    projected = normalize_values(pt.s, pt.c, pt.var_s, pt.var_c)
     if projected is None:
         raise DegeneratePredictionError(
             f"pseudo-trig radius {math.hypot(pt.s, pt.c):.3e} below {NORM_EPS};"
             " skip this epoch"
         )
     return HeadingMeasurement(angle=projected[0], var_theta=projected[1])
-
-
-def normalize_many(s, c, var_s, var_c):
-    """`normalize` over (m,) arrays, bit for bit: returns (angle, var_theta,
-    degenerate) arrays, with NaN angle and variance where `degenerate`
-    (radius below NORM_EPS) marks an epoch to skip.
-
-    Each element goes through math.atan2/math.hypot, as in `normalize`:
-    numpy's SIMD arctan2 and hypot can differ from libm in the last bit.
-    Non-finite values or non-positive variances raise ValueError, as
-    PseudoTrig does.
-    """
-    s, c, var_s, var_c = (np.asarray(v, dtype=float).ravel() for v in (s, c, var_s, var_c))
-    if not (np.isfinite(s).all() and np.isfinite(c).all()):
-        raise ValueError("pseudo-trig values must be finite")
-    if not ((var_s > 0).all() and (var_c > 0).all()):
-        raise ValueError("pseudo-trig variances must be positive")
-    projected = [
-        _normalize(*v) for v in zip(s.tolist(), c.tolist(), var_s.tolist(), var_c.tolist())
-    ]
-    degenerate = np.array([p is None for p in projected], dtype=bool)
-    pairs = np.array(
-        [(math.nan, math.nan) if p is None else p for p in projected], dtype=float
-    ).reshape(-1, 2)
-    return pairs[:, 0], pairs[:, 1], degenerate

@@ -158,10 +158,8 @@ def filter_runs(starts, increments, process_vars, measurements, gate_bound=math.
     return tuple(np.array(v, dtype=float).reshape(shape) for v in (angles, covs, mahals))
 
 
-def mahalanobis_bound(confidence: float, dof: int = 1) -> float:
-    """Chi-square quantile used as the consistency bound (e.g. 0.997 -> 8.807)."""
-    if dof != 1:
-        raise ValueError("only 1-DOF bounds are supported")
+def mahalanobis_bound(confidence: float) -> float:
+    """1-DOF chi-square quantile used as the consistency bound (e.g. 0.997 -> 8.807)."""
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
-    return float(chi2.ppf(confidence, df=dof))
+    return float(chi2.ppf(confidence, df=1))

@@ -3,8 +3,8 @@ execution (gp-iekf / mag-iekf / deadreckon), Monte-Carlo evaluation, and
 plot-data export.
 
 `cmd_run` filters all Monte-Carlo runs in one `run_filter` call, a single
-float-level pass (`iekf.filter_runs`), and writes and reads traces column
-by column.
+float-level pass (`iekf.filter_runs`). Traces and report tables are written
+and read, like datasets, by `world.write_table` and `world.read_table`.
 
 Subcommands: generate, train, run, report. Exit codes: 0 success,
 1 usage/config error, 2 data error, 3 numerical failure.
@@ -235,12 +235,10 @@ def _measurements_for(estimator, data, pair, mag_var):
     if estimator == "mag-iekf":
         var = max(mag_var, heading.VAR_FLOOR)
         return [heading.HeadingMeasurement(angle=a, var_theta=var) for a in data.mag.tolist()]
-    angle, var, degenerate = heading.normalize_many(
-        *heading.predict_pseudo_trig_arrays(pair, data.features)
-    )
+    predicted = heading.predict_pseudo_trig_arrays(pair, data.features)
     return [
-        None if skip else heading.HeadingMeasurement(angle=a, var_theta=v)
-        for a, v, skip in zip(angle.tolist(), var.tolist(), degenerate.tolist())
+        None if p is None else heading.HeadingMeasurement(*p)
+        for p in map(heading.normalize_values, *(v.tolist() for v in predicted))
     ]
 
 
@@ -353,20 +351,16 @@ def cmd_run(dataset_path, model_dir, cfg: RunConfig, out_dir) -> dict:
 
     t = data.t
     n = len(t)
-    t_cells = list(map(repr, t.tolist()))
-    lines = [",".join(TRACE_COLUMNS)]
-    for r in range(cfg.monte_carlo_runs):
-        lines += map(
-            ",".join,
-            zip(
-                t_cells,
-                itertools.repeat(str(r)),
-                map(repr, errs[r].tolist()),
-                map(repr, sigs[r].tolist()),
-                map(repr, mahals[r].tolist()),
-            ),
-        )
-    (out_dir / "traces.csv").write_text("\n".join(lines) + "\n")
+    runs = range(cfg.monte_carlo_runs)
+    world.write_table(
+        out_dir / "traces.csv",
+        TRACE_COLUMNS,
+        [
+            list(world.float_cells(t)) * len(runs),  # each t formatted once
+            itertools.chain.from_iterable(itertools.repeat(str(r), n) for r in runs),
+            errs, sigs, mahals,
+        ],
+    )
     stamps.append(time.perf_counter())
 
     steady_start = int(n * (1.0 - cfg.steady_fraction))
@@ -405,42 +399,30 @@ def _load_traces(run_dir):
     run_dir = Path(run_dir)
     metrics = json.loads((run_dir / "metrics.json").read_text())
     path = run_dir / "traces.csv"
-    header, _, body = path.read_text().partition("\n")
-    cells = body.replace(",", " ").split()
-    if header.split(",") != list(TRACE_COLUMNS) or len(cells) % len(TRACE_COLUMNS):
-        raise DataError(f"malformed traces file {path}")
-    raw = np.array(cells, dtype=float).reshape(-1, len(TRACE_COLUMNS))
+    raw = world.read_table(path, TRACE_COLUMNS)
     t = np.unique(raw[:, 0])
-    runs = int(raw[:, 1].max()) + 1
-    n = t.size
-    err = raw[:, 2].reshape(runs, n)
-    sig = raw[:, 3].reshape(runs, n)
-    mahal = raw[:, 4].reshape(runs, n)
+    runs = len(raw) // t.size if t.size else 0
+    if runs < 1 or len(raw) != runs * t.size:
+        raise DataError(f"{path}: {len(raw)} rows are not {runs} runs of {t.size} epochs")
+    err, sig, mahal = (raw[:, k].reshape(runs, t.size) for k in (2, 3, 4))
     return metrics["estimator"], t, err, sig, mahal
-
-
-def _write_columns(path: Path, header, columns) -> None:
-    """CSV of equal-length float columns, each value as its exact repr."""
-    cells = [map(repr, np.asarray(c, dtype=float).tolist()) for c in columns]
-    lines = [",".join(header), *map(",".join, zip(*cells))]
-    path.write_text("\n".join(lines) + "\n")
 
 
 def cmd_report(run_dirs, out_dir) -> list[Path]:
     """Aggregate run traces into plot-data files."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     loaded = []
     for d in run_dirs:
         if not (Path(d) / "traces.csv").exists():
             raise DataError(f"missing traces in {d}")
         loaded.append(_load_traces(d))
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
 
     for est, t, err, sig, _ in loaded:
         ms = sig.mean(axis=0)
         p = out_dir / f"error_bounds_{est}.csv"
-        _write_columns(
+        world.write_table(
             p,
             ["t", "mean_error", "mean_three_sigma", "minus_three_sigma"],
             [t, err.mean(axis=0), ms, -ms],
@@ -453,7 +435,7 @@ def cmd_report(run_dirs, out_dir) -> list[Path]:
     if with_mahal:
         t = with_mahal[0][1]
         p = out_dir / "mahalanobis.csv"
-        _write_columns(
+        world.write_table(
             p,
             ["t"] + [f"mean_mahalanobis_{est}" for est, _, _ in with_mahal] + ["bound"],
             [t]
@@ -464,7 +446,7 @@ def cmd_report(run_dirs, out_dir) -> list[Path]:
 
     t = loaded[0][1]
     p = out_dir / "abs_error.csv"
-    _write_columns(
+    world.write_table(
         p,
         ["t"] + [f"abs_error_{est}" for est, *_ in loaded],
         [t] + [np.abs(err).mean(axis=0) for _, _, err, _, _ in loaded],

@@ -13,6 +13,7 @@ whose std (or PSD) is zero draws nothing and leaves its columns out.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, asdict
@@ -394,13 +395,59 @@ def build_dataset(
 
 
 # ---------------------------------------------------------------------------
+# float-table CSV files: datasets, run traces and report tables
+
+
+def float_cells(values):
+    """The cells of a 1-D or 2-D float array in C order, each the exact
+    `repr` of its value: the text that `read_table` reads back bit for bit.
+    A 2-D array is turned into Python floats one row at a time, which keeps
+    a 100-run trace write as fast as a loop over runs."""
+    rows = np.atleast_2d(np.asarray(values, dtype=float))
+    return itertools.chain.from_iterable(map(repr, row.tolist()) for row in rows)
+
+
+def write_table(path, header, columns) -> None:
+    """Write equal-length `columns` under `header` as CSV, one row per index.
+    A numpy array column is written by `float_cells`; any other column is an
+    iterable of cells already in text (a repeated or integer column)."""
+    cells = [float_cells(c) if isinstance(c, np.ndarray) else c for c in columns]
+    lines = [",".join(header), *map(",".join, zip(*cells, strict=True))]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def read_table(path, header) -> np.ndarray:
+    """A `write_table` CSV as an (n, len(header)) float array; a wrong
+    header, a row of the wrong width or a cell that is not a number raises
+    ValueError naming the file. Parsed as bytes, not decoded: numpy converts
+    a bytes cell with float(), as a str one. CRLF line ends read as LF."""
+    path, width = Path(path), len(header)
+    head, _, body = path.read_bytes().strip().partition(b"\n")
+    if head.rstrip(b"\r") != ",".join(header).encode():
+        raise ValueError(f"bad header in {path}: expected {','.join(header)}")
+    if not body:
+        return np.empty((0, width))
+    # commas per line, counted over the bytes rather than in a loop over rows
+    buf = np.frombuffer(body, dtype=np.uint8)
+    ends = np.append(np.flatnonzero(buf == ord("\n")), buf.size)
+    commas = np.diff(np.searchsorted(np.flatnonzero(buf == ord(",")), ends), prepend=0)
+    if (commas != width - 1).any():
+        k = int(np.argmax(commas != width - 1))
+        raise ValueError(f"{path} line {k + 2}: bad row width, {commas[k] + 1} cells")
+    try:
+        return np.array(body.replace(b"\n", b",").split(b","), dtype=float).reshape(-1, width)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
 # dataset files
 
 
 def write_dataset(path, data: Dataset, metadata: dict | None = None) -> None:
-    """Write CSV (header + repr-precision decimals, round-trips exactly) and,
-    if given, a JSON metadata sidecar at <stem>.meta.json. A dataset with
-    other than 5 range or RSS columns raises ValueError before anything is
+    """Write the dataset as a `write_table` CSV (round-trips exactly) and, if
+    given, a JSON metadata sidecar at <stem>.meta.json. A dataset with other
+    than 5 range or RSS columns raises ValueError before anything is
     written."""
     width = (data.ranges.shape[1], data.rss.shape[1])
     if width != (_DATASET_ANCHORS, _DATASET_ANCHORS):
@@ -408,13 +455,8 @@ def write_dataset(path, data: Dataset, metadata: dict | None = None) -> None:
             f"{width[0]} range and {width[1]} RSS columns;"
             f" a dataset holds {_DATASET_ANCHORS} anchors"
         )
-    table = np.column_stack(
-        [data.t, data.ranges, data.rss, data.gyro, data.mag, data.gt_heading]
-    )
-    lines = [",".join(DATASET_COLUMNS)]
-    lines += [",".join(map(repr, row.tolist())) for row in table]
-    path = Path(path)
-    path.write_text("\n".join(lines) + "\n")
+    columns = [data.t, *data.ranges.T, *data.rss.T, data.gyro, data.mag, data.gt_heading]
+    write_table(path, DATASET_COLUMNS, columns)
     if metadata is not None:
         metadata_path(path).write_text(json.dumps(metadata, indent=2, sort_keys=True) + "\n")
 
@@ -427,7 +469,7 @@ def metadata_path(dataset_path) -> Path:
 def read_dataset(path) -> Dataset:
     """Read a dataset CSV; rows must be finite, with strictly increasing t
     and positive ranges (ValueError naming the first bad line otherwise)."""
-    table = _read_table(Path(path))
+    table = read_table(path, DATASET_COLUMNS)
     finite = np.isfinite(table).all(axis=1)
     increasing = np.concatenate([[True], table[1:, 0] > table[:-1, 0]])
     positive = (table[:, 1:6] > 0).all(axis=1)
@@ -443,20 +485,6 @@ def read_dataset(path) -> Dataset:
     return Dataset(
         table[:, 0], table[:, 1:6], table[:, 6:11], table[:, 11], table[:, 12], table[:, 13]
     )
-
-
-def _read_table(path: Path) -> np.ndarray:
-    """The CSV's rows as an (n, 14) array, header and row widths checked."""
-    lines = path.read_text().strip().splitlines()
-    if not lines or lines[0].split(",") != DATASET_COLUMNS:
-        raise ValueError(f"bad dataset header in {path}")
-    rows = lines[1:]
-    if any(ln.count(",") != len(DATASET_COLUMNS) - 1 for ln in rows):
-        raise ValueError(f"bad row width in {path}")
-    if not rows:
-        return np.empty((0, len(DATASET_COLUMNS)))
-    cells = np.array(",".join(rows).split(","), dtype=float)
-    return cells.reshape(len(rows), len(DATASET_COLUMNS))
 
 
 def read_metadata(dataset_path) -> dict:

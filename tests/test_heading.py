@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uwbheading import gp, heading, so2
+from uwbheading import gp, heading, pipeline, so2, world
 
 SMALL_SEARCH = gp.HyperparamSearchConfig(max_points=300)
 
@@ -76,15 +76,15 @@ def normalize_or_none(s, c, var_s, var_c):
         return None
 
 
-def assert_normalize_many_matches(s, c, var_s, var_c):
-    angle, var, degenerate = heading.normalize_many(s, c, var_s, var_c)
-    for k, args in enumerate(zip(s, c, var_s, var_c)):
+def assert_normalize_values_matches(s, c, var_s, var_c):
+    """normalize_values equals normalize bit for bit, None where it raises."""
+    for args in zip(s, c, var_s, var_c):
         m = normalize_or_none(*args)
-        assert degenerate[k] == (m is None)
+        got = heading.normalize_values(*args)
         if m is None:
-            assert math.isnan(angle[k]) and math.isnan(var[k])
+            assert got is None
         else:
-            assert float(angle[k]) == m.angle and float(var[k]) == m.var_theta
+            assert np.array(got).tobytes() == np.array([m.angle, m.var_theta]).tobytes()
 
 
 # radii straddling NORM_EPS, at a few ulps and at 1% either side
@@ -106,40 +106,51 @@ EDGE_RADII = [
     )
 )
 @settings(max_examples=200)
-def test_normalize_many_matches_normalize(rows):
+def test_normalize_values_matches_normalize(rows):
     s = [r * math.sin(th) for r, th, _, _ in rows]
     c = [r * math.cos(th) for r, th, _, _ in rows]
-    assert_normalize_many_matches(
+    assert_normalize_values_matches(
         s, c, [v for *_, v, _ in rows], [v for *_, v in rows]
     )
 
 
-def test_normalize_many_degenerate_mask_at_norm_eps():
-    # along an axis the radius is exact, so the mask flips exactly at NORM_EPS
+def test_normalize_values_degenerate_at_norm_eps():
+    # along an axis the radius is exact, so the result flips exactly at NORM_EPS
     eps = heading.NORM_EPS
     c = [math.nextafter(eps, 0.0), eps, math.nextafter(eps, 1.0), 0.0, -eps]
     s = [0.0] * len(c)
-    _, _, degenerate = heading.normalize_many(s, c, [0.01] * 5, [0.02] * 5)
-    assert degenerate.tolist() == [True, False, False, True, False]
-    assert_normalize_many_matches(s, c, [0.01] * 5, [0.02] * 5)
+    degenerate = [heading.normalize_values(0.0, ci, 0.01, 0.02) is None for ci in c]
+    assert degenerate == [True, False, False, True, False]
+    assert_normalize_values_matches(s, c, [0.01] * 5, [0.02] * 5)
 
 
-def test_normalize_many_matches_normalize_on_gp_predictions():
+def test_gp_measurements_match_normalize():
     rng = np.random.default_rng(3)
     feats = random_features(rng, 60)
-    pair = heading.train_heading_gps(feats, rng.uniform(-math.pi, math.pi, 60), SMALL_SEARCH)
-    queries = random_features(rng, 200)
-    s, c, vs, vc = heading.predict_pseudo_trig_arrays(pair, queries)
-    assert_normalize_many_matches(s.tolist(), c.tolist(), vs.tolist(), vc.tolist())
+    # 60 equally spaced headings, rising with the first range: both GP means
+    # are near 0, so far from the data (where they revert to it) the epochs
+    # are degenerate
+    headings = np.empty(60)
+    headings[np.argsort(feats[:, 0])] = np.linspace(-math.pi, math.pi, 60, endpoint=False)
+    pair = heading.train_heading_gps(feats, headings, SMALL_SEARCH)
+    queries = np.vstack([feats, random_features(rng, 40) * 1e3])
+    zeros = np.zeros(len(queries))
+    data = world.Dataset(np.arange(len(queries)), queries[:, :5], queries[:, 5:],
+                         zeros, zeros, zeros)
+    got = pipeline._measurements_for("gp-iekf", data, pair, None)
     many = heading.predict_pseudo_trig_many(pair, queries)
+    assert len(got) == len(many)
+    assert got[-1] is None and sum(m is not None for m in got) >= 60
+    for m, pt in zip(got, many):
+        ref = normalize_or_none(pt.s, pt.c, pt.var_s, pt.var_c)
+        if ref is None:
+            assert m is None
+        else:
+            assert np.array([m.angle, m.var_theta]).tobytes() == (
+                np.array([ref.angle, ref.var_theta]).tobytes()
+            )
+    s, _, _, vc = heading.predict_pseudo_trig_arrays(pair, queries)
     assert [pt.s for pt in many] == s.tolist() and [pt.var_c for pt in many] == vc.tolist()
-
-
-def test_normalize_many_rejects_what_pseudo_trig_rejects():
-    with pytest.raises(ValueError):
-        heading.normalize_many([math.nan], [1.0], [0.1], [0.1])
-    with pytest.raises(ValueError):
-        heading.normalize_many([0.0], [1.0], [0.0], [0.1])
 
 
 def matrix_normalize(pt):

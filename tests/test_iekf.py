@@ -245,20 +245,18 @@ def chi2_1dof_quantile_bisect(p):
 
 
 def test_mahalanobis_bound_against_bisection_oracle():
-    assert iekf.mahalanobis_bound(0.997, 1) == pytest.approx(
+    assert iekf.mahalanobis_bound(0.997) == pytest.approx(
         chi2_1dof_quantile_bisect(0.997), abs=1e-6
     )
-    assert iekf.mahalanobis_bound(0.997, 1) == pytest.approx(8.807, abs=5e-4)
-    assert iekf.mahalanobis_bound(0.5, 1) == pytest.approx(0.455, abs=5e-4)
+    assert iekf.mahalanobis_bound(0.997) == pytest.approx(8.807, abs=5e-4)
+    assert iekf.mahalanobis_bound(0.5) == pytest.approx(0.455, abs=5e-4)
 
 
 def test_mahalanobis_bound_monotone_and_validated():
     bounds = [iekf.mahalanobis_bound(c) for c in (0.1, 0.5, 0.9, 0.99, 0.997)]
     assert all(b1 > b0 for b0, b1 in zip(bounds, bounds[1:]))
     with pytest.raises(ValueError):
-        iekf.mahalanobis_bound(0.997, dof=2)
-    with pytest.raises(ValueError):
-        iekf.mahalanobis_bound(1.5, dof=1)
+        iekf.mahalanobis_bound(1.5)
 
 
 # --- state validation -------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import shutil
@@ -378,6 +379,88 @@ def test_report_missing_traces_is_data_error(tmp_path):
         pipeline.cmd_report([tmp_path / "nope"], tmp_path / "report")
 
 
+def test_traces_and_report_are_pinned(tmp_path):
+    """mag-iekf and deadreckon traces (2 runs each) and the report over them,
+    on the seed-3 world of test_world's pinned-world test, hash to fixed
+    digests. gp-iekf is left out: its bits pass through BLAS kernels that
+    can differ by CPU."""
+    gen = pipeline.GenerateConfig(seed=3, train_duration_s=30.0, test_duration_s=10.0,
+                                  rate_hz=5.0)
+    pipeline.cmd_generate(gen, tmp_path / "data")
+    dirs = [tmp_path / est for est in ("mag-iekf", "deadreckon")]
+    for d in dirs:
+        cfg = pipeline.RunConfig(estimator=d.name, monte_carlo_runs=2)
+        pipeline.cmd_run(tmp_path / "data" / "test.csv", None, cfg, d)
+    pipeline.cmd_report(dirs, tmp_path / "report")
+    files = [d / "traces.csv" for d in dirs] + sorted((tmp_path / "report").iterdir())
+    digests = {
+        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in files
+    }
+    assert digests == {
+        "mag-iekf/traces.csv": "0b52bc5204c3cef9c5d982816017d6cc702cbdd39d70369aadc421c7ba02da73",
+        "deadreckon/traces.csv": "55a3605dc31db8db4e80f751f5680aa7e3f3daa2433c9e9da4bfa61413b51b28",
+        "report/abs_error.csv": "7b2520cfbf4b998321bb74837795ae4cea1086a59297e4874da3f231ca3add3b",
+        "report/error_bounds_deadreckon.csv":
+            "b1638b9cfd6661fc3628d149c15119e5b9a48a382ed816a25778edf8e6549cd6",
+        "report/error_bounds_mag-iekf.csv":
+            "965234f651132df8f20a1897e9b5a402194e9ac699a81375c12c24e31427db8b",
+        "report/mahalanobis.csv": "e365b953953c21f5942466b6b3034e6e17ed6ba6bc16c412717cedb3f87e3ef6",
+    }
+
+
+def _edit_row(k, edit):
+    """A traces.csv edit that applies `edit` to the cells of data row k."""
+    def apply(text):
+        lines = text.splitlines()
+        lines[k + 1] = ",".join(edit(lines[k + 1].split(",")))
+        return "\n".join(lines) + "\n"
+
+    return apply
+
+
+def _short_then_long(text):
+    # row 1 loses its last cell to row 2: the total cell count is unchanged
+    lines = text.splitlines()
+    head, _, last = lines[1].rpartition(",")
+    lines[1], lines[2] = head, lines[2] + "," + last
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda text: text.replace("t,run,", "t,runs,", 1), "bad header"),
+        (_edit_row(3, lambda cells: cells[:-1]), "line 5: bad row width"),
+        (_short_then_long, "line 2: bad row width"),
+        (_edit_row(2, lambda cells: cells[:2] + ["abc"] + cells[3:]), "abc"),
+        (_edit_row(0, lambda cells: cells[:4] + [""]), "convert"),
+    ],
+    ids=["wrong-header", "short-row", "short-then-long-row", "bad-token", "empty-cell"],
+)
+def test_cli_report_rejects_malformed_traces(run_dirs, tmp_path, capsys, edit, message):
+    d = tmp_path / "run"
+    shutil.copytree(run_dirs["mag-iekf"], d)
+    path = d / "traces.csv"
+    path.write_text(edit(path.read_text()))
+    out = tmp_path / "report"
+    assert pipeline.main(["report", "--runs-dirs", str(d), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and message in err and str(path) in err
+    assert not out.exists()
+
+
+def test_report_reads_crlf_traces(run_dirs, tmp_path):
+    d = tmp_path / "run"
+    shutil.copytree(run_dirs["mag-iekf"], d)
+    path = d / "traces.csv"
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    pipeline.cmd_report([d], tmp_path / "crlf")
+    pipeline.cmd_report([run_dirs["mag-iekf"]], tmp_path / "lf")
+    for p in (tmp_path / "lf").iterdir():
+        assert (tmp_path / "crlf" / p.name).read_bytes() == p.read_bytes()
+
+
 # --- shuffled-feature ablation -------------------------------------------------------
 
 
@@ -555,6 +638,19 @@ def test_cli_bad_generate_config_is_usage_error(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [2.5, 1000.0, "10", True, 1])
+def test_cli_bad_train_config_is_usage_error(workspace, tmp_path, capsys, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train": {"max_points": value}}))
+    out = tmp_path / "models"
+    argv = ["train", "--config", str(cfg), "--dataset", str(workspace / "data" / "train.csv"),
+            "--out", str(out)]
+    assert pipeline.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "max_points" in err
+    assert not out.exists()
+
+
 def _set_noise(key, value):
     def edit(meta):
         if value is None:
@@ -603,6 +699,12 @@ def _write(text):
     return lambda path: path.write_text(text)
 
 
+def _drop_hyper(path):
+    with np.load(path) as z:
+        arrays = {k: z[k] for k in z.files if k != "hyper"}
+    np.savez(path, **arrays)
+
+
 @pytest.mark.parametrize(
     "target, edit, code, message",
     [
@@ -612,6 +714,8 @@ def _write(text):
         ("data/test.meta.json", _write("[]"), 2, "JSON objects"),
         ("data/test.meta.json", _write('{"noise": 3}'), 2, "JSON objects"),
         ("models/gp_sin.npz", Path.unlink, 2, "gp_sin.npz"),
+        ("models/gp_sin.npz", lambda p: p.write_bytes(p.read_bytes()[:200]), 2, "gp_sin.npz"),
+        ("models/gp_sin.npz", _drop_hyper, 2, "gp_sin.npz"),
         ("models/heading_model.json", _write("{"), 2, "bad model manifest"),
         ("models/heading_model.json", _write('{"feature_dim": 10}'), 2, "bad model manifest"),
         ("models/heading_model.json", _write('{"files": {"sin": 1, "cos": 2}}'), 2, "bad model manifest"),
@@ -620,7 +724,8 @@ def _write(text):
     ],
     ids=[
         "truncated-csv", "empty-dataset", "missing-metadata", "metadata-not-object",
-        "noise-not-object", "missing-gp-sin", "corrupt-manifest", "manifest-without-files",
+        "noise-not-object", "missing-gp-sin", "truncated-gp-sin", "gp-sin-without-hyper",
+        "corrupt-manifest", "manifest-without-files",
         "manifest-files-not-names", "config-not-object", "config-section-not-object",
     ],
 )

@@ -476,14 +476,14 @@ def test_read_table_matches_float_per_cell(tmp_path):
     path = written_dataset(tmp_path)
     lines = path.read_text().strip().splitlines()[1:]
     reference = np.array([[float(tok) for tok in ln.split(",")] for ln in lines])
-    table = world._read_table(path)
+    table = world.read_table(path, world.DATASET_COLUMNS)
     assert table.shape == reference.shape
     assert table.tobytes() == reference.tobytes()
 
 
 def test_read_dataset_rows_are_table_cells(tmp_path):
     path = written_dataset(tmp_path)
-    table = world._read_table(path)
+    table = world.read_table(path, world.DATASET_COLUMNS)
     data = world.read_dataset(path)
     assert len(data) == len(table)
     for k, (row, cells) in enumerate(zip(data, table)):
