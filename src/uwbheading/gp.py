@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 import zipfile
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -39,6 +40,7 @@ __all__ = [
     "gram_matrix",
     "log_marginal_likelihood",
     "fit",
+    "predict_shared_inputs",
 ]
 
 # Jitter escalation bounds, as fractions of mean(diag(K)).
@@ -301,13 +303,18 @@ class GpModel:
 
     train: TrainingSet
     params: SeKernelParams
-    chol: np.ndarray = field(repr=False)  # lower factor of K + sigma_n^2 I
+    chol: np.ndarray = field(repr=False)  # lower factor of K + sigma_n^2 I, Fortran order
     alpha: np.ndarray = field(repr=False)  # solves (K + sigma_n^2 I) alpha = yc
     y_mean: float = 0.0
     lml: float = math.nan  # log marginal likelihood of train.y - y_mean
     jitter: float = 0.0  # diagonal jitter added to factorize K + sigma_n^2 I
     lml_evals: int = 0  # objective evaluations of the fit that chose params
     converged: bool | None = None  # the fit's optimizer success; None if not fitted
+    # (n,) squared norms of the train.x rows, for the query distances
+    train_sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "train_sq_norms", np.sum(self.train.x**2, axis=1))
 
     @classmethod
     @_blas.one_thread()
@@ -325,7 +332,7 @@ class GpModel:
             - np.sum(np.log(np.diag(chol)))
             - 0.5 * train.n * math.log(2.0 * math.pi)
         )
-        return cls(train=train, params=params, chol=chol, alpha=alpha,
+        return cls(train=train, params=params, chol=np.asfortranarray(chol), alpha=alpha,
                    y_mean=y_mean, lml=lml, jitter=jitter)
 
     def predict(self, x_star_raw: np.ndarray) -> tuple[float, float]:
@@ -335,21 +342,36 @@ class GpModel:
 
     def predict_many(self, x_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized posterior mean and variance over (m, d) raw queries."""
-        xs = self.train.standardizer.apply(np.atleast_2d(x_raw))
-        if xs.shape[1] != self.train.d:
-            raise ValueError(
-                f"query dimension {xs.shape[1]} != training dimension {self.train.d}"
-            )
-        if xs.shape[0] == 1:  # OpenBLAS keeps one-column products and solves on one thread
-            return self._posterior(xs)
-        with _blas.one_thread():
-            return self._posterior(xs)
+        return predict_shared_inputs((self,), x_raw)[0]
 
-    def _posterior(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        k_star = gram_matrix(self.train.x, xs, self.params)  # (n, m)
+    def _sq_dists_to(self, xs: np.ndarray) -> np.ndarray:
+        """(n, m) squared distances from the training rows to standardized
+        queries, by `_sq_dists`'s expression with the training norms cached."""
+        d2 = self.train_sq_norms[:, None] + np.sum(xs**2, axis=1)[None, :] - 2.0 * (
+            self.train.x @ xs.T
+        )
+        # An infinite distance only zeroes the kernel; a NaN one (inf - inf
+        # from a query that overflows) would poison the posterior.
+        if np.isnan(d2).any():
+            raise ValueError("query is too large: its distances to the training inputs are NaN")
+        return np.maximum(d2, 0.0, out=d2)
+
+    def _posterior(
+        self, d2: np.ndarray, overwrite: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and variance from `_sq_dists_to`'s distances; with
+        `overwrite` the kernel is computed in place over `d2`."""
+        k_star = np.divide(d2, -2.0 * self.params.sigma_l**2, out=d2 if overwrite else None)
+        np.exp(k_star, out=k_star)
+        k_star *= self.params.sigma_f**2  # gram_matrix(train.x, xs), (n, m)
         means = k_star.T @ self.alpha + self.y_mean
-        v = solve_triangular(self.chol, k_star, lower=True)  # (n, m)
-        variances = self.params.sigma_f**2 - np.sum(v * v, axis=0)
+        # the LAPACK call that solve_triangular(chol, k_star, lower=True)
+        # makes for a Fortran-order factor, without its argument checks
+        v, info = lapack.dtrtrs(self.chol, k_star, lower=1)  # (n, m)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dtrtrs failed with info={info}")
+        v *= v
+        variances = self.params.sigma_f**2 - np.sum(v, axis=0)
         return means, np.maximum(variances, 0.0)
 
     def save(self, path) -> None:
@@ -379,3 +401,26 @@ class GpModel:
             raise ValueError(f"bad model archive {path}: {exc}") from exc
         train = TrainingSet(x=x, y=y, standardizer=Standardizer(mean=mean, scale=scale))
         return cls.from_params(train, SeKernelParams(*hyper), y_mean=float(y_mean))
+
+
+def predict_shared_inputs(
+    models: tuple[GpModel, ...], x_raw: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Posterior mean and variance of each model over (m, d) raw queries,
+    standardizing the queries and computing their distances to the training
+    rows once for all models.
+
+    Every model must have the first one's `train.x` and standardizer; the
+    caller checks that once, where it pairs the models, not per query.
+    """
+    first = models[0]
+    xs = first.train.standardizer.apply(np.atleast_2d(x_raw))
+    if xs.shape[1] != first.train.d:
+        raise ValueError(
+            f"query dimension {xs.shape[1]} != training dimension {first.train.d}"
+        )
+    # OpenBLAS keeps one-column products and solves on one thread
+    with _blas.one_thread() if xs.shape[0] > 1 else nullcontext():
+        d2 = first._sq_dists_to(xs)
+        last = len(models) - 1
+        return [m._posterior(d2, overwrite=i == last) for i, m in enumerate(models)]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -48,18 +48,25 @@ class UwbFeature:
     ranges: np.ndarray  # (5,) meters
     rss: np.ndarray  # (5,) dBi
 
+    _vector: np.ndarray = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         r = np.asarray(self.ranges, dtype=float).ravel()
-        g = np.asarray(self.rss, dtype=float).ravel()
-        if not (np.all(np.isfinite(r)) and np.all(r > 0)):
-            raise ValueError("ranges must be strictly positive and finite")
-        if not np.all(np.isfinite(g)):
+        vector = np.concatenate([r, np.asarray(self.rss, dtype=float).ravel()])
+        ok = np.isfinite(vector)
+        ok[: r.size] &= r > 0
+        if not ok.all():
+            if not ok[: r.size].all():
+                raise ValueError("ranges must be strictly positive and finite")
             raise ValueError("rss values must be finite")
-        object.__setattr__(self, "ranges", r)
-        object.__setattr__(self, "rss", g)
+        object.__setattr__(self, "_vector", vector)
+        object.__setattr__(self, "ranges", vector[: r.size])
+        object.__setattr__(self, "rss", vector[r.size :])
 
     def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.ranges, self.rss])
+        """The ranges then the RSS values, as one array that `ranges` and
+        `rss` are views of."""
+        return self._vector
 
 
 @dataclass(frozen=True)
@@ -105,10 +112,14 @@ class HeadingGpPair:
     gp_cos: gp.GpModel
 
     def __post_init__(self):
-        if self.gp_sin.train.d != self.gp_cos.train.d:
-            raise ValueError("sin/cos GPs disagree on feature dimension")
-        if self.gp_sin.train.n != self.gp_cos.train.n:
-            raise ValueError("sin/cos GPs disagree on training-set size")
+        # predict_pseudo_trig_arrays computes the query distances once for both
+        a, b = self.gp_sin.train, self.gp_cos.train
+        if not (
+            np.array_equal(a.x, b.x)
+            and np.array_equal(a.standardizer.mean, b.standardizer.mean)
+            and np.array_equal(a.standardizer.scale, b.standardizer.scale)
+        ):
+            raise ValueError("sin/cos GPs disagree on training inputs or standardizer")
 
     def save(self, directory) -> None:
         directory = Path(directory)
@@ -178,10 +189,9 @@ def predict_pseudo_trig(pair: HeadingGpPair, feature: UwbFeature) -> PseudoTrig:
 
 def predict_pseudo_trig_arrays(pair: HeadingGpPair, vectors: np.ndarray):
     """Batch pseudo-trig prediction over (m, 10) raw feature vectors as
-    (s, c, var_s, var_c) arrays, variances floored at VAR_FLOOR."""
-    vectors = np.atleast_2d(vectors)
-    s, vs = pair.gp_sin.predict_many(vectors)
-    c, vc = pair.gp_cos.predict_many(vectors)
+    (s, c, var_s, var_c) arrays, variances floored at VAR_FLOOR. Both GPs
+    share one standardization and one distance computation."""
+    (s, vs), (c, vc) = gp.predict_shared_inputs((pair.gp_sin, pair.gp_cos), vectors)
     return s, c, np.maximum(vs, VAR_FLOOR), np.maximum(vc, VAR_FLOOR)
 
 

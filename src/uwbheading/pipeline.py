@@ -314,8 +314,6 @@ def cmd_run(dataset_path, model_dir, cfg: RunConfig, out_dir) -> dict:
     The runs differ only in their start angle, so one `run_filter` call
     filters them all.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stamps = [time.perf_counter()]  # stage boundaries: load, predict, filter, write
     data = world.read_dataset(dataset_path)
     if len(data) == 0:
@@ -352,6 +350,8 @@ def cmd_run(dataset_path, model_dir, cfg: RunConfig, out_dir) -> dict:
     t = data.t
     n = len(t)
     runs = range(cfg.monte_carlo_runs)
+    out_dir = Path(out_dir)  # made only now, so that bad input leaves no directory
+    out_dir.mkdir(parents=True, exist_ok=True)
     world.write_table(
         out_dir / "traces.csv",
         TRACE_COLUMNS,
@@ -365,6 +365,9 @@ def cmd_run(dataset_path, model_dir, cfg: RunConfig, out_dir) -> dict:
 
     steady_start = int(n * (1.0 - cfg.steady_fraction))
     rmse_deg = float(np.degrees(np.sqrt(np.mean(errs**2, axis=1))).mean())
+    rmse_steady_deg = float(
+        np.degrees(np.sqrt(np.mean(errs[:, steady_start:] ** 2, axis=1))).mean()
+    )
     mean_3sigma_deg = float(np.degrees(sigs[:, steady_start:]).mean())
     finite = np.isfinite(mahals)
     nees_frac = (
@@ -374,6 +377,7 @@ def cmd_run(dataset_path, model_dir, cfg: RunConfig, out_dir) -> dict:
         "estimator": cfg.estimator,
         "monte_carlo_runs": cfg.monte_carlo_runs,
         "rmse_deg": rmse_deg,
+        "rmse_steady_deg": rmse_steady_deg,
         "mean_3sigma_deg": mean_3sigma_deg,
         "nees_within_bound_frac": nees_frac,
         "mahalanobis_bound": MAHALANOBIS_BOUND_997,
@@ -415,11 +419,17 @@ def cmd_report(run_dirs, out_dir) -> list[Path]:
         if not (Path(d) / "traces.csv").exists():
             raise DataError(f"missing traces in {d}")
         loaded.append(_load_traces(d))
+    t = loaded[0][1]
+    mismatched = [str(d) for d, run in zip(run_dirs, loaded) if not np.array_equal(run[1], t)]
+    if mismatched:
+        raise DataError(
+            f"runs do not share the time base of {run_dirs[0]}: {', '.join(mismatched)}"
+        )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
 
-    for est, t, err, sig, _ in loaded:
+    for est, _, err, sig, _ in loaded:
         ms = sig.mean(axis=0)
         p = out_dir / f"error_bounds_{est}.csv"
         world.write_table(
@@ -429,22 +439,18 @@ def cmd_report(run_dirs, out_dir) -> list[Path]:
         )
         written.append(p)
 
-    with_mahal = [
-        (est, t, mh) for est, t, _, _, mh in loaded if np.isfinite(mh).any()
-    ]
+    with_mahal = [(est, mh) for est, _, _, _, mh in loaded if np.isfinite(mh).any()]
     if with_mahal:
-        t = with_mahal[0][1]
         p = out_dir / "mahalanobis.csv"
         world.write_table(
             p,
-            ["t"] + [f"mean_mahalanobis_{est}" for est, _, _ in with_mahal] + ["bound"],
+            ["t"] + [f"mean_mahalanobis_{est}" for est, _ in with_mahal] + ["bound"],
             [t]
-            + [np.nanmean(mh, axis=0) for _, _, mh in with_mahal]
+            + [np.nanmean(mh, axis=0) for _, mh in with_mahal]
             + [np.full(t.size, MAHALANOBIS_BOUND_997)],
         )
         written.append(p)
 
-    t = loaded[0][1]
     p = out_dir / "abs_error.csv"
     world.write_table(
         p,

@@ -197,6 +197,18 @@ def test_predict_dimension_mismatch():
         model.predict(np.array([1.0, 2.0]))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_predict_rejects_overflowing_query():
+    model = gp.GpModel.from_params(
+        identity_train(np.array([[-1.0, 0.5, 0.0], [1.0, 1.0, -2.0]]), np.array([0.0, 1.0])),
+        gp.SeKernelParams(1.0, 1.0, 0.1),
+    )
+    # x**2 and x @ x_train overflow to inf, and inf - inf is NaN
+    with pytest.raises(ValueError):
+        model.predict_many(np.full((2, 3), 1.7e308))
+
+
 # --- fit ----------------------------------------------------------------------
 
 

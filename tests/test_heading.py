@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
-from uwbheading import gp, heading, pipeline, so2, world
+from uwbheading import _blas, gp, heading, pipeline, so2, world
 
 SMALL_SEARCH = gp.HyperparamSearchConfig(max_points=300)
 
@@ -310,6 +311,72 @@ def test_variance_floor_on_predictions():
     )
     assert pt.var_s >= heading.VAR_FLOOR
     assert pt.var_c >= heading.VAR_FLOOR
+
+
+def reference_posterior(model, x_raw):
+    """Posterior by gram_matrix and solve_triangular, each GP on its own,
+    with the variance floor of the pseudo-trig outputs."""
+    xs = model.train.standardizer.apply(np.atleast_2d(x_raw))
+    with _blas.one_thread():
+        k_star = gp.gram_matrix(model.train.x, xs, model.params)
+        mean = k_star.T @ model.alpha + model.y_mean
+        v = solve_triangular(model.chol, k_star, lower=True)
+    var = np.maximum(model.params.sigma_f**2 - np.sum(v * v, axis=0), 0.0)
+    return mean, np.maximum(var, heading.VAR_FLOOR)
+
+
+def test_shared_distance_prediction_matches_reference_bits():
+    rng = np.random.default_rng(7)
+    feats = random_features(rng, 80)
+    pair = heading.train_heading_gps(feats, rng.uniform(-math.pi, math.pi, 80), SMALL_SEARCH)
+    queries = random_features(rng, 50)
+
+    def reference(rows):
+        (s, vs), (c, vc) = (reference_posterior(m, rows) for m in (pair.gp_sin, pair.gp_cos))
+        return np.array([s, c, vs, vc])
+
+    got = np.array(heading.predict_pseudo_trig_arrays(pair, queries))
+    assert got.tobytes() == reference(queries).tobytes()
+    for row in queries:
+        pt = heading.predict_pseudo_trig(pair, heading.UwbFeature(ranges=row[:5], rss=row[5:]))
+        got = np.array([[pt.s], [pt.c], [pt.var_s], [pt.var_c]])
+        assert got.tobytes() == reference(row).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_predict_rejects_overflowing_query():
+    rng = np.random.default_rng(8)
+    feats = random_features(rng, 20)
+    pair = heading.train_heading_gps(feats, rng.uniform(-math.pi, math.pi, 20), SMALL_SEARCH)
+    huge = heading.UwbFeature(ranges=np.full(5, 1.7e308), rss=np.zeros(5))
+    with pytest.raises(ValueError):
+        heading.predict_pseudo_trig(pair, huge)
+
+
+@pytest.mark.parametrize("field", ["x", "rows", "mean", "scale"])
+def test_pair_rejects_gps_with_different_inputs(field):
+    rng = np.random.default_rng(9)
+    feats = random_features(rng, 20)
+    pair = heading.train_heading_gps(feats, rng.uniform(-math.pi, math.pi, 20), SMALL_SEARCH)
+    train = pair.gp_cos.train
+    std = train.standardizer
+    x, y, mean, scale = train.x, train.y, std.mean, std.scale
+    if field == "x":
+        x = x[::-1]
+    elif field == "rows":
+        x, y = x[:-1], y[:-1]
+    elif field == "mean":
+        mean = mean + 1.0
+    else:
+        scale = 2.0 * scale
+    other = gp.GpModel.from_params(
+        gp.TrainingSet(x=x, y=y, standardizer=gp.Standardizer(mean=mean, scale=scale)),
+        pair.gp_cos.params,
+        y_mean=pair.gp_cos.y_mean,
+    )
+    with pytest.raises(ValueError, match="training inputs or standardizer"):
+        heading.HeadingGpPair(gp_sin=pair.gp_sin, gp_cos=other)
 
 
 def test_train_rejects_bad_input():

@@ -329,6 +329,17 @@ def test_run_metrics_report_counts_and_stage_times(run_dirs):
         assert all(m[k] >= 0.0 for k in ("load_s", "predict_s", "filter_s", "write_s"))
 
 
+def test_run_steady_rmse_over_trailing_window(workspace, run_dirs, tmp_path):
+    m = json.loads((run_dirs["gp-iekf"] / "metrics.json").read_text())
+    _, t, err, _, _ = pipeline._load_traces(run_dirs["gp-iekf"])
+    start = int(t.size * (1.0 - m["steady_fraction"]))
+    want = np.degrees(np.sqrt(np.mean(err[:, start:] ** 2, axis=1))).mean()
+    assert m["rmse_steady_deg"] == want
+    cfg = pipeline.RunConfig(estimator="gp-iekf", monte_carlo_runs=5, seed=1, steady_fraction=1.0)
+    whole = pipeline.cmd_run(workspace / "data" / "test.csv", workspace / "models", cfg, tmp_path)
+    assert whole["rmse_steady_deg"] == whole["rmse_deg"] == m["rmse_deg"]
+
+
 def test_gated_run_counts_gated_corrections(workspace, tmp_path):
     cfg = pipeline.RunConfig(estimator="gp-iekf", monte_carlo_runs=3, seed=1, gate=True)
     m = pipeline.cmd_run(workspace / "data" / "test.csv", workspace / "models", cfg, tmp_path)
@@ -377,6 +388,23 @@ def test_report_outputs(run_dirs, tmp_path):
 def test_report_missing_traces_is_data_error(tmp_path):
     with pytest.raises(pipeline.DataError):
         pipeline.cmd_report([tmp_path / "nope"], tmp_path / "report")
+
+
+def test_cli_report_rejects_runs_on_different_time_bases(tmp_path, capsys):
+    dirs = []
+    for test_s in (20.0, 10.0):  # 100 and 50 epochs at 5 Hz
+        gen = pipeline.GenerateConfig(seed=3, train_duration_s=30.0, test_duration_s=test_s,
+                                      rate_hz=5.0)
+        pipeline.cmd_generate(gen, tmp_path / f"data{test_s:g}")
+        d = tmp_path / f"run{test_s:g}"
+        pipeline.cmd_run(tmp_path / f"data{test_s:g}" / "test.csv", None,
+                         pipeline.RunConfig(estimator="deadreckon", monte_carlo_runs=1), d)
+        dirs.append(str(d))
+    out = tmp_path / "report"
+    assert pipeline.main(["report", "--runs-dirs", *dirs, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "time base" in err and dirs[0] in err and dirs[1] in err
+    assert not out.exists()
 
 
 def test_traces_and_report_are_pinned(tmp_path):
@@ -741,3 +769,4 @@ def test_cli_malformed_input_exit_code(workspace, tmp_path, capsys, target, edit
             "--models", str(tmp_path / "models"), "--out", str(tmp_path / "r")]
     assert pipeline.main(argv) == code
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
