@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import numbers
 import zipfile
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,6 +40,7 @@ __all__ = [
     "log_marginal_likelihood",
     "fit",
     "predict_shared_inputs",
+    "predict_row",
 ]
 
 # Jitter escalation bounds, as fractions of mean(diag(K)).
@@ -312,9 +312,14 @@ class GpModel:
     converged: bool | None = None  # the fit's optimizer success; None if not fitted
     # (n,) squared norms of the train.x rows, for the query distances
     train_sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
+    # -2 sigma_l^2 and sigma_f^2 as Python floats, for the one-row pass
+    kernel_divisor: float = field(init=False, repr=False, compare=False)
+    signal_var: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "train_sq_norms", np.sum(self.train.x**2, axis=1))
+        object.__setattr__(self, "kernel_divisor", float(-2.0 * self.params.sigma_l**2))
+        object.__setattr__(self, "signal_var", float(self.params.sigma_f**2))
 
     @classmethod
     @_blas.one_thread()
@@ -350,20 +355,16 @@ class GpModel:
         d2 = self.train_sq_norms[:, None] + np.sum(xs**2, axis=1)[None, :] - 2.0 * (
             self.train.x @ xs.T
         )
-        # An infinite distance only zeroes the kernel; a NaN one (inf - inf
-        # from a query that overflows) would poison the posterior.
-        if np.isnan(d2).any():
-            raise ValueError("query is too large: its distances to the training inputs are NaN")
-        return np.maximum(d2, 0.0, out=d2)
+        return _clamp_distances(d2)
 
     def _posterior(
         self, d2: np.ndarray, overwrite: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance from `_sq_dists_to`'s distances; with
         `overwrite` the kernel is computed in place over `d2`."""
-        k_star = np.divide(d2, -2.0 * self.params.sigma_l**2, out=d2 if overwrite else None)
+        k_star = np.divide(d2, self.kernel_divisor, out=d2 if overwrite else None)
         np.exp(k_star, out=k_star)
-        k_star *= self.params.sigma_f**2  # gram_matrix(train.x, xs), (n, m)
+        k_star *= self.signal_var  # gram_matrix(train.x, xs), (n, m)
         means = k_star.T @ self.alpha + self.y_mean
         # the LAPACK call that solve_triangular(chol, k_star, lower=True)
         # makes for a Fortran-order factor, without its argument checks
@@ -371,7 +372,7 @@ class GpModel:
         if info != 0:
             raise np.linalg.LinAlgError(f"dtrtrs failed with info={info}")
         v *= v
-        variances = self.params.sigma_f**2 - np.sum(v, axis=0)
+        variances = self.signal_var - np.sum(v, axis=0)
         return means, np.maximum(variances, 0.0)
 
     def save(self, path) -> None:
@@ -403,6 +404,17 @@ class GpModel:
         return cls.from_params(train, SeKernelParams(*hyper), y_mean=float(y_mean))
 
 
+def _clamp_distances(d2: np.ndarray) -> np.ndarray:
+    """Squared distances clamped at 0 in place, or ValueError if any is NaN.
+
+    An infinite distance only zeroes the kernel; a NaN one (inf - inf from a
+    query that overflows) would poison the posterior.
+    """
+    if np.isnan(d2).any():
+        raise ValueError("query is too large: its distances to the training inputs are NaN")
+    return np.maximum(d2, 0.0, out=d2)
+
+
 def predict_shared_inputs(
     models: tuple[GpModel, ...], x_raw: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -410,17 +422,57 @@ def predict_shared_inputs(
     standardizing the queries and computing their distances to the training
     rows once for all models.
 
-    Every model must have the first one's `train.x` and standardizer; the
-    caller checks that once, where it pairs the models, not per query.
+    One row goes through `predict_row`, whose values equal this path's to
+    the bit. More rows are standardized and predicted as matrices on one
+    BLAS thread. Every model must have the first one's `train.x` and
+    standardizer; the caller checks that once, where it pairs the models,
+    not per query.
     """
+    x = np.atleast_2d(np.asarray(x_raw, dtype=float))
+    if x.shape[0] == 1:
+        return [(np.array([mean]), np.array([var])) for mean, var in predict_row(models, x[0])]
     first = models[0]
-    xs = first.train.standardizer.apply(np.atleast_2d(x_raw))
-    if xs.shape[1] != first.train.d:
+    if x.shape[1] != first.train.d:
         raise ValueError(
-            f"query dimension {xs.shape[1]} != training dimension {first.train.d}"
+            f"query dimension {x.shape[1]} != training dimension {first.train.d}"
         )
-    # OpenBLAS keeps one-column products and solves on one thread
-    with _blas.one_thread() if xs.shape[0] > 1 else nullcontext():
+    xs = first.train.standardizer.apply(x)
+    with _blas.one_thread():
         d2 = first._sq_dists_to(xs)
         last = len(models) - 1
         return [m._posterior(d2, overwrite=i == last) for i, m in enumerate(models)]
+
+
+def predict_row(models: tuple[GpModel, ...], x_raw: np.ndarray) -> list[tuple[float, float]]:
+    """Posterior (mean, variance) of each model at one raw (d,) float query,
+    with the arithmetic of `_sq_dists_to` and `_posterior`.
+
+    For one row numpy's fixed cost per call outweighs the arithmetic, so
+    the models' kernels are built as one (len(models), n) array. Each model
+    then takes one dot for its mean and one triangular solve in place of its
+    kernel row, and one reduction sums every model's squared solve. The
+    models must share their training inputs, as in `predict_shared_inputs`.
+    """
+    first = models[0]
+    if x_raw.shape != (first.train.d,):
+        raise ValueError(f"query shape {x_raw.shape} != ({first.train.d},)")
+    std = first.train.standardizer
+    xs = (x_raw - std.mean) / std.scale
+    d2 = _clamp_distances(
+        first.train_sq_norms + np.add.reduce(xs * xs) - 2.0 * (first.train.x @ xs)
+    )
+    k = np.divide(d2, [[m.kernel_divisor] for m in models])
+    np.exp(k, out=k)
+    k *= [[m.signal_var] for m in models]  # each row is gram_matrix(train.x, xs)
+    means = []
+    for m, k_star in zip(models, k):
+        means.append(float(k_star @ m.alpha) + m.y_mean)
+        # v = chol^-1 k_star, solved in place over k_star
+        _, info = lapack.dtrtrs(m.chol, k_star, lower=1, overwrite_b=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dtrtrs failed with info={info}")
+    k *= k
+    return [
+        (mean, max(m.signal_var - v2, 0.0))
+        for m, mean, v2 in zip(models, means, np.add.reduce(k, axis=1).tolist())
+    ]

@@ -51,17 +51,17 @@ class UwbFeature:
     _vector: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        r = np.asarray(self.ranges, dtype=float).ravel()
-        vector = np.concatenate([r, np.asarray(self.rss, dtype=float).ravel()])
-        ok = np.isfinite(vector)
-        ok[: r.size] &= r > 0
-        if not ok.all():
-            if not ok[: r.size].all():
-                raise ValueError("ranges must be strictly positive and finite")
+        vector = np.concatenate((self.ranges, self.rss), axis=None, dtype=float)
+        n = vector.size - np.size(self.rss)
+        # a feature's few values check faster as Python floats than by numpy calls
+        values = vector.tolist()
+        if not all(0.0 < v < math.inf for v in values[:n]):
+            raise ValueError("ranges must be strictly positive and finite")
+        if not all(math.isfinite(v) for v in values[n:]):
             raise ValueError("rss values must be finite")
         object.__setattr__(self, "_vector", vector)
-        object.__setattr__(self, "ranges", vector[: r.size])
-        object.__setattr__(self, "rss", vector[r.size :])
+        object.__setattr__(self, "ranges", vector[:n])
+        object.__setattr__(self, "rss", vector[n:])
 
     def as_vector(self) -> np.ndarray:
         """The ranges then the RSS values, as one array that `ranges` and
@@ -180,11 +180,9 @@ def train_heading_gps(
 
 
 def predict_pseudo_trig(pair: HeadingGpPair, feature: UwbFeature) -> PseudoTrig:
-    s, c, vs, vc = (
-        float(v[0])
-        for v in predict_pseudo_trig_arrays(pair, feature.as_vector()[None, :])
-    )
-    return PseudoTrig(s=s, c=c, var_s=vs, var_c=vc)
+    """`predict_pseudo_trig_arrays` at one feature, by `gp.predict_row`."""
+    (s, vs), (c, vc) = gp.predict_row((pair.gp_sin, pair.gp_cos), feature.as_vector())
+    return PseudoTrig(s=s, c=c, var_s=max(vs, VAR_FLOOR), var_c=max(vc, VAR_FLOOR))
 
 
 def predict_pseudo_trig_arrays(pair: HeadingGpPair, vectors: np.ndarray):

@@ -373,6 +373,7 @@ def cmd_run(dataset_path, model_dir, cfg: RunConfig, out_dir) -> dict:
     nees_frac = (
         float(np.mean(mahals[finite] <= MAHALANOBIS_BOUND_997)) if finite.any() else math.nan
     )
+    gated = int(np.sum(mahals > MAHALANOBIS_BOUND_997)) if cfg.gate else 0
     metrics = {
         "estimator": cfg.estimator,
         "monte_carlo_runs": cfg.monte_carlo_runs,
@@ -392,7 +393,10 @@ def cmd_run(dataset_path, model_dir, cfg: RunConfig, out_dir) -> dict:
             sum(m is None for m in measurements) if cfg.estimator == "gp-iekf" else 0
         ),
         # corrections not applied because of the gate, summed over runs
-        "corrections_gated": int(np.sum(mahals > MAHALANOBIS_BOUND_997)) if cfg.gate else 0,
+        "corrections_gated": gated,
+        # corrections applied, summed over runs: a correction ran (its
+        # Mahalanobis distance is not NaN) and the gate did not reject it
+        "corrections_applied": int(np.count_nonzero(~np.isnan(mahals))) - gated,
     }
     metrics.update(zip(("load_s", "predict_s", "filter_s", "write_s"), np.diff(stamps).tolist()))
     (out_dir / "metrics.json").write_text(json.dumps(metrics, indent=2) + "\n")

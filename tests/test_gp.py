@@ -195,6 +195,10 @@ def test_predict_dimension_mismatch():
     )
     with pytest.raises(ValueError):
         model.predict(np.array([1.0, 2.0]))
+    # one column would broadcast against the standardizer's (3,) mean
+    for query in (np.array([1.0]), np.ones((3, 1))):
+        with pytest.raises(ValueError, match="dimension|shape"):
+            model.predict_many(query)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -205,8 +209,11 @@ def test_predict_rejects_overflowing_query():
         gp.SeKernelParams(1.0, 1.0, 0.1),
     )
     # x**2 and x @ x_train overflow to inf, and inf - inf is NaN
-    with pytest.raises(ValueError):
-        model.predict_many(np.full((2, 3), 1.7e308))
+    for rows in (2, 1):  # the batch path and the one-row pass
+        with pytest.raises(ValueError, match="too large"):
+            model.predict_many(np.full((rows, 3), 1.7e308))
+    with pytest.raises(ValueError, match="too large"):
+        model.predict(np.full(3, 1.7e308))
 
 
 # --- fit ----------------------------------------------------------------------
@@ -389,15 +396,11 @@ def test_lml_gradient_matches_central_differences(seed):
 
 
 @pytest.fixture(scope="module")
-def bench_world_train(tmp_path_factory):
-    """The seed-0 world at benchmark scale: 600 s at 5 Hz, 3000 rows."""
-    from uwbheading import pipeline, world
+def bench_world_train(bench_world):
+    """The training split of the benchmark-scale world: 3000 rows."""
+    from uwbheading import world
 
-    cfg = pipeline.GenerateConfig(
-        seed=0, train_duration_s=600.0, test_duration_s=200.0, rate_hz=5.0
-    )
-    paths = pipeline.cmd_generate(cfg, tmp_path_factory.mktemp("bench_world"))
-    records = world.read_dataset(paths["train"])
+    records = world.read_dataset(bench_world["train"])
     feats = np.array([r.feature_vector() for r in records])
     headings = np.array([r.gt_heading for r in records])
     return feats, headings

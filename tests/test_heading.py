@@ -313,16 +313,16 @@ def test_variance_floor_on_predictions():
     assert pt.var_c >= heading.VAR_FLOOR
 
 
-def reference_posterior(model, x_raw):
+def reference_posterior(model, x_raw, floor=heading.VAR_FLOOR):
     """Posterior by gram_matrix and solve_triangular, each GP on its own,
-    with the variance floor of the pseudo-trig outputs."""
+    with the variance floored (by default, as the pseudo-trig outputs are)."""
     xs = model.train.standardizer.apply(np.atleast_2d(x_raw))
     with _blas.one_thread():
         k_star = gp.gram_matrix(model.train.x, xs, model.params)
         mean = k_star.T @ model.alpha + model.y_mean
         v = solve_triangular(model.chol, k_star, lower=True)
     var = np.maximum(model.params.sigma_f**2 - np.sum(v * v, axis=0), 0.0)
-    return mean, np.maximum(var, heading.VAR_FLOOR)
+    return mean, np.maximum(var, floor)
 
 
 def test_shared_distance_prediction_matches_reference_bits():
@@ -343,6 +343,28 @@ def test_shared_distance_prediction_matches_reference_bits():
         assert got.tobytes() == reference(row).tobytes()
 
 
+def test_one_row_prediction_matches_reference_bits_on_bench_world(bench_world):
+    """On every test-split row of the benchmark-scale world, the one-row
+    pass gives the pair's and each GP's reference posterior to the bit."""
+    train = world.read_dataset(bench_world["train"])
+    pair = heading.train_heading_gps(
+        train.features, train.gt_heading, gp.HyperparamSearchConfig(max_points=200)
+    )
+    test = world.read_dataset(bench_world["test"])
+    assert len(test) == 1000
+    for ranges, rss in zip(test.ranges, test.rss):
+        pt = heading.predict_pseudo_trig(pair, heading.UwbFeature(ranges=ranges, rss=rss))
+        assert all(type(v) is float for v in (pt.s, pt.c, pt.var_s, pt.var_c))
+        row = np.concatenate([ranges, rss])
+        (s, vs), (c, vc) = (reference_posterior(m, row) for m in (pair.gp_sin, pair.gp_cos))
+        assert np.array([pt.s, pt.c, pt.var_s, pt.var_c]).tobytes() == np.concatenate(
+            [s, c, vs, vc]
+        ).tobytes()
+        for model in (pair.gp_sin, pair.gp_cos):
+            mean, var = reference_posterior(model, row, floor=0.0)
+            assert np.array(model.predict(row)).tobytes() == np.concatenate([mean, var]).tobytes()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_predict_rejects_overflowing_query():
@@ -352,6 +374,9 @@ def test_predict_rejects_overflowing_query():
     huge = heading.UwbFeature(ranges=np.full(5, 1.7e308), rss=np.zeros(5))
     with pytest.raises(ValueError):
         heading.predict_pseudo_trig(pair, huge)
+    for rows in (1, 2):  # the one-row pass and the batch path
+        with pytest.raises(ValueError, match="too large"):
+            heading.predict_pseudo_trig_arrays(pair, np.tile(huge.as_vector(), (rows, 1)))
 
 
 @pytest.mark.parametrize("field", ["x", "rows", "mean", "scale"])

@@ -326,6 +326,9 @@ def test_run_metrics_report_counts_and_stage_times(run_dirs):
         skipped = int(np.isnan(mahal[0]).sum())
         assert m["degenerate_epochs"] == (skipped if est == "gp-iekf" else 0)
         assert m["corrections_gated"] == 0  # gate off
+        # so every non-degenerate epoch of every run is corrected
+        corrected = 0 if est == "deadreckon" else m["n_epochs"] - m["degenerate_epochs"]
+        assert m["corrections_applied"] == m["monte_carlo_runs"] * corrected
         assert all(m[k] >= 0.0 for k in ("load_s", "predict_s", "filter_s", "write_s"))
 
 
@@ -341,10 +344,14 @@ def test_run_steady_rmse_over_trailing_window(workspace, run_dirs, tmp_path):
 
 
 def test_gated_run_counts_gated_corrections(workspace, tmp_path):
-    cfg = pipeline.RunConfig(estimator="gp-iekf", monte_carlo_runs=3, seed=1, gate=True)
+    # a gyro PSD far below the dataset's makes the filter overconfident, so
+    # the gate rejects some GP headings
+    cfg = pipeline.RunConfig(estimator="gp-iekf", monte_carlo_runs=3, seed=1, gate=True, q_c=1e-6)
     m = pipeline.cmd_run(workspace / "data" / "test.csv", workspace / "models", cfg, tmp_path)
     _, _, _, _, mahal = pipeline._load_traces(tmp_path)
-    assert m["corrections_gated"] == int(np.sum(mahal > pipeline.MAHALANOBIS_BOUND_997))
+    assert m["corrections_gated"] == int(np.sum(mahal > pipeline.MAHALANOBIS_BOUND_997)) > 0
+    corrected = 3 * (m["n_epochs"] - m["degenerate_epochs"])
+    assert m["corrections_applied"] == corrected - m["corrections_gated"]
 
 
 def test_load_traces_matches_genfromtxt(run_dirs):
