@@ -341,8 +341,12 @@ class GpModel:
                    y_mean=y_mean, lml=lml, jitter=jitter)
 
     def predict(self, x_star_raw: np.ndarray) -> tuple[float, float]:
-        """Posterior mean and variance at one raw (unstandardized) query."""
-        means, variances = self.predict_many(np.atleast_2d(x_star_raw))
+        """Posterior mean and variance at one raw (unstandardized) query, a
+        (d,) or (1, d) array; `predict_many` predicts more."""
+        x = np.atleast_2d(x_star_raw)
+        if x.ndim != 2 or len(x) != 1:
+            raise ValueError(f"predict takes one query, got shape {np.shape(x_star_raw)}")
+        means, variances = self.predict_many(x)
         return float(means[0]), float(variances[0])
 
     def predict_many(self, x_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

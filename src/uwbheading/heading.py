@@ -51,8 +51,11 @@ class UwbFeature:
     _vector: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        vector = np.concatenate((self.ranges, self.rss), axis=None, dtype=float)
-        n = vector.size - np.size(self.rss)
+        # along axis 0, which refuses 0-D and mixed-rank inputs with a ValueError
+        vector = np.concatenate((self.ranges, self.rss), dtype=float)
+        n = len(self.rss)
+        if vector.ndim != 1 or vector.size != 2 * n:
+            raise ValueError("ranges and rss must be 1-D and of equal length")
         # a feature's few values check faster as Python floats than by numpy calls
         values = vector.tolist()
         if not all(0.0 < v < math.inf for v in values[:n]):

@@ -9,10 +9,12 @@ the state is a wrapped angle. The linearized Jacobians are constants
 update keeps it strictly positive.
 
 The arithmetic is written once, on plain floats, in `_predict` and
-`_correct`. The online API (`predict`/`correct` on a validated
-`FilterState`) and the batch pass `filter_runs` (many runs over the same
-epochs, validated only at its inputs) both call it, so they agree bit for
-bit.
+`_correct` (whose angle-free part is `_gain`). The online API
+(`predict`/`correct` on a validated `FilterState`) and the batch pass
+`filter_runs` (many runs over the same epochs, validated only at its
+inputs) both use it, so they agree bit for bit. Ungated, `filter_runs`
+computes the covariance once for all runs and inlines the kernels' angle
+steps in its per-run loop.
 """
 
 from __future__ import annotations
@@ -91,13 +93,20 @@ def _predict(theta: float, cov: float, increment: float, process_var: float):
     return theta + increment, cov + process_var
 
 
-def _correct(theta: float, cov: float, y: float, meas_var: float):
-    """Fuse heading y with variance meas_var (Joseph form); returns the
-    updated angle and covariance, the innovation z and its variance S."""
-    z = so2.wrap_float(theta - y)
+def _gain(cov: float, meas_var: float):
+    """The correction's gain, innovation variance S and updated covariance
+    (Joseph form) for a measurement of variance meas_var. None of them
+    depends on the angle."""
     s_var = cov + meas_var
     gain = cov / s_var
-    cov = (1.0 - gain) ** 2 * cov + gain**2 * meas_var
+    return gain, s_var, (1.0 - gain) ** 2 * cov + gain**2 * meas_var
+
+
+def _correct(theta: float, cov: float, y: float, meas_var: float):
+    """Fuse heading y with variance meas_var; returns the updated angle and
+    covariance, the innovation z and its variance S."""
+    z = so2.wrap_float(theta - y)
+    gain, s_var, cov = _gain(cov, meas_var)
     return theta - gain * z, cov, z, s_var
 
 
@@ -117,29 +126,66 @@ def correct(
     return FilterState(angle=theta, cov=cov), stats
 
 
-def filter_runs(starts, increments, process_vars, measurements, gate_bound=math.inf):
-    """Filter every start in `starts` over the same n epochs.
+def filter_runs(start_angles, init_cov, increments, process_vars, measurements,
+                gate_bound=math.inf):
+    """Filter every start angle in `start_angles`, each with covariance
+    `init_cov`, over the same n epochs.
 
-    `starts` are FilterStates at epoch 0. `increments[k]` and
-    `process_vars[k]` (n - 1 floats each) are rate * dt and psd * dt of the
-    step from epoch k to k + 1. `measurements[k]` is an (angle, variance)
-    pair or None for no correction. A correction whose Mahalanobis distance
-    exceeds `gate_bound` is not applied (math.inf: none is gated); its
-    distance is still reported. The steps are not validated: a non-finite
-    value propagates into the output.
+    `increments[k]` and `process_vars[k]` (n - 1 floats each) are rate * dt
+    and psd * dt of the step from epoch k to k + 1. `measurements[k]` is an
+    (angle, variance) pair or None for no correction. A correction whose
+    Mahalanobis distance exceeds `gate_bound` is not applied (math.inf: none
+    is gated); its distance is still reported. The start angles are wrapped
+    and, like `init_cov`, checked as a FilterState's; the steps are not
+    validated: a non-finite value propagates into the output.
 
-    Returns (angle, cov, mahalanobis) arrays of shape (len(starts), n);
-    mahalanobis is NaN where no correction ran.
+    Returns (angle, cov, mahalanobis) arrays of shape (len(start_angles), n);
+    mahalanobis is NaN where no correction ran. Ungated, the covariance,
+    gain and innovation variance do not depend on the angle, so every run
+    shares one covariance pass and `cov` is one read-only row broadcast to
+    every run. A gate rejects different corrections in different runs, so
+    gated runs each take the full loop.
     """
     if not len(increments) == len(process_vars) == max(len(measurements) - 1, 0):
         raise ValueError(
             f"{len(increments)} increments and {len(process_vars)} process variances"
             f" for {len(measurements)} epochs; need one step between each two epochs"
         )
+    thetas = [FilterState(angle=a, cov=init_cov).angle for a in start_angles]
+    shape = (len(thetas), len(measurements))
     steps = list(zip([None, *increments], [None, *process_vars], measurements))
-    angles, covs, mahals = [], [], []
-    for start in starts:
-        theta, cov = start.angle, start.cov
+    angles, mahals = [], []
+    if gate_bound == math.inf:
+        # the covariance pass, once: _predict's and _gain's covariance steps
+        cov, covs, shared = init_cov, [], []
+        for increment, process_var, meas in steps:
+            if increment is not None:
+                cov = cov + process_var
+            if meas is None:
+                shared.append((increment, None, None, None))
+            else:
+                gain, s_var, cov = _gain(cov, meas[1])
+                shared.append((increment, meas[0], gain, s_var))
+            covs.append(cov)
+        # then each run's angle: _predict's and _correct's angle steps
+        wrap = so2.wrap_float
+        for theta in thetas:
+            for increment, y, gain, s_var in shared:
+                if increment is not None:
+                    theta = wrap(theta + increment)
+                if y is None:
+                    mahal = math.nan
+                else:
+                    z = wrap(theta - y)
+                    mahal = z * z / s_var
+                    theta = wrap(theta - gain * z)
+                angles.append(theta)
+                mahals.append(mahal)
+        cov = np.broadcast_to(np.array(covs, dtype=float), shape)
+        return np.array(angles).reshape(shape), cov, np.array(mahals).reshape(shape)
+    covs = []
+    for theta in thetas:
+        cov = init_cov
         for increment, process_var, meas in steps:
             if increment is not None:
                 theta, cov = _predict(theta, cov, increment, process_var)
@@ -154,7 +200,6 @@ def filter_runs(starts, increments, process_vars, measurements, gate_bound=math.
             angles.append(theta)
             covs.append(cov)
             mahals.append(mahal)
-    shape = (len(starts), len(steps))
     return tuple(np.array(v, dtype=float).reshape(shape) for v in (angles, covs, mahals))
 
 

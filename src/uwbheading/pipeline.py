@@ -229,17 +229,29 @@ def _gp_summary(model: gp.GpModel) -> dict:
 
 
 def _measurements_for(estimator, data, pair, mag_var):
-    """Per-epoch HeadingMeasurement list (None -> no correction that epoch)."""
+    """Per-epoch (angle, variance) pairs (None -> no correction that epoch),
+    checked by `run_filter`."""
     if estimator == "deadreckon":
         return [None] * len(data)
     if estimator == "mag-iekf":
         var = max(mag_var, heading.VAR_FLOOR)
-        return [heading.HeadingMeasurement(angle=a, var_theta=var) for a in data.mag.tolist()]
+        return [(a, var) for a in data.mag.tolist()]
     predicted = heading.predict_pseudo_trig_arrays(pair, data.features)
-    return [
-        None if p is None else heading.HeadingMeasurement(*p)
-        for p in map(heading.normalize_values, *(v.tolist() for v in predicted))
+    return list(map(heading.normalize_values, *(v.tolist() for v in predicted)))
+
+
+def _measurement_pairs(measurements):
+    """The (angle, variance) pair of each heading.HeadingMeasurement or pair
+    in `measurements` (None stays None). Every pair is checked, in one pass,
+    as HeadingMeasurement checks its fields, with its ValueError."""
+    pairs = [
+        (m.angle, m.var_theta) if isinstance(m, heading.HeadingMeasurement) else m
+        for m in measurements
     ]
+    if not all(math.isfinite(y) and 0.0 < v < math.inf for y, v in filter(None, pairs)):
+        for y, v in filter(None, pairs):
+            heading.HeadingMeasurement(angle=y, var_theta=v)  # raises at the first bad pair
+    return pairs
 
 
 def run_filter(
@@ -253,27 +265,30 @@ def run_filter(
     """Filter every start angle over the world.Dataset `data`; returns
     (error, three_sigma, mahalanobis) arrays, of shape (n,) for a scalar
     `init_theta` and (R, n) for a sequence of R start angles.
+    `measurements[k]` is a heading.HeadingMeasurement, an (angle, variance)
+    pair or None (no correction at epoch k).
 
     All runs share one float-level pass (`iekf.filter_runs`); the inputs are
-    validated here, once, instead of at every step. The error is the
-    left-invariant group error log(gt^-1 est), wrapped into the principal
-    branch; Mahalanobis entries are NaN where no correction ran. A
-    non-finite error or covariance raises NumericalError naming the first
-    epoch where one appears.
+    validated here, once, instead of at every step. Ungated, every run has
+    the same three_sigma row. The error is the left-invariant group error
+    log(gt^-1 est), wrapped into the principal branch; Mahalanobis entries
+    are NaN where no correction ran. A non-finite error or covariance raises
+    NumericalError naming the first epoch where one appears.
     """
     if len(measurements) != len(data):
         raise ValueError(f"{len(measurements)} measurements for {len(data)} epochs")
+    pairs = _measurement_pairs(measurements)
     noise = iekf.ProcessNoise(psd=q_c)
-    starts = [iekf.FilterState(angle=a, cov=init_var) for a in np.ravel(init_theta)]
     gyro = data.gyro[:-1]
     dt = np.diff(data.t)
     if not (np.all(dt > 0) and np.all(np.isfinite(gyro))):
         raise ValueError("gyro samples need finite rates and increasing t")
     angle, cov, mahal = iekf.filter_runs(
-        starts,
+        np.ravel(init_theta).tolist(),
+        init_var,
         (gyro * dt).tolist(),
         (noise.psd * dt).tolist(),
-        [None if m is None else (m.angle, m.var_theta) for m in measurements],
+        pairs,
         MAHALANOBIS_BOUND_997 if gate else math.inf,
     )
     with np.errstate(invalid="ignore"):
@@ -358,7 +373,10 @@ def cmd_run(dataset_path, model_dir, cfg: RunConfig, out_dir) -> dict:
         [
             list(world.float_cells(t)) * len(runs),  # each t formatted once
             itertools.chain.from_iterable(itertools.repeat(str(r), n) for r in runs),
-            errs, sigs, mahals,
+            errs,
+            # ungated, the runs share one covariance row: format it once too
+            sigs if cfg.gate else list(world.float_cells(sigs[0])) * len(runs),
+            mahals,
         ],
     )
     stamps.append(time.perf_counter())
@@ -432,6 +450,7 @@ def cmd_report(run_dirs, out_dir) -> list[Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
+    t_cells = list(world.float_cells(t))  # every file's t column, formatted once
 
     for est, _, err, sig, _ in loaded:
         ms = sig.mean(axis=0)
@@ -439,7 +458,7 @@ def cmd_report(run_dirs, out_dir) -> list[Path]:
         world.write_table(
             p,
             ["t", "mean_error", "mean_three_sigma", "minus_three_sigma"],
-            [t, err.mean(axis=0), ms, -ms],
+            [t_cells, err.mean(axis=0), ms, -ms],
         )
         written.append(p)
 
@@ -449,9 +468,9 @@ def cmd_report(run_dirs, out_dir) -> list[Path]:
         world.write_table(
             p,
             ["t"] + [f"mean_mahalanobis_{est}" for est, _ in with_mahal] + ["bound"],
-            [t]
+            [t_cells]
             + [np.nanmean(mh, axis=0) for _, mh in with_mahal]
-            + [np.full(t.size, MAHALANOBIS_BOUND_997)],
+            + [[repr(MAHALANOBIS_BOUND_997)] * t.size],
         )
         written.append(p)
 
@@ -459,7 +478,7 @@ def cmd_report(run_dirs, out_dir) -> list[Path]:
     world.write_table(
         p,
         ["t"] + [f"abs_error_{est}" for est, *_ in loaded],
-        [t] + [np.abs(err).mean(axis=0) for _, _, err, _, _ in loaded],
+        [t_cells] + [np.abs(err).mean(axis=0) for _, _, err, _, _ in loaded],
     )
     written.append(p)
     return written

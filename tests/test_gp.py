@@ -195,6 +195,11 @@ def test_predict_dimension_mismatch():
     )
     with pytest.raises(ValueError):
         model.predict(np.array([1.0, 2.0]))
+    # not one query: predict_many predicts those
+    for query in (np.ones((2, 3)), np.ones((0, 3)), np.ones((1, 1, 3))):
+        with pytest.raises(ValueError, match="one query"):
+            model.predict(query)
+    assert model.predict(np.ones((1, 3))) == model.predict(np.ones(3))
     # one column would broadcast against the standardizer's (3,) mean
     for query in (np.array([1.0]), np.ones((3, 1))):
         with pytest.raises(ValueError, match="dimension|shape"):

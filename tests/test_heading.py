@@ -147,9 +147,8 @@ def test_gp_measurements_match_normalize():
         if ref is None:
             assert m is None
         else:
-            assert np.array([m.angle, m.var_theta]).tobytes() == (
-                np.array([ref.angle, ref.var_theta]).tobytes()
-            )
+            assert all(type(v) is float for v in m)  # Python floats, as the filter takes them
+            assert np.array(m).tobytes() == np.array([ref.angle, ref.var_theta]).tobytes()
     s, _, _, vc = heading.predict_pseudo_trig_arrays(pair, queries)
     assert [pt.s for pt in many] == s.tolist() and [pt.var_c for pt in many] == vc.tolist()
 
@@ -229,6 +228,18 @@ def test_feature_validation():
         heading.UwbFeature(ranges=np.array([1.0, -1.0, 1, 1, 1]), rss=np.zeros(5))
     with pytest.raises(ValueError):
         heading.UwbFeature(ranges=np.ones(5), rss=np.array([np.inf, 0, 0, 0, 0]))
+    # ten values, but an RSS value would be read as the fifth range
+    for ranges, rss in (
+        ([2.0] * 4, [-80.0] * 6),
+        ([2.0] * 6, [-80.0] * 4),
+        (np.ones((1, 5)), np.zeros((1, 5))),
+    ):
+        with pytest.raises(ValueError, match="1-D and of equal length"):
+            heading.UwbFeature(ranges=ranges, rss=rss)
+    for ranges, rss in ((np.ones((1, 5)), np.zeros(5)), (np.ones(5), np.zeros((5, 1))),
+                        (2.0, -80.0)):
+        with pytest.raises(ValueError, match="dimension"):
+            heading.UwbFeature(ranges=ranges, rss=rss)
     f = heading.UwbFeature(ranges=np.ones(5), rss=-80.0 * np.ones(5))
     assert f.as_vector().shape == (10,)
 

@@ -277,18 +277,56 @@ def test_state_validation():
 
 
 def test_filter_runs_shapes_and_gate_bound():
-    starts = [state(0.0, 1e-2), state(0.1, 1e-2)]
+    starts = [0.0, 0.1]
     meas_pairs = [None, (3.0, 1e-4), (0.0, 1e-4)]
-    angle, cov, mahal = iekf.filter_runs(starts, [0.0, 0.0], [1e-6, 1e-6], meas_pairs)
+    angle, cov, mahal = iekf.filter_runs(starts, 1e-2, [0.0, 0.0], [1e-6, 1e-6], meas_pairs)
     assert angle.shape == cov.shape == mahal.shape == (2, 3)
     assert np.isnan(mahal[:, 0]).all() and np.isfinite(mahal[:, 1:]).all()
+    assert not cov.flags.writeable  # one shared row, broadcast to every run
     gated, _, gated_mahal = iekf.filter_runs(
-        starts, [0.0, 0.0], [1e-6, 1e-6], meas_pairs, gate_bound=8.807
+        starts, 1e-2, [0.0, 0.0], [1e-6, 1e-6], meas_pairs, gate_bound=8.807
     )
     assert np.array_equal(gated_mahal[:, 1], mahal[:, 1])  # reported even when gated
     assert np.abs(gated[:, 1] - angle[:, 0]).max() == 0.0  # the wild fix is not applied
     assert np.abs(angle[:, 1] - 3.0).max() < 0.1  # ungated, it is
-    empty = iekf.filter_runs(starts, [], [], [])
-    assert all(a.shape == (2, 0) for a in empty)
-    with pytest.raises(ValueError):
-        iekf.filter_runs(starts, [0.0], [1e-6, 1e-6], meas_pairs)
+    for bound in (math.inf, 8.807):
+        empty = iekf.filter_runs(starts, 1e-2, [], [], [], gate_bound=bound)
+        assert all(a.shape == (2, 0) for a in empty)
+        with pytest.raises(ValueError):
+            iekf.filter_runs(starts, 1e-2, [0.0], [1e-6, 1e-6], meas_pairs, gate_bound=bound)
+        # the starts are checked, and wrapped, as FilterStates
+        for bad_starts, init_cov in (([0.0, math.nan], 1e-2), (starts, 0.0), (starts, math.inf)):
+            with pytest.raises(ValueError):
+                iekf.filter_runs(bad_starts, init_cov, [0.0, 0.0], [1e-6, 1e-6], meas_pairs,
+                                 gate_bound=bound)
+        wrapped, _, _ = iekf.filter_runs([3 * math.pi], 1e-2, [], [], [None], gate_bound=bound)
+        assert wrapped[0, 0] == so2.wrap_float(3 * math.pi)
+
+
+@pytest.mark.parametrize("runs", [1, 2, 100])
+def test_filter_runs_shared_pass_matches_per_run_loop_bit_for_bit(runs):
+    """Ungated (math.inf), the runs share one covariance pass; a finite bound
+    that no distance reaches takes the per-run loop, with the same result."""
+    rng = np.random.default_rng(runs)
+    n = 400
+    increments = (0.1 * rng.normal(0.0, 0.5, n - 1)).tolist()
+    process_vars = rng.uniform(1e-6, 1e-3, n - 1).tolist()
+    measurements = [
+        None if skip else (a, v)
+        for a, v, skip in zip(
+            rng.uniform(-math.pi, math.pi, n).tolist(),
+            (10.0 ** rng.uniform(-6.0, 0.0, n)).tolist(),
+            rng.random(n) < 0.2,
+        )
+    ]
+    measurements[0] = measurements[-1] = None
+    starts = [math.pi, -math.pi, *rng.uniform(-10.0, 10.0, runs).tolist()][:runs]
+    shared = iekf.filter_runs(starts, 0.7, increments, process_vars, measurements)
+    looped = iekf.filter_runs(
+        starts, 0.7, increments, process_vars, measurements, gate_bound=1e300
+    )
+    for got, want in zip(shared, looped):
+        assert got.shape == want.shape == (runs, n)
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+    skipped = sum(m is None for m in measurements)
+    assert skipped > 2 and np.isfinite(shared[2]).sum() == runs * (n - skipped)

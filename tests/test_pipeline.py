@@ -279,6 +279,28 @@ def test_run_filter_innovation_across_pi_and_gate():
         assert abs(err[0, 2]) < 0.05
 
 
+def test_run_filter_takes_pairs_and_checks_them_as_measurements():
+    recs = columns(np.arange(4.0), np.full(4, 0.1), np.zeros(4))
+    pairs = [None, (0.3, 0.1), (-0.2, 0.05), (3.1, 1e-3)]
+    as_measurements = [None if p is None else heading.HeadingMeasurement(*p) for p in pairs]
+    mixed = [pairs[0], as_measurements[1], pairs[2], as_measurements[3]]
+    for gate in (False, True):
+        want = pipeline.run_filter(recs, as_measurements, 1e-6, [0.0, 2.0], 1.0, gate)
+        for meas in (pairs, mixed):
+            got = pipeline.run_filter(recs, meas, 1e-6, [0.0, 2.0], 1.0, gate)
+            assert all(same_bits(g, w) for g, w in zip(got, want))
+    for bad, message in (
+        ((math.nan, 0.1), "angle must be finite"),
+        ((math.inf, 0.1), "angle must be finite"),
+        ((0.0, 0.0), "variance must be positive"),
+        ((0.0, -1.0), "variance must be positive"),
+        ((0.0, math.inf), "variance must be positive"),
+        ((0.0, math.nan), "variance must be positive"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            pipeline.run_filter(recs, [None, (0.1, 0.1), bad, None], 1e-6, [0.0], 1.0)
+
+
 # --- run / report ------------------------------------------------------------------
 
 
