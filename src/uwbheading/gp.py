@@ -23,7 +23,7 @@ import zipfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, lapack, solve_triangular
+from scipy.linalg import cho_solve, lapack, solve_triangular
 from scipy.optimize import minimize
 
 from . import _blas
@@ -39,6 +39,7 @@ __all__ = [
     "gram_matrix",
     "log_marginal_likelihood",
     "fit",
+    "fit_shared_inputs",
     "predict_shared_inputs",
     "predict_row",
 ]
@@ -131,6 +132,14 @@ class TrainingSet:
     def d(self) -> int:
         return self.x.shape[1]
 
+    def same_inputs(self, other: "TrainingSet") -> bool:
+        """Whether `other` has these inputs and this standardizer, exactly."""
+        return (
+            np.array_equal(self.x, other.x)
+            and np.array_equal(self.standardizer.mean, other.standardizer.mean)
+            and np.array_equal(self.standardizer.scale, other.standardizer.scale)
+        )
+
 
 @dataclass
 class HyperparamSearchConfig:
@@ -176,16 +185,21 @@ def gram_matrix(a: np.ndarray, b: np.ndarray, params: SeKernelParams) -> np.ndar
 
 
 def _chol_with_jitter(k_noisy: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor and the diagonal jitter added to obtain it,
-    escalating the jitter on failure."""
+    """Lower Cholesky factor, in a new Fortran-order array with a zero upper
+    triangle, and the diagonal jitter added to obtain it, escalating the
+    jitter on failure. `k_noisy` is left as it is.
+
+    The factorization is the LAPACK call that `scipy.linalg.cholesky(lower=True)`
+    makes, with its ValueError for a matrix that holds inf or NaN.
+    """
     base = float(np.mean(np.diag(k_noisy)))
+    np.asarray_chkfinite(k_noisy)
     jitter = 0.0
     while True:
-        try:
-            chol = cholesky(k_noisy + jitter * np.eye(k_noisy.shape[0]), lower=True)
+        shifted = k_noisy if jitter == 0.0 else k_noisy + jitter * np.eye(k_noisy.shape[0])
+        chol, info = lapack.dpotrf(shifted, lower=1, clean=1)
+        if info == 0:
             return chol, jitter
-        except np.linalg.LinAlgError:
-            pass
         jitter = _JITTER_START * base if jitter == 0.0 else jitter * 10.0
         if jitter > _JITTER_MAX * base:
             raise UnfittableDataError(
@@ -198,19 +212,36 @@ def log_marginal_likelihood(train: TrainingSet, params: SeKernelParams) -> float
     return GpModel.from_params(train, params).lml
 
 
-def _heuristic_center(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    sf = max(float(np.std(y)), 1e-3)
+def _heuristic_lengthscale(x: np.ndarray) -> float:
+    """Median pairwise distance of the rows of `x`, at least 1e-3."""
     n = x.shape[0]
     if n > 500:  # heuristic only; subsample the pairwise-distance pool
         x = x[:: int(math.ceil(n / 500))]
     d2 = _sq_dists(x, x)
     off = d2[np.triu_indices_from(d2, k=1)]
-    sl = max(float(np.sqrt(np.median(off))) if off.size else 1.0, 1e-3)
-    return sf, sl, 0.1 * sf
+    return max(float(np.sqrt(np.median(off))) if off.size else 1.0, 1e-3)
+
+
+def _heuristic_center(
+    x: np.ndarray, y: np.ndarray, sl: float | None = None
+) -> tuple[float, float, float]:
+    """Start (sigma_f, sigma_l, sigma_n) of the fit; `sl` is
+    `_heuristic_lengthscale(x)` if the caller has it."""
+    sf = max(float(np.std(y)), 1e-3)
+    return sf, _heuristic_lengthscale(x) if sl is None else sl, 0.1 * sf
+
+
+class _LmlWork:
+    """The n x n buffers that `_neg_lml_and_grad` computes in, reused across
+    the evaluations of a fit, and the jitter its last factorization added."""
+
+    def __init__(self, n: int):
+        self.kernel, self.noisy, self.w = (np.empty((n, n)) for _ in range(3))
+        self.jitter = 0.0
 
 
 def _neg_lml_and_grad(
-    log_params: np.ndarray, d2: np.ndarray, y: np.ndarray
+    log_params: np.ndarray, d2: np.ndarray, y: np.ndarray, work: _LmlWork | None = None
 ) -> tuple[float, np.ndarray]:
     """Negative log marginal likelihood and its gradient with respect to
     log(sigma_f, sigma_l, sigma_n), from one Cholesky factorization.
@@ -218,31 +249,65 @@ def _neg_lml_and_grad(
     dL/dtheta = 1/2 tr((alpha alpha^T - K^-1) dK/dtheta) (GPML eq. 5.9), with
     dK/dlog sigma_f = 2 K_f, dK/dlog sigma_l = K_f * D^2 / sigma_l^2 and
     dK/dlog sigma_n = 2 sigma_n^2 I.
+
+    Every n x n step runs in `work`'s buffers (fresh ones if None); the
+    factor, inverted in place, is the one n x n float array allocated per call.
     """
-    sf2, sl2, sn2 = np.exp(2.0 * log_params)
     n = y.shape[0]
-    k_f = sf2 * np.exp(-d2 / (2.0 * sl2))
-    chol, _ = _chol_with_jitter(k_f + sn2 * np.eye(n))
+    if work is None:
+        work = _LmlWork(n)
+    k_f, k, w = work.kernel, work.noisy, work.w
+    sf2, sl2, sn2 = np.exp(2.0 * log_params)
+    np.divide(d2, -2.0 * sl2, out=k_f)  # equals -d2 / (2 sl2) to the bit
+    np.exp(k_f, out=k_f)
+    k_f *= sf2
+    np.copyto(k, k_f)
+    k.reshape(-1)[:: n + 1] += sn2  # the diagonal, as a view
+    chol, work.jitter = _chol_with_jitter(k)
     alpha = cho_solve((chol, True), y, check_finite=False)
     lml = (
         -0.5 * float(np.dot(y, alpha))
         - float(np.sum(np.log(np.diag(chol))))
         - 0.5 * n * math.log(2.0 * math.pi)
     )
-    k_inv, info = lapack.dpotri(chol, lower=1)
+    k_inv, info = lapack.dpotri(chol, lower=1, overwrite_c=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"dpotri failed with info={info}")
-    k_inv = np.tril(k_inv) + np.tril(k_inv, -1).T  # dpotri fills one triangle
-    w = np.outer(alpha, alpha) - k_inv
-    wk = w * k_f
-    grad = np.array(
-        [np.sum(wk), 0.5 * np.sum(wk * d2) / sl2, sn2 * np.trace(w)]
-    )
+    # dpotri fills the lower triangle and leaves the factor's zero upper one,
+    # so K^-1 + K^-T mirrors it exactly and doubles only the diagonal
+    np.add(k_inv, k_inv.T, out=k)
+    k.reshape(-1)[:: n + 1] *= 0.5
+    np.multiply(alpha[:, None], alpha[None, :], out=w)  # np.outer(alpha, alpha)
+    w -= k
+    wk = np.multiply(w, k_f, out=k)
+    grad_f = np.sum(wk)
+    wk *= d2
+    grad = np.array([grad_f, 0.5 * np.sum(wk) / sl2, sn2 * np.trace(w)])
     return -lml, -grad
 
 
+class _SharedInputs:
+    """What the fits of several output vectors on one training input share:
+    the stride-capped rows, their squared distances, the heuristic
+    lengthscale and `_neg_lml_and_grad`'s work buffers."""
+
+    def __init__(self, train: TrainingSet, search: HyperparamSearchConfig):
+        if train.n < 2:
+            raise ValueError("fit requires at least 2 training points")
+        n, cap = train.n, search.max_points
+        self.stride = int(math.ceil(n / cap)) if n > cap else 1
+        self.x = train.x[:: self.stride]
+        self.d2 = _sq_dists(self.x, self.x)
+        self.lengthscale = _heuristic_lengthscale(self.x)
+        self.work = _LmlWork(self.x.shape[0])
+
+
 @_blas.one_thread()
-def fit(train: TrainingSet, search: HyperparamSearchConfig | None = None) -> "GpModel":
+def fit(
+    train: TrainingSet,
+    search: HyperparamSearchConfig | None = None,
+    shared: _SharedInputs | None = None,
+) -> "GpModel":
     """Fit hyperparameters by log-marginal-likelihood maximization.
 
     One bounded L-BFGS-B run on the analytic gradient, over the log of
@@ -252,35 +317,32 @@ def fit(train: TrainingSet, search: HyperparamSearchConfig | None = None) -> "Gp
     ``UnfittableDataError`` when the start point cannot be factorized; a trial
     point that cannot be factorized later in the search counts as infinitely
     unlikely and marks the fit as not converged.
+
+    `shared` is `fit_shared_inputs`'s one pass over the inputs that `train`
+    shares with other output vectors; without it the fit makes that pass.
     """
-    if search is None:
-        search = HyperparamSearchConfig()
-    if train.n < 2:
-        raise ValueError("fit requires at least 2 training points")
-
-    x, y, std = train.x, train.y, train.standardizer
-    if train.n > search.max_points:
-        stride = int(math.ceil(train.n / search.max_points))
-        x, y = x[::stride], y[::stride]
-
+    if shared is None:
+        shared = _SharedInputs(train, search or HyperparamSearchConfig())
+    x, d2, work = shared.x, shared.d2, shared.work
+    y = train.y[:: shared.stride]
     y_mean = float(np.mean(y))
     yc = y - y_mean
-    d2 = _sq_dists(x, x)
 
-    start = np.log(_heuristic_center(x, yc))
+    start = np.log(_heuristic_center(x, yc, shared.lengthscale))
     span = _BOUND_DECADES * math.log(10.0)
-    evals, best_f, best_x, hit_unfittable = 0, math.inf, start, False
+    evals, jittered, best_f, best_x, hit_unfittable = 0, 0, math.inf, start, False
 
     def objective(log_params):
-        nonlocal evals, best_f, best_x, hit_unfittable
+        nonlocal evals, jittered, best_f, best_x, hit_unfittable
         evals += 1
         try:
-            f, g = _neg_lml_and_grad(log_params, d2, yc)
+            f, g = _neg_lml_and_grad(log_params, d2, yc, work)
         except UnfittableDataError:
             if evals == 1:
                 raise
             hit_unfittable = True
             return math.inf, np.zeros(3)
+        jittered += work.jitter > 0.0
         if f < best_f:
             best_f, best_x = f, log_params.copy()
         return f, g
@@ -292,9 +354,30 @@ def fit(train: TrainingSet, search: HyperparamSearchConfig | None = None) -> "Gp
     converged = bool(result.success) and not hit_unfittable
 
     params = SeKernelParams(*np.exp(best_x))
-    used = TrainingSet(x=x, y=y, standardizer=std)
+    used = TrainingSet(x=x, y=y, standardizer=train.standardizer)
     model = GpModel.from_params(used, params, y_mean=y_mean)
-    return replace(model, lml_evals=evals, converged=converged)
+    return replace(model, lml_evals=evals, converged=converged, jittered_evals=jittered)
+
+
+@_blas.one_thread()
+def fit_shared_inputs(
+    trainings: tuple[TrainingSet, ...], search: HyperparamSearchConfig | None = None
+) -> list["GpModel"]:
+    """`fit` each training set, where all share the first one's inputs and
+    standardizer and differ only in their outputs.
+
+    The rows are strided, their distances and the heuristic lengthscale
+    computed, and the work buffers allocated once for every fit; each model
+    equals its own `fit` to the bit. The fit-side twin of
+    `predict_shared_inputs`. ValueError if the inputs differ.
+    """
+    first = trainings[0]
+    if not all(first.same_inputs(t) for t in trainings[1:]):
+        raise ValueError("training sets differ in their inputs or standardizer")
+    shared = _SharedInputs(first, search or HyperparamSearchConfig())
+    # through the module's `fit`, so that a wrapper of `gp.fit` (as the
+    # benchmark's tracer installs) sees every fit
+    return [fit(t, search, shared) for t in trainings]
 
 
 @dataclass(frozen=True)
@@ -309,6 +392,7 @@ class GpModel:
     lml: float = math.nan  # log marginal likelihood of train.y - y_mean
     jitter: float = 0.0  # diagonal jitter added to factorize K + sigma_n^2 I
     lml_evals: int = 0  # objective evaluations of the fit that chose params
+    jittered_evals: int = 0  # of those, the ones whose factorization needed jitter
     converged: bool | None = None  # the fit's optimizer success; None if not fitted
     # (n,) squared norms of the train.x rows, for the query distances
     train_sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
@@ -402,10 +486,22 @@ class GpModel:
                 x, y, mean, scale, y_mean, hyper = (
                     z[k] for k in ("x", "y", "std_mean", "std_scale", "y_mean", "hyper")
                 )
+            if not (
+                x.ndim == 2
+                and mean.shape == scale.shape == (x.shape[1],)
+                and hyper.shape == (3,)
+                and y_mean.shape == ()
+            ):
+                raise ValueError(
+                    f"x, std_mean, std_scale, hyper and y_mean have shapes {x.shape},"
+                    f" {mean.shape}, {scale.shape}, {hyper.shape} and {y_mean.shape},"
+                    " not (n, d), (d,), (d,), (3,) and ()"
+                )
+            train = TrainingSet(x=x, y=y, standardizer=Standardizer(mean=mean, scale=scale))
+            params, y_mean = SeKernelParams(*hyper.astype(float)), float(y_mean)
         except (zipfile.BadZipFile, KeyError, EOFError, ValueError) as exc:
             raise ValueError(f"bad model archive {path}: {exc}") from exc
-        train = TrainingSet(x=x, y=y, standardizer=Standardizer(mean=mean, scale=scale))
-        return cls.from_params(train, SeKernelParams(*hyper), y_mean=float(y_mean))
+        return cls.from_params(train, params, y_mean=y_mean)
 
 
 def _clamp_distances(d2: np.ndarray) -> np.ndarray:

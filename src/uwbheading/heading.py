@@ -116,12 +116,7 @@ class HeadingGpPair:
 
     def __post_init__(self):
         # predict_pseudo_trig_arrays computes the query distances once for both
-        a, b = self.gp_sin.train, self.gp_cos.train
-        if not (
-            np.array_equal(a.x, b.x)
-            and np.array_equal(a.standardizer.mean, b.standardizer.mean)
-            and np.array_equal(a.standardizer.scale, b.standardizer.scale)
-        ):
+        if not self.gp_sin.train.same_inputs(self.gp_cos.train):
             raise ValueError("sin/cos GPs disagree on training inputs or standardizer")
 
     def save(self, directory) -> None:
@@ -158,7 +153,8 @@ def train_heading_gps(
     headings: np.ndarray,
     search: gp.HyperparamSearchConfig | None = None,
 ) -> HeadingGpPair:
-    """Fit the sin and cos GPs on a common feature matrix.
+    """Fit the sin and cos GPs on a common feature matrix, from one pass
+    over it (`gp.fit_shared_inputs`).
 
     ``features`` is (m, 10) raw (unstandardized) vectors; ``headings`` is
     (m,) ground-truth angles in radians.
@@ -173,11 +169,9 @@ def train_heading_gps(
         raise ValueError("headings must be finite")
     std = gp.Standardizer.from_data(features)
     xs = std.apply(features)
-    gp_sin = gp.fit(
-        gp.TrainingSet(x=xs, y=np.sin(headings), standardizer=std), search
-    )
-    gp_cos = gp.fit(
-        gp.TrainingSet(x=xs, y=np.cos(headings), standardizer=std), search
+    gp_sin, gp_cos = gp.fit_shared_inputs(
+        tuple(gp.TrainingSet(x=xs, y=f(headings), standardizer=std) for f in (np.sin, np.cos)),
+        search,
     )
     return HeadingGpPair(gp_sin=gp_sin, gp_cos=gp_cos)
 

@@ -193,22 +193,24 @@ def cmd_generate(cfg: GenerateConfig, out_dir) -> dict:
 def cmd_train(dataset_path, cfg: TrainConfig, out_dir) -> heading.HeadingGpPair:
     """Train the sin/cos GP pair and serialize it with a training summary."""
     out_dir = Path(out_dir)
+    stamps = [time.perf_counter()]  # stage boundaries: read, fit, save
     data = world.read_dataset(dataset_path)
     if len(data) < 2:
         raise DataError(f"training dataset {dataset_path} has fewer than 2 rows")
-    t0 = time.perf_counter()
+    stamps.append(time.perf_counter())
     try:
         pair = heading.train_heading_gps(data.features, data.gt_heading, cfg)
     except gp.UnfittableDataError as exc:
         raise NumericalError(str(exc)) from exc
-    fit_s = time.perf_counter() - t0
+    stamps.append(time.perf_counter())
     pair.save(out_dir)
+    stamps.append(time.perf_counter())
     summary = {
         "n_records": len(data),
         "n_used": int(pair.gp_sin.train.n),
         "max_points": cfg.max_points,
         "capped": len(data) > cfg.max_points,
-        "fit_s": fit_s,
+        **dict(zip(("read_s", "fit_s", "save_s"), np.diff(stamps).tolist())),
         "sin": _gp_summary(pair.gp_sin),
         "cos": _gp_summary(pair.gp_cos),
     }
@@ -223,6 +225,7 @@ def _gp_summary(model: gp.GpModel) -> dict:
         "sigma_n": model.params.sigma_n,
         "log_marginal_likelihood": model.lml,
         "lml_evals": model.lml_evals,
+        "jittered_evals": model.jittered_evals,
         "converged": model.converged,
         "jitter": model.jitter,
     }

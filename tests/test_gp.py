@@ -1,10 +1,12 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, cholesky, lapack
 
-from uwbheading import _blas, gp
+from uwbheading import _blas, gp, heading
 
 RNG = np.random.default_rng(1234)
 
@@ -400,6 +402,88 @@ def test_lml_gradient_matches_central_differences(seed):
     assert np.abs(-neg_grad - numeric).max() <= 1e-5 * np.abs(numeric).max()
 
 
+# --- the LML evaluation as it was before its work buffers, as an oracle -------
+# (it also returns the jitter its factorization added)
+
+
+def oracle_chol_with_jitter(k_noisy):
+    base = float(np.mean(np.diag(k_noisy)))
+    jitter = 0.0
+    while True:
+        try:
+            chol = cholesky(k_noisy + jitter * np.eye(k_noisy.shape[0]), lower=True)
+            return chol, jitter
+        except np.linalg.LinAlgError:
+            pass
+        jitter = gp._JITTER_START * base if jitter == 0.0 else jitter * 10.0
+        if jitter > gp._JITTER_MAX * base:
+            raise gp.UnfittableDataError("Cholesky factorization failed even at maximum jitter")
+
+
+def oracle_neg_lml_and_grad(log_params, d2, y):
+    sf2, sl2, sn2 = np.exp(2.0 * log_params)
+    n = y.shape[0]
+    k_f = sf2 * np.exp(-d2 / (2.0 * sl2))
+    chol, jitter = oracle_chol_with_jitter(k_f + sn2 * np.eye(n))
+    alpha = cho_solve((chol, True), y, check_finite=False)
+    lml = (
+        -0.5 * float(np.dot(y, alpha))
+        - float(np.sum(np.log(np.diag(chol))))
+        - 0.5 * n * math.log(2.0 * math.pi)
+    )
+    k_inv, info = lapack.dpotri(chol, lower=1)
+    assert info == 0
+    k_inv = np.tril(k_inv) + np.tril(k_inv, -1).T  # dpotri fills one triangle
+    w = np.outer(alpha, alpha) - k_inv
+    wk = w * k_f
+    grad = np.array(
+        [np.sum(wk), 0.5 * np.sum(wk * d2) / sl2, sn2 * np.trace(w)]
+    )
+    return -lml, -grad, jitter
+
+
+@pytest.mark.parametrize("case", [0, 1, 2, 3, 4, "jitter"])
+def test_lml_and_grad_equal_oracle_bit_for_bit(case):
+    if case == "jitter":  # duplicated rows and sigma_n 1e-9: K is singular until jittered
+        rng = np.random.default_rng(299)
+        x = np.tile(rng.normal(size=(12, 2)), (2, 1))
+        draws = [np.array([0.0, c, math.log(1e-9)]) for c in (0.0, -0.5, 0.5)]
+    else:
+        rng = np.random.default_rng(200 + case)
+        x = rng.normal(size=(int(rng.integers(5, 60)), int(rng.integers(1, 4))))
+        draws = [np.log(rng.uniform([0.3, 0.3, 0.05], [2.0, 2.0, 0.8])) for _ in range(3)]
+    y = np.sin(x[:, 0]) + 0.3 * rng.normal(size=len(x))
+    d2 = gp._sq_dists(x, x)
+    work = gp._LmlWork(len(x))  # reused over the draws, as within a fit
+    for log_params in draws:
+        f0, g0, jitter = oracle_neg_lml_and_grad(log_params, d2, y)
+        for buffers in (None, work):
+            f, g = gp._neg_lml_and_grad(log_params, d2, y, buffers)
+            assert float(f).hex() == float(f0).hex()
+            assert g.tobytes() == g0.tobytes()
+        assert work.jitter == jitter
+        assert (jitter > 0) == (case == "jitter")
+
+
+def test_lml_evaluation_allocates_at_most_two_matrices():
+    n = 200
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(n, 10))
+    y = np.sin(x[:, 0]) + 0.1 * rng.normal(size=n)
+    d2 = gp._sq_dists(x, x)
+    work = gp._LmlWork(n)
+    log_params = np.log([1.0, 3.0, 0.1])
+    gp._neg_lml_and_grad(log_params, d2, y, work)  # warm-up
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        gp._neg_lml_and_grad(log_params, d2, y, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n * n * 8
+
+
 @pytest.fixture(scope="module")
 def bench_world_train(bench_world):
     """The training split of the benchmark-scale world: 3000 rows."""
@@ -434,6 +518,100 @@ def test_fit_lml_at_least_grid_descent_reference(case, bench_world_train):
     model = gp.fit(train, gp.HyperparamSearchConfig(max_points=max_points))
     assert model.converged
     assert model.lml >= reference_grid_descent_lml(train, max_points) - 1e-9
+
+
+# float.hex of (sigma_f, sigma_l, sigma_n, lml), then lml_evals, converged and
+# jitter of each heading GP fitted on the bench world. Recorded on x86-64 with
+# AVX-512 (numpy 2.4 and its bundled OpenBLAS); the bits pass through BLAS and
+# SIMD kernels, so a host that rounds differently needs its own values, while
+# test_fit_equals_oracle_fit_bit_for_bit holds on any host.
+PINNED_FITS = {
+    (120, "sin"): ("0x1.b53c4a5cf23c2p+0", "0x1.ec722f8935da6p+1", "0x1.a1e69c8d4f769p-3",
+                   "-0x1.c65923e658a90p+5", 21, True, "0x0.0p+0"),
+    (120, "cos"): ("0x1.5fc6d3ef23baep+0", "0x1.a297851be01f6p+1", "0x1.60ae9ba1c98dbp-3",
+                   "-0x1.918887c44640ep+5", 18, True, "0x0.0p+0"),
+    (200, "sin"): ("0x1.4f1be6a9ce188p+0", "0x1.70a328e9c6e54p+1", "0x1.351f34447a9a5p-3",
+                   "-0x1.ae86d5e5aec5cp+5", 18, True, "0x0.0p+0"),
+    (200, "cos"): ("0x1.3734810831f41p+0", "0x1.7fc286417a56cp+1", "0x1.418dcbc82be30p-3",
+                   "-0x1.5776a436127a4p+5", 15, True, "0x0.0p+0"),
+    (500, "sin"): ("0x1.22ff1983a7e12p-1", "0x1.76f3c27dc9802p+0", "0x1.451487ed6f093p-4",
+                   "0x1.628a6379799a0p+5", 20, True, "0x0.0p+0"),
+    (500, "cos"): ("0x1.0cdb0e7093983p-1", "0x1.5f11d67e89b63p+0", "0x1.b6d5f80cf949dp-5",
+                   "0x1.2e624c97cb550p+6", 20, True, "0x0.0p+0"),
+}
+
+
+def _fingerprint(model):
+    p = model.params
+    floats = (p.sigma_f, p.sigma_l, p.sigma_n, model.lml)
+    return (*(float(v).hex() for v in floats), model.lml_evals, model.converged,
+            float(model.jitter).hex())
+
+
+@pytest.mark.parametrize("max_points", [120, 200, 500])
+def test_heading_fit_is_pinned(max_points, bench_world_train):
+    feats, headings = bench_world_train
+    search = gp.HyperparamSearchConfig(max_points=max_points)
+    pair = heading.train_heading_gps(feats, headings, search)
+    for name, model in (("sin", pair.gp_sin), ("cos", pair.gp_cos)):
+        assert _fingerprint(model) == PINNED_FITS[max_points, name]
+        assert model.jittered_evals == 0
+
+
+def _same_model(a, b):
+    return (
+        _fingerprint(a) == _fingerprint(b)
+        and a.jittered_evals == b.jittered_evals
+        and a.chol.tobytes(order="A") == b.chol.tobytes(order="A")
+        and a.alpha.tobytes() == b.alpha.tobytes()
+        and a.y_mean == b.y_mean
+        and np.array_equal(a.train.x, b.train.x)
+    )
+
+
+def test_fit_equals_oracle_fit_bit_for_bit(monkeypatch, bench_world_train):
+    """`fit_shared_inputs`, each set's own `fit`, and `fit` on the oracle
+    evaluation give the same models, factors included."""
+    feats, headings = bench_world_train
+    std = gp.Standardizer.from_data(feats)
+    sets = [gp.TrainingSet(x=std.apply(feats), y=f(headings), standardizer=std)
+            for f in (np.sin, np.cos)]
+    search = gp.HyperparamSearchConfig(max_points=200)
+    shared = gp.fit_shared_inputs(sets, search)
+    alone = [gp.fit(t, search) for t in sets]
+    monkeypatch.setattr(
+        gp, "_neg_lml_and_grad", lambda p, d2, y, work: oracle_neg_lml_and_grad(p, d2, y)[:2]
+    )
+    oracle = [gp.fit(t, search) for t in sets]
+    for models in zip(shared, alone, oracle):
+        assert all(_same_model(models[0], m) for m in models[1:])
+
+
+def test_fit_shared_inputs_rejects_differing_inputs():
+    rng = np.random.default_rng(8)
+    a = gp.TrainingSet.from_raw(rng.normal(size=(20, 2)), rng.normal(size=20))
+    b = gp.TrainingSet.from_raw(rng.normal(size=(20, 2)), rng.normal(size=20))
+    with pytest.raises(ValueError, match="differ"):
+        gp.fit_shared_inputs((a, b))
+
+
+def test_fit_counts_jittered_evaluations(monkeypatch):
+    # every odd factorization reports jitter; the search's are calls 1..lml_evals
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(30, 2))
+    train = gp.TrainingSet.from_raw(x, np.sin(x[:, 0]) + 0.1 * rng.normal(size=30))
+    calls = 0
+    chol_with_jitter = gp._chol_with_jitter
+
+    def jitters_on_odd_calls(k):
+        nonlocal calls
+        calls += 1
+        return chol_with_jitter(k)[0], 1e-12 if calls % 2 else 0.0
+
+    monkeypatch.setattr(gp, "_chol_with_jitter", jitters_on_odd_calls)
+    model = gp.fit(train)
+    assert model.lml_evals >= 2
+    assert model.jittered_evals == (model.lml_evals + 1) // 2
 
 
 def test_fit_raises_when_start_point_cannot_be_factorized(monkeypatch):

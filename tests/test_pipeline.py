@@ -106,10 +106,12 @@ def test_train_writes_model_and_summary(workspace):
     assert summary["n_used"] <= SMALL_TRAIN.max_points
     assert summary["sin"]["sigma_f"] > 0
     assert summary["fit_s"] > 0
+    assert summary["read_s"] > 0 and summary["save_s"] > 0
     for name in ("sin", "cos"):
         gp_summary = summary[name]
         assert math.isfinite(gp_summary["log_marginal_likelihood"])
         assert gp_summary["lml_evals"] >= 1
+        assert 0 <= gp_summary["jittered_evals"] <= gp_summary["lml_evals"]
         assert gp_summary["converged"] is True
         assert gp_summary["jitter"] >= 0.0
     pair = heading.HeadingGpPair.load(workspace / "models")
@@ -762,6 +764,16 @@ def _drop_hyper(path):
     np.savez(path, **arrays)
 
 
+def _reshape_array(key, edit):
+    def rewrite(path):
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files}
+        arrays[key] = edit(arrays[key])
+        np.savez(path, **arrays)
+
+    return rewrite
+
+
 @pytest.mark.parametrize(
     "target, edit, code, message",
     [
@@ -773,6 +785,15 @@ def _drop_hyper(path):
         ("models/gp_sin.npz", Path.unlink, 2, "gp_sin.npz"),
         ("models/gp_sin.npz", lambda p: p.write_bytes(p.read_bytes()[:200]), 2, "gp_sin.npz"),
         ("models/gp_sin.npz", _drop_hyper, 2, "gp_sin.npz"),
+        ("models/gp_sin.npz", _reshape_array("hyper", lambda h: h[:2]), 2, "gp_sin.npz"),
+        ("models/gp_sin.npz", _reshape_array("hyper", lambda h: np.append(h, 1.0)), 2, "gp_sin.npz"),
+        ("models/gp_sin.npz", _reshape_array("hyper", lambda h: h[None, :]), 2, "gp_sin.npz"),
+        ("models/gp_sin.npz", _reshape_array("hyper", lambda h: np.array(["f", "l", "n"])), 2,
+         "gp_sin.npz"),
+        ("models/gp_sin.npz", _reshape_array("y_mean", lambda m: np.array([m, m])), 2, "gp_sin.npz"),
+        ("models/gp_sin.npz", _reshape_array("x", np.ravel), 2, "gp_sin.npz"),
+        ("models/gp_sin.npz", _reshape_array("std_mean", lambda m: m[:3]), 2, "gp_sin.npz"),
+        ("models/gp_sin.npz", _reshape_array("hyper", lambda h: -h), 2, "gp_sin.npz"),
         ("models/heading_model.json", _write("{"), 2, "bad model manifest"),
         ("models/heading_model.json", _write('{"feature_dim": 10}'), 2, "bad model manifest"),
         ("models/heading_model.json", _write('{"files": {"sin": 1, "cos": 2}}'), 2, "bad model manifest"),
@@ -782,6 +803,8 @@ def _drop_hyper(path):
     ids=[
         "truncated-csv", "empty-dataset", "missing-metadata", "metadata-not-object",
         "noise-not-object", "missing-gp-sin", "truncated-gp-sin", "gp-sin-without-hyper",
+        "gp-sin-two-hyper", "gp-sin-four-hyper", "gp-sin-2d-hyper", "gp-sin-text-hyper",
+        "gp-sin-vector-y-mean", "gp-sin-1d-x", "gp-sin-short-std-mean", "gp-sin-negative-hyper",
         "corrupt-manifest", "manifest-without-files",
         "manifest-files-not-names", "config-not-object", "config-section-not-object",
     ],
