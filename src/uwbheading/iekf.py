@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import gammaincinv
 
 from . import so2
 from .heading import HeadingMeasurement
@@ -204,7 +204,12 @@ def filter_runs(start_angles, init_cov, increments, process_vars, measurements,
 
 
 def mahalanobis_bound(confidence: float) -> float:
-    """1-DOF chi-square quantile used as the consistency bound (e.g. 0.997 -> 8.807)."""
+    """1-DOF chi-square quantile used as the consistency bound (e.g. 0.997 -> 8.807).
+
+    The chi-square(k) quantile is 2 * P^-1(k/2, p), with P the regularized
+    lower incomplete gamma function; this is the expression scipy.stats'
+    `chi2.ppf(p, df=1)` evaluates, so the bound is bit-identical to it
+    without importing scipy.stats."""
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
-    return float(chi2.ppf(confidence, df=1))
+    return float(2.0 * gammaincinv(0.5, confidence))

@@ -424,26 +424,45 @@ def cmd_run(dataset_path, model_dir, cfg: RunConfig, out_dir) -> dict:
     return metrics
 
 
+def _run_estimator(run_dir) -> str:
+    """The estimator a run dir's metrics.json names; DataError if the file
+    is not a JSON object whose `estimator` is one of ESTIMATORS (the name
+    goes into report file names)."""
+    path = Path(run_dir) / "metrics.json"
+    try:
+        metrics = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    est = metrics.get("estimator") if isinstance(metrics, dict) else None
+    if est not in ESTIMATORS:
+        raise DataError(f"{path}: must be a JSON object whose estimator is one of"
+                        f" {ESTIMATORS}, got {est!r}")
+    return est
+
+
 def _load_traces(run_dir):
-    run_dir = Path(run_dir)
-    metrics = json.loads((run_dir / "metrics.json").read_text())
-    path = run_dir / "traces.csv"
+    est = _run_estimator(run_dir)
+    path = Path(run_dir) / "traces.csv"
     raw = world.read_table(path, TRACE_COLUMNS)
     t = np.unique(raw[:, 0])
     runs = len(raw) // t.size if t.size else 0
     if runs < 1 or len(raw) != runs * t.size:
         raise DataError(f"{path}: {len(raw)} rows are not {runs} runs of {t.size} epochs")
     err, sig, mahal = (raw[:, k].reshape(runs, t.size) for k in (2, 3, 4))
-    return metrics["estimator"], t, err, sig, mahal
+    return est, t, err, sig, mahal
 
 
 def cmd_report(run_dirs, out_dir) -> list[Path]:
-    """Aggregate run traces into plot-data files."""
-    loaded = []
+    """Aggregate run traces, one run dir per estimator, into plot-data files."""
+    loaded, dir_of = [], {}
     for d in run_dirs:
         if not (Path(d) / "traces.csv").exists():
             raise DataError(f"missing traces in {d}")
         loaded.append(_load_traces(d))
+        est = loaded[-1][0]
+        if est in dir_of:
+            raise DataError(f"{dir_of[est]} and {d} both hold {est} runs")
+        dir_of[est] = d
     t = loaded[0][1]
     mismatched = [str(d) for d, run in zip(run_dirs, loaded) if not np.array_equal(run[1], t)]
     if mismatched:

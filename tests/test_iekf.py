@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2  # a test-side oracle only: the package must not import it
 
-from uwbheading import heading, iekf, so2
+from uwbheading import heading, iekf, pipeline, so2
 
 
 def state(theta, cov):
@@ -250,6 +255,38 @@ def test_mahalanobis_bound_against_bisection_oracle():
     )
     assert iekf.mahalanobis_bound(0.997) == pytest.approx(8.807, abs=5e-4)
     assert iekf.mahalanobis_bound(0.5) == pytest.approx(0.455, abs=5e-4)
+
+
+@pytest.mark.parametrize("confidence", [1e-9, 0.1, 0.5, 0.9, 0.95, 0.99, 0.997, 1 - 1e-12])
+def test_mahalanobis_bound_equals_chi2_ppf_bit_for_bit(confidence):
+    bound = iekf.mahalanobis_bound(confidence)
+    assert type(bound) is float
+    assert bound.hex() == float(chi2.ppf(confidence, df=1)).hex()
+
+
+def test_pipeline_gate_bound_is_pinned():
+    # metrics.json and the report's mahalanobis.csv carry this repr
+    assert repr(pipeline.MAHALANOBIS_BOUND_997) == "8.807468393511947"
+
+
+def test_package_import_does_not_load_scipy_stats():
+    """A fresh interpreter that imports uwbheading and every submodule does
+    not load scipy.stats (about 20 MiB and 0.5 s of import)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "import uwbheading\n"
+        "for m in pkgutil.iter_modules(uwbheading.__path__):\n"
+        "    importlib.import_module('uwbheading.' + m.name)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('uwbheading.')))\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert "'uwbheading.pipeline'" in out[0] and "'uwbheading._blas'" in out[0]
+    assert out[1] == "False"
 
 
 def test_mahalanobis_bound_monotone_and_validated():

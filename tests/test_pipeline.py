@@ -423,13 +423,14 @@ def test_report_missing_traces_is_data_error(tmp_path):
 
 def test_cli_report_rejects_runs_on_different_time_bases(tmp_path, capsys):
     dirs = []
-    for test_s in (20.0, 10.0):  # 100 and 50 epochs at 5 Hz
+    # 100 and 50 epochs at 5 Hz, one estimator each: a report takes one run dir per estimator
+    for test_s, est in ((20.0, "deadreckon"), (10.0, "mag-iekf")):
         gen = pipeline.GenerateConfig(seed=3, train_duration_s=30.0, test_duration_s=test_s,
                                       rate_hz=5.0)
         pipeline.cmd_generate(gen, tmp_path / f"data{test_s:g}")
         d = tmp_path / f"run{test_s:g}"
         pipeline.cmd_run(tmp_path / f"data{test_s:g}" / "test.csv", None,
-                         pipeline.RunConfig(estimator="deadreckon", monte_carlo_runs=1), d)
+                         pipeline.RunConfig(estimator=est, monte_carlo_runs=1), d)
         dirs.append(str(d))
     out = tmp_path / "report"
     assert pipeline.main(["report", "--runs-dirs", *dirs, "--out", str(out)]) == 2
@@ -487,25 +488,42 @@ def _short_then_long(text):
 
 
 @pytest.mark.parametrize(
-    "edit, message",
+    "target, edit, message",
     [
-        (lambda text: text.replace("t,run,", "t,runs,", 1), "bad header"),
-        (_edit_row(3, lambda cells: cells[:-1]), "line 5: bad row width"),
-        (_short_then_long, "line 2: bad row width"),
-        (_edit_row(2, lambda cells: cells[:2] + ["abc"] + cells[3:]), "abc"),
-        (_edit_row(0, lambda cells: cells[:4] + [""]), "convert"),
+        ("traces.csv", lambda text: text.replace("t,run,", "t,runs,", 1), "bad header"),
+        ("traces.csv", _edit_row(3, lambda cells: cells[:-1]), "line 5: bad row width"),
+        ("traces.csv", _short_then_long, "line 2: bad row width"),
+        ("traces.csv", _edit_row(2, lambda cells: cells[:2] + ["abc"] + cells[3:]), "abc"),
+        ("traces.csv", _edit_row(0, lambda cells: cells[:4] + [""]), "convert"),
+        ("metrics.json", lambda text: "{", "not valid JSON"),
+        ("metrics.json", lambda text: "[]", "got None"),
+        ("metrics.json", lambda text: "{}", "got None"),
+        ("metrics.json", lambda text: '{"estimator": "../ekf"}', "got '../ekf'"),
+        ("metrics.json", lambda text: '{"estimator": ["mag-iekf"]}', "got ['mag-iekf']"),
     ],
-    ids=["wrong-header", "short-row", "short-then-long-row", "bad-token", "empty-cell"],
+    ids=["wrong-header", "short-row", "short-then-long-row", "bad-token", "empty-cell",
+         "metrics-not-json", "metrics-not-object", "metrics-without-estimator",
+         "metrics-unknown-estimator", "metrics-estimator-not-string"],
 )
-def test_cli_report_rejects_malformed_traces(run_dirs, tmp_path, capsys, edit, message):
+def test_cli_report_rejects_malformed_traces(run_dirs, tmp_path, capsys, target, edit, message):
     d = tmp_path / "run"
     shutil.copytree(run_dirs["mag-iekf"], d)
-    path = d / "traces.csv"
+    path = d / target
     path.write_text(edit(path.read_text()))
     out = tmp_path / "report"
     assert pipeline.main(["report", "--runs-dirs", str(d), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "data error" in err and message in err and str(path) in err
+    assert not out.exists()
+
+
+def test_cli_report_rejects_two_runs_of_one_estimator(run_dirs, tmp_path, capsys):
+    dirs = [str(run_dirs["deadreckon"]), str(run_dirs["mag-iekf"]), str(tmp_path / "again")]
+    shutil.copytree(run_dirs["mag-iekf"], dirs[2])
+    out = tmp_path / "report"
+    assert pipeline.main(["report", "--runs-dirs", *dirs, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "mag-iekf" in err and dirs[1] in err and dirs[2] in err
     assert not out.exists()
 
 
