@@ -8,6 +8,8 @@ seeds per step and prints a small table.
 
 import argparse
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -39,24 +41,13 @@ def main() -> int:
         rmses = []
         for seed in range(args.seeds):
             cfg = pipeline.GenerateConfig(
-                seed=seed, rate_hz=5.0, rss_std=0.1, rss_quantum=quantum
+                seed=seed, rate_hz=5.0, rss_std=0.1, rss_quantum=quantum,
+                train_duration_s=args.train_s, test_duration_s=args.test_s,
             )
-            area = cfg.area()
-            anchors = world.default_anchors(area)
-            splits = []
-            for duration, tseed, nseed in (
-                (args.train_s, seed, seed + 1_000_003),
-                (args.test_s, seed + 1, seed + 2_000_003),
-            ):
-                traj = world.generate_trajectory(
-                    area, duration, cfg.rate_hz, "smooth-random", tseed
-                )
-                splits.append(
-                    world.build_dataset(
-                        traj, anchors, cfg.pattern(), cfg.noise(nseed), cfg.path_loss()
-                    )
-                )
-            train, test = splits
+            # the CLI's train/test split; its CSV round trip is exact
+            with tempfile.TemporaryDirectory() as tmp:
+                paths = pipeline.cmd_generate(cfg, Path(tmp))
+                train, test = (world.read_dataset(paths[s]) for s in ("train", "test"))
             pair = heading.train_heading_gps(train.features, train.gt_heading, search)
             rmses.append(gp_rmse_deg(pair, test))
         per_seed = " ".join(f"{r:6.2f}" for r in rmses)

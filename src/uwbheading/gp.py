@@ -23,7 +23,7 @@ import zipfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_solve, lapack, solve_triangular
+from scipy.linalg import cho_solve, lapack
 from scipy.optimize import minimize
 
 from . import _blas
@@ -85,6 +85,8 @@ class Standardizer:
         object.__setattr__(self, "scale", np.asarray(self.scale, dtype=float))
         if np.any(self.scale <= 0) or not np.all(np.isfinite(self.scale)):
             raise ValueError("standardizer scales must be strictly positive")
+        if not np.all(np.isfinite(self.mean)):
+            raise ValueError("standardizer means must be finite")
 
     @classmethod
     def from_data(cls, x_raw: np.ndarray) -> "Standardizer":
@@ -159,15 +161,12 @@ class HyperparamSearchConfig:
 
 
 def kernel_eval(x: np.ndarray, x_prime: np.ndarray, params: SeKernelParams) -> float:
-    x = np.asarray(x, dtype=float).ravel()
-    x_prime = np.asarray(x_prime, dtype=float).ravel()
-    if x.shape != x_prime.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {x_prime.shape}")
-    sq = float(np.dot(x - x_prime, x - x_prime))
-    return params.sigma_f**2 * math.exp(-sq / (2.0 * params.sigma_l**2))
+    """k(x, x') of two points, as `gram_matrix` computes it."""
+    return float(gram_matrix(np.ravel(x), np.ravel(x_prime), params)[0, 0])
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) squared distances between the rows of `a` and `b`."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.shape[1] != b.shape[1]:
@@ -177,11 +176,44 @@ def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         + np.sum(b**2, axis=1)[None, :]
         - 2.0 * (a @ b.T)
     )
-    return np.maximum(d2, 0.0)
+    return _clamp_distances(d2)
+
+
+def _clamp_distances(d2: np.ndarray) -> np.ndarray:
+    """Squared distances clamped at 0 in place, or ValueError if any is NaN.
+
+    An infinite distance only zeroes the kernel; a NaN one (inf - inf from an
+    input that overflows) would poison the posterior.
+    """
+    if np.isnan(d2).any():
+        raise ValueError("input is too large: its squared distances are NaN")
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _se_kernel(d2: np.ndarray, divisor, signal_var, out=None) -> np.ndarray:
+    """The SE kernel signal_var * exp(d2 / divisor) of squared distances `d2`,
+    where `divisor` is -2 sigma_l^2 and `signal_var` is sigma_f^2, computed
+    into `out` (which may be `d2`) when given. Either scalar may instead be
+    an array that broadcasts against `d2`, one value per row."""
+    k = np.divide(d2, divisor, out=out)
+    np.exp(k, out=k)
+    k *= signal_var
+    return k
+
+
+def _solve_lower(chol: np.ndarray, b: np.ndarray, trans=0, overwrite=False) -> np.ndarray:
+    """chol^-1 b, or chol^-T b with `trans` 1, for a lower-triangular
+    Fortran-order `chol`: the LAPACK call that `scipy.linalg.solve_triangular`
+    makes, without its argument checks. With `overwrite` a contiguous 1-D
+    `b` is solved in place."""
+    x, info = lapack.dtrtrs(chol, b, lower=1, trans=trans, overwrite_b=overwrite)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dtrtrs failed with info={info}")
+    return x
 
 
 def gram_matrix(a: np.ndarray, b: np.ndarray, params: SeKernelParams) -> np.ndarray:
-    return params.sigma_f**2 * np.exp(-_sq_dists(a, b) / (2.0 * params.sigma_l**2))
+    return _se_kernel(_sq_dists(a, b), -2.0 * params.sigma_l**2, params.sigma_f**2)
 
 
 def _chol_with_jitter(k_noisy: np.ndarray) -> tuple[np.ndarray, float]:
@@ -258,9 +290,7 @@ def _neg_lml_and_grad(
         work = _LmlWork(n)
     k_f, k, w = work.kernel, work.noisy, work.w
     sf2, sl2, sn2 = np.exp(2.0 * log_params)
-    np.divide(d2, -2.0 * sl2, out=k_f)  # equals -d2 / (2 sl2) to the bit
-    np.exp(k_f, out=k_f)
-    k_f *= sf2
+    _se_kernel(d2, -2.0 * sl2, sf2, out=k_f)
     np.copyto(k, k_f)
     k.reshape(-1)[:: n + 1] += sn2  # the diagonal, as a view
     chol, work.jitter = _chol_with_jitter(k)
@@ -394,9 +424,9 @@ class GpModel:
     lml_evals: int = 0  # objective evaluations of the fit that chose params
     jittered_evals: int = 0  # of those, the ones whose factorization needed jitter
     converged: bool | None = None  # the fit's optimizer success; None if not fitted
-    # (n,) squared norms of the train.x rows, for the query distances
+    # (n,) squared norms of the train.x rows, for predict_row's distances
     train_sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
-    # -2 sigma_l^2 and sigma_f^2 as Python floats, for the one-row pass
+    # -2 sigma_l^2 and sigma_f^2 as Python floats, for the posterior
     kernel_divisor: float = field(init=False, repr=False, compare=False)
     signal_var: float = field(init=False, repr=False, compare=False)
 
@@ -411,17 +441,18 @@ class GpModel:
         cls, train: TrainingSet, params: SeKernelParams, y_mean: float = 0.0
     ) -> "GpModel":
         """Factorize K + sigma_n^2 I once; the factor gives alpha and the LML."""
-        yc = train.y - y_mean
-        k = gram_matrix(train.x, train.x, params) + params.sigma_n**2 * np.eye(train.n)
+        yc = np.asarray_chkfinite(train.y - y_mean)
+        k = gram_matrix(train.x, train.x, params)
+        k.reshape(-1)[:: train.n + 1] += params.sigma_n**2  # the diagonal, as a view
         chol, jitter = _chol_with_jitter(k)
-        half = solve_triangular(chol, yc, lower=True)
-        alpha = solve_triangular(chol.T, half, lower=False)
+        half = _solve_lower(chol, yc)
+        alpha = _solve_lower(chol, half, trans=1)
         lml = float(
             -0.5 * np.dot(half, half)
             - np.sum(np.log(np.diag(chol)))
             - 0.5 * train.n * math.log(2.0 * math.pi)
         )
-        return cls(train=train, params=params, chol=np.asfortranarray(chol), alpha=alpha,
+        return cls(train=train, params=params, chol=chol, alpha=alpha,
                    y_mean=y_mean, lml=lml, jitter=jitter)
 
     def predict(self, x_star_raw: np.ndarray) -> tuple[float, float]:
@@ -437,28 +468,16 @@ class GpModel:
         """Vectorized posterior mean and variance over (m, d) raw queries."""
         return predict_shared_inputs((self,), x_raw)[0]
 
-    def _sq_dists_to(self, xs: np.ndarray) -> np.ndarray:
-        """(n, m) squared distances from the training rows to standardized
-        queries, by `_sq_dists`'s expression with the training norms cached."""
-        d2 = self.train_sq_norms[:, None] + np.sum(xs**2, axis=1)[None, :] - 2.0 * (
-            self.train.x @ xs.T
-        )
-        return _clamp_distances(d2)
-
     def _posterior(
         self, d2: np.ndarray, overwrite: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and variance from `_sq_dists_to`'s distances; with
-        `overwrite` the kernel is computed in place over `d2`."""
-        k_star = np.divide(d2, self.kernel_divisor, out=d2 if overwrite else None)
-        np.exp(k_star, out=k_star)
-        k_star *= self.signal_var  # gram_matrix(train.x, xs), (n, m)
+        """Posterior mean and variance from the (n, m) squared distances of
+        the training rows to the queries; with `overwrite` the kernel is
+        computed in place over `d2`."""
+        k_star = _se_kernel(d2, self.kernel_divisor, self.signal_var,
+                            out=d2 if overwrite else None)
         means = k_star.T @ self.alpha + self.y_mean
-        # the LAPACK call that solve_triangular(chol, k_star, lower=True)
-        # makes for a Fortran-order factor, without its argument checks
-        v, info = lapack.dtrtrs(self.chol, k_star, lower=1)  # (n, m)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dtrtrs failed with info={info}")
+        v = _solve_lower(self.chol, k_star)
         v *= v
         variances = self.signal_var - np.sum(v, axis=0)
         return means, np.maximum(variances, 0.0)
@@ -499,20 +518,11 @@ class GpModel:
                 )
             train = TrainingSet(x=x, y=y, standardizer=Standardizer(mean=mean, scale=scale))
             params, y_mean = SeKernelParams(*hyper.astype(float)), float(y_mean)
+            if not math.isfinite(y_mean):
+                raise ValueError(f"y_mean must be finite, got {y_mean}")
         except (zipfile.BadZipFile, KeyError, EOFError, ValueError) as exc:
             raise ValueError(f"bad model archive {path}: {exc}") from exc
         return cls.from_params(train, params, y_mean=y_mean)
-
-
-def _clamp_distances(d2: np.ndarray) -> np.ndarray:
-    """Squared distances clamped at 0 in place, or ValueError if any is NaN.
-
-    An infinite distance only zeroes the kernel; a NaN one (inf - inf from a
-    query that overflows) would poison the posterior.
-    """
-    if np.isnan(d2).any():
-        raise ValueError("query is too large: its distances to the training inputs are NaN")
-    return np.maximum(d2, 0.0, out=d2)
 
 
 def predict_shared_inputs(
@@ -538,14 +548,14 @@ def predict_shared_inputs(
         )
     xs = first.train.standardizer.apply(x)
     with _blas.one_thread():
-        d2 = first._sq_dists_to(xs)
+        d2 = _sq_dists(first.train.x, xs)
         last = len(models) - 1
         return [m._posterior(d2, overwrite=i == last) for i, m in enumerate(models)]
 
 
 def predict_row(models: tuple[GpModel, ...], x_raw: np.ndarray) -> list[tuple[float, float]]:
     """Posterior (mean, variance) of each model at one raw (d,) float query,
-    with the arithmetic of `_sq_dists_to` and `_posterior`.
+    with the arithmetic of `_sq_dists` and `_posterior`.
 
     For one row numpy's fixed cost per call outweighs the arithmetic, so
     the models' kernels are built as one (len(models), n) array. Each model
@@ -561,16 +571,12 @@ def predict_row(models: tuple[GpModel, ...], x_raw: np.ndarray) -> list[tuple[fl
     d2 = _clamp_distances(
         first.train_sq_norms + np.add.reduce(xs * xs) - 2.0 * (first.train.x @ xs)
     )
-    k = np.divide(d2, [[m.kernel_divisor] for m in models])
-    np.exp(k, out=k)
-    k *= [[m.signal_var] for m in models]  # each row is gram_matrix(train.x, xs)
+    # each row is gram_matrix(train.x, xs)
+    k = _se_kernel(d2, [[m.kernel_divisor] for m in models], [[m.signal_var] for m in models])
     means = []
     for m, k_star in zip(models, k):
         means.append(float(k_star @ m.alpha) + m.y_mean)
-        # v = chol^-1 k_star, solved in place over k_star
-        _, info = lapack.dtrtrs(m.chol, k_star, lower=1, overwrite_b=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dtrtrs failed with info={info}")
+        _solve_lower(m.chol, k_star, overwrite=True)  # v = chol^-1 k_star, over k_star
     k *= k
     return [
         (mean, max(m.signal_var - v2, 0.0))

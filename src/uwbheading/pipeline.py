@@ -441,6 +441,10 @@ def _run_estimator(run_dir) -> str:
 
 
 def _load_traces(run_dir):
+    """A run dir's estimator, epoch times and (runs, epochs) error, 3-sigma
+    and Mahalanobis columns; DataError unless traces.csv holds R runs of one
+    epoch sequence in time order, run after run, with run ids 0..R-1, as
+    `cmd_run` writes them."""
     est = _run_estimator(run_dir)
     path = Path(run_dir) / "traces.csv"
     raw = world.read_table(path, TRACE_COLUMNS)
@@ -448,7 +452,10 @@ def _load_traces(run_dir):
     runs = len(raw) // t.size if t.size else 0
     if runs < 1 or len(raw) != runs * t.size:
         raise DataError(f"{path}: {len(raw)} rows are not {runs} runs of {t.size} epochs")
-    err, sig, mahal = (raw[:, k].reshape(runs, t.size) for k in (2, 3, 4))
+    times, ids, err, sig, mahal = (raw[:, k].reshape(runs, t.size) for k in range(5))
+    if not ((times == t).all() and (ids == np.arange(runs)[:, None]).all()):
+        raise DataError(f"{path}: rows are not runs 0..{runs - 1} in order,"
+                        f" each over the {t.size} epochs in time order")
     return est, t, err, sig, mahal
 
 

@@ -164,6 +164,12 @@ class PathLossModel:
     d0: float = 1.0  # m
     gamma: float = 1.8
 
+    def __post_init__(self):
+        if not (math.isfinite(self.p0) and math.isfinite(self.gamma)):
+            raise ValueError("path loss p0 and gamma must be finite")
+        if not (math.isfinite(self.d0) and self.d0 > 0):
+            raise ValueError("path loss reference distance d0 must be finite and positive")
+
     def loss(self, distance) -> np.ndarray:
         d = np.maximum(np.asarray(distance, dtype=float), RANGE_FLOOR_M)
         return self.p0 - 10.0 * self.gamma * np.log10(d / self.d0)
@@ -184,10 +190,11 @@ class SensorNoiseConfig:
     mag_disturbance_bias: float = 0.5  # rad
 
     def __post_init__(self):
-        if min(self.range_std, self.rss_std, self.mag_std) < 0 or self.gyro_psd < 0:
-            raise ValueError("noise standard deviations must be non-negative")
-        if self.rss_quantum <= 0:
-            raise ValueError("rss quantum must be positive")
+        stds = (self.range_std, self.rss_std, self.mag_std, self.gyro_psd)
+        if not all(math.isfinite(v) and v >= 0 for v in stds):
+            raise ValueError("noise standard deviations and gyro PSD must be finite and >= 0")
+        if not (math.isfinite(self.rss_quantum) and self.rss_quantum > 0):
+            raise ValueError("rss quantum must be finite and positive")
 
 
 @dataclass(frozen=True, eq=False)

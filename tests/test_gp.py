@@ -58,6 +58,7 @@ def test_kernel_decay_and_symmetry():
     assert gp.kernel_eval([0.0], [60.0], p) < 1e-300 or gp.kernel_eval([0.0], [60.0], p) == 0.0
     a, b = np.array([0.3, -1.0]), np.array([1.1, 0.4])
     assert gp.kernel_eval(a, b, p) == pytest.approx(gp.kernel_eval(b, a, p), rel=1e-15)
+    assert gp.kernel_eval(a, b, p) == gp.gram_matrix(a, b, p)[0, 0]
 
 
 def test_kernel_dimension_mismatch():

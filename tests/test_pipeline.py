@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import shutil
 from pathlib import Path
 
@@ -479,6 +480,12 @@ def _edit_row(k, edit):
     return apply
 
 
+def _epoch_major(text):
+    # the same rows, each epoch's runs together
+    head, *rows = text.splitlines()
+    return "\n".join([head, *sorted(rows, key=lambda row: float(row.split(",")[0]))]) + "\n"
+
+
 def _short_then_long(text):
     # row 1 loses its last cell to row 2: the total cell count is unchanged
     lines = text.splitlines()
@@ -495,6 +502,9 @@ def _short_then_long(text):
         ("traces.csv", _short_then_long, "line 2: bad row width"),
         ("traces.csv", _edit_row(2, lambda cells: cells[:2] + ["abc"] + cells[3:]), "abc"),
         ("traces.csv", _edit_row(0, lambda cells: cells[:4] + [""]), "convert"),
+        ("traces.csv", _epoch_major, "rows are not runs 0..4 in order"),
+        ("traces.csv", lambda text: re.sub(r"^([^,\n]+),\d+,", r"\1,7,", text, flags=re.M),
+         "rows are not runs 0..4 in order"),
         ("metrics.json", lambda text: "{", "not valid JSON"),
         ("metrics.json", lambda text: "[]", "got None"),
         ("metrics.json", lambda text: "{}", "got None"),
@@ -502,6 +512,7 @@ def _short_then_long(text):
         ("metrics.json", lambda text: '{"estimator": ["mag-iekf"]}', "got ['mag-iekf']"),
     ],
     ids=["wrong-header", "short-row", "short-then-long-row", "bad-token", "empty-cell",
+         "epoch-major-rows", "run-ids-all-7",
          "metrics-not-json", "metrics-not-object", "metrics-without-estimator",
          "metrics-unknown-estimator", "metrics-estimator-not-string"],
 )
@@ -812,6 +823,10 @@ def _reshape_array(key, edit):
         ("models/gp_sin.npz", _reshape_array("x", np.ravel), 2, "gp_sin.npz"),
         ("models/gp_sin.npz", _reshape_array("std_mean", lambda m: m[:3]), 2, "gp_sin.npz"),
         ("models/gp_sin.npz", _reshape_array("hyper", lambda h: -h), 2, "gp_sin.npz"),
+        ("models/gp_sin.npz", _reshape_array("y_mean", lambda m: np.array(np.nan)), 2,
+         "gp_sin.npz: y_mean must be finite"),
+        ("models/gp_sin.npz", _reshape_array("std_mean", lambda m: np.append(np.nan, m[1:])), 2,
+         "gp_sin.npz: standardizer means must be finite"),
         ("models/heading_model.json", _write("{"), 2, "bad model manifest"),
         ("models/heading_model.json", _write('{"feature_dim": 10}'), 2, "bad model manifest"),
         ("models/heading_model.json", _write('{"files": {"sin": 1, "cos": 2}}'), 2, "bad model manifest"),
@@ -823,6 +838,7 @@ def _reshape_array(key, edit):
         "noise-not-object", "missing-gp-sin", "truncated-gp-sin", "gp-sin-without-hyper",
         "gp-sin-two-hyper", "gp-sin-four-hyper", "gp-sin-2d-hyper", "gp-sin-text-hyper",
         "gp-sin-vector-y-mean", "gp-sin-1d-x", "gp-sin-short-std-mean", "gp-sin-negative-hyper",
+        "gp-sin-nan-y-mean", "gp-sin-nan-std-mean",
         "corrupt-manifest", "manifest-without-files",
         "manifest-files-not-names", "config-not-object", "config-section-not-object",
     ],

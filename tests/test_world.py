@@ -326,6 +326,29 @@ def test_rss_gain_table_interpolation_is_periodic():
     assert float(pattern.gain(-math.pi)) == pytest.approx(float(pattern.gain(math.pi)), abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "cls, kwargs",
+    [
+        (world.SensorNoiseConfig, {"range_std": math.nan}),
+        (world.SensorNoiseConfig, {"rss_std": -0.1}),
+        (world.SensorNoiseConfig, {"mag_std": math.inf}),
+        (world.SensorNoiseConfig, {"gyro_psd": math.nan}),
+        (world.SensorNoiseConfig, {"rss_quantum": math.nan}),
+        (world.SensorNoiseConfig, {"rss_quantum": 0.0}),
+        (world.PathLossModel, {"d0": 0.0}),
+        (world.PathLossModel, {"d0": -1.0}),
+        (world.PathLossModel, {"d0": math.inf}),
+        (world.PathLossModel, {"p0": math.nan}),
+        (world.PathLossModel, {"gamma": -math.inf}),
+    ],
+    ids=["nan-range-std", "negative-rss-std", "inf-mag-std", "nan-gyro-psd", "nan-rss-quantum",
+         "zero-rss-quantum", "zero-d0", "negative-d0", "inf-d0", "nan-p0", "inf-gamma"],
+)
+def test_world_types_reject_non_finite_and_out_of_range_values(cls, kwargs):
+    with pytest.raises(ValueError):
+        cls(**kwargs)
+
+
 def test_path_loss_monotone_in_distance():
     pl = world.PathLossModel()
     d = np.array([0.5, 1.0, 2.0, 4.0])
