@@ -9,6 +9,12 @@ decades around its heuristic. Inputs are standardized internally (the
 isotropic lengthscale is meaningless across mixed units); outputs are
 centered and the training mean is added back at prediction.
 
+One fit-pass object (`_SharedInputs`) holds what every fit on one training
+input shares: its rows, their squared distances, the heuristic lengthscale
+and the buffers each likelihood evaluation computes in. Prediction has one
+batch path for any number of rows (`predict_shared_inputs`) and one online
+path for a single row as Python floats (`predict_row`), equal to the bit.
+
 Fitting, factorizing and batch prediction run on one BLAS thread (see
 `_blas`): threaded OpenBLAS workers keep spinning after a call and slow the
 work that follows, and a threaded Cholesky factor depends in its last bits
@@ -203,9 +209,8 @@ def _se_kernel(d2: np.ndarray, divisor, signal_var, out=None) -> np.ndarray:
 
 def _solve_lower(chol: np.ndarray, b: np.ndarray, trans=0, overwrite=False) -> np.ndarray:
     """chol^-1 b, or chol^-T b with `trans` 1, for a lower-triangular
-    Fortran-order `chol`: the LAPACK call that `scipy.linalg.solve_triangular`
-    makes, without its argument checks. With `overwrite` a contiguous 1-D
-    `b` is solved in place."""
+    Fortran-order `chol`, by LAPACK `dtrtrs`. With `overwrite` a contiguous
+    1-D `b` is solved in place."""
     x, info = lapack.dtrtrs(chol, b, lower=1, trans=trans, overwrite_b=overwrite)
     if info != 0:
         raise np.linalg.LinAlgError(f"dtrtrs failed with info={info}")
@@ -219,10 +224,8 @@ def gram_matrix(a: np.ndarray, b: np.ndarray, params: SeKernelParams) -> np.ndar
 def _chol_with_jitter(k_noisy: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor, in a new Fortran-order array with a zero upper
     triangle, and the diagonal jitter added to obtain it, escalating the
-    jitter on failure. `k_noisy` is left as it is.
-
-    The factorization is the LAPACK call that `scipy.linalg.cholesky(lower=True)`
-    makes, with its ValueError for a matrix that holds inf or NaN.
+    jitter on failure. `k_noisy` is left as it is; ValueError if it holds
+    inf or NaN.
     """
     base = float(np.mean(np.diag(k_noisy)))
     np.asarray_chkfinite(k_noisy)
@@ -244,12 +247,14 @@ def log_marginal_likelihood(train: TrainingSet, params: SeKernelParams) -> float
     return GpModel.from_params(train, params).lml
 
 
-def _heuristic_lengthscale(x: np.ndarray) -> float:
-    """Median pairwise distance of the rows of `x`, at least 1e-3."""
+def _heuristic_lengthscale(x: np.ndarray, d2: np.ndarray | None = None) -> float:
+    """Median pairwise distance of the rows of `x`, at least 1e-3; `d2` is
+    their squared distances if the caller has them. Above 500 rows the
+    distances of a stride subsample stand in."""
     n = x.shape[0]
-    if n > 500:  # heuristic only; subsample the pairwise-distance pool
+    if n > 500 or d2 is None:  # heuristic only; above 500 rows, a subsampled pool
         x = x[:: int(math.ceil(n / 500))]
-    d2 = _sq_dists(x, x)
+        d2 = _sq_dists(x, x)
     off = d2[np.triu_indices_from(d2, k=1)]
     return max(float(np.sqrt(np.median(off))) if off.size else 1.0, 1e-3)
 
@@ -263,17 +268,27 @@ def _heuristic_center(
     return sf, _heuristic_lengthscale(x) if sl is None else sl, 0.1 * sf
 
 
-class _LmlWork:
-    """The n x n buffers that `_neg_lml_and_grad` computes in, reused across
-    the evaluations of a fit, and the jitter its last factorization added."""
+class _SharedInputs:
+    """One fit pass over a training input, which the fits of every output
+    vector on that input share: the stride-capped rows, their squared
+    distances and the heuristic lengthscale, and the three n x n buffers that
+    `_neg_lml_and_grad` computes in, with the jitter its last factorization
+    added."""
 
-    def __init__(self, n: int):
-        self.kernel, self.noisy, self.w = (np.empty((n, n)) for _ in range(3))
+    def __init__(self, train: TrainingSet, search: HyperparamSearchConfig):
+        if train.n < 2:
+            raise ValueError("fit requires at least 2 training points")
+        n, cap = train.n, search.max_points
+        self.stride = int(math.ceil(n / cap)) if n > cap else 1
+        self.x = train.x[:: self.stride]
+        self.d2 = _sq_dists(self.x, self.x)
+        self.lengthscale = _heuristic_lengthscale(self.x, self.d2)
+        self.kernel, self.noisy, self.w = (np.empty_like(self.d2) for _ in range(3))
         self.jitter = 0.0
 
 
 def _neg_lml_and_grad(
-    log_params: np.ndarray, d2: np.ndarray, y: np.ndarray, work: _LmlWork | None = None
+    log_params: np.ndarray, d2: np.ndarray, y: np.ndarray, work: _SharedInputs
 ) -> tuple[float, np.ndarray]:
     """Negative log marginal likelihood and its gradient with respect to
     log(sigma_f, sigma_l, sigma_n), from one Cholesky factorization.
@@ -282,12 +297,11 @@ def _neg_lml_and_grad(
     dK/dlog sigma_f = 2 K_f, dK/dlog sigma_l = K_f * D^2 / sigma_l^2 and
     dK/dlog sigma_n = 2 sigma_n^2 I.
 
-    Every n x n step runs in `work`'s buffers (fresh ones if None); the
-    factor, inverted in place, is the one n x n float array allocated per call.
+    `d2` is the fit pass `work`'s distances, and every n x n step runs in its
+    buffers; the factor, inverted in place, is the one n x n float array
+    allocated per call.
     """
     n = y.shape[0]
-    if work is None:
-        work = _LmlWork(n)
     k_f, k, w = work.kernel, work.noisy, work.w
     sf2, sl2, sn2 = np.exp(2.0 * log_params)
     _se_kernel(d2, -2.0 * sl2, sf2, out=k_f)
@@ -316,22 +330,6 @@ def _neg_lml_and_grad(
     return -lml, -grad
 
 
-class _SharedInputs:
-    """What the fits of several output vectors on one training input share:
-    the stride-capped rows, their squared distances, the heuristic
-    lengthscale and `_neg_lml_and_grad`'s work buffers."""
-
-    def __init__(self, train: TrainingSet, search: HyperparamSearchConfig):
-        if train.n < 2:
-            raise ValueError("fit requires at least 2 training points")
-        n, cap = train.n, search.max_points
-        self.stride = int(math.ceil(n / cap)) if n > cap else 1
-        self.x = train.x[:: self.stride]
-        self.d2 = _sq_dists(self.x, self.x)
-        self.lengthscale = _heuristic_lengthscale(self.x)
-        self.work = _LmlWork(self.x.shape[0])
-
-
 @_blas.one_thread()
 def fit(
     train: TrainingSet,
@@ -353,7 +351,7 @@ def fit(
     """
     if shared is None:
         shared = _SharedInputs(train, search or HyperparamSearchConfig())
-    x, d2, work = shared.x, shared.d2, shared.work
+    x, d2 = shared.x, shared.d2
     y = train.y[:: shared.stride]
     y_mean = float(np.mean(y))
     yc = y - y_mean
@@ -366,13 +364,13 @@ def fit(
         nonlocal evals, jittered, best_f, best_x, hit_unfittable
         evals += 1
         try:
-            f, g = _neg_lml_and_grad(log_params, d2, yc, work)
+            f, g = _neg_lml_and_grad(log_params, d2, yc, shared)
         except UnfittableDataError:
             if evals == 1:
                 raise
             hit_unfittable = True
             return math.inf, np.zeros(3)
-        jittered += work.jitter > 0.0
+        jittered += shared.jitter > 0.0
         if f < best_f:
             best_f, best_x = f, log_params.copy()
         return f, g
@@ -396,9 +394,8 @@ def fit_shared_inputs(
     """`fit` each training set, where all share the first one's inputs and
     standardizer and differ only in their outputs.
 
-    The rows are strided, their distances and the heuristic lengthscale
-    computed, and the work buffers allocated once for every fit; each model
-    equals its own `fit` to the bit. The fit-side twin of
+    One `_SharedInputs` fit pass serves every fit; each model equals its
+    own `fit` to the bit. The fit-side twin of
     `predict_shared_inputs`. ValueError if the inputs differ.
     """
     first = trainings[0]
@@ -457,12 +454,11 @@ class GpModel:
 
     def predict(self, x_star_raw: np.ndarray) -> tuple[float, float]:
         """Posterior mean and variance at one raw (unstandardized) query, a
-        (d,) or (1, d) array; `predict_many` predicts more."""
-        x = np.atleast_2d(x_star_raw)
+        (d,) or (1, d) array, by `predict_row`; `predict_many` predicts more."""
+        x = np.atleast_2d(np.asarray(x_star_raw, dtype=float))
         if x.ndim != 2 or len(x) != 1:
             raise ValueError(f"predict takes one query, got shape {np.shape(x_star_raw)}")
-        means, variances = self.predict_many(x)
-        return float(means[0]), float(variances[0])
+        return predict_row((self,), x[0])[0]
 
     def predict_many(self, x_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized posterior mean and variance over (m, d) raw queries."""
@@ -528,24 +524,17 @@ class GpModel:
 def predict_shared_inputs(
     models: tuple[GpModel, ...], x_raw: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Posterior mean and variance of each model over (m, d) raw queries,
-    standardizing the queries and computing their distances to the training
-    rows once for all models.
+    """Posterior mean and variance of each model over (m, d) raw queries, for
+    any m, standardizing the queries and computing their distances to the
+    training rows once for all models, as matrices on one BLAS thread.
 
-    One row goes through `predict_row`, whose values equal this path's to
-    the bit. More rows are standardized and predicted as matrices on one
-    BLAS thread. Every model must have the first one's `train.x` and
-    standardizer; the caller checks that once, where it pairs the models,
-    not per query.
+    Every model must have the first one's `train.x` and standardizer; the
+    caller checks that once, where it pairs the models, not per query.
     """
     x = np.atleast_2d(np.asarray(x_raw, dtype=float))
-    if x.shape[0] == 1:
-        return [(np.array([mean]), np.array([var])) for mean, var in predict_row(models, x[0])]
     first = models[0]
-    if x.shape[1] != first.train.d:
-        raise ValueError(
-            f"query dimension {x.shape[1]} != training dimension {first.train.d}"
-        )
+    if x.ndim != 2 or x.shape[1] != first.train.d:
+        raise ValueError(f"queries have shape {x.shape}, not (m, {first.train.d})")
     xs = first.train.standardizer.apply(x)
     with _blas.one_thread():
         d2 = _sq_dists(first.train.x, xs)
@@ -555,7 +544,8 @@ def predict_shared_inputs(
 
 def predict_row(models: tuple[GpModel, ...], x_raw: np.ndarray) -> list[tuple[float, float]]:
     """Posterior (mean, variance) of each model at one raw (d,) float query,
-    with the arithmetic of `_sq_dists` and `_posterior`.
+    as Python floats equal to `predict_shared_inputs`' one-row values to the
+    bit.
 
     For one row numpy's fixed cost per call outweighs the arithmetic, so
     the models' kernels are built as one (len(models), n) array. Each model

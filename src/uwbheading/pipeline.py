@@ -307,13 +307,15 @@ def run_filter(
 
 def _noise_metadata(dataset_path, estimator) -> dict:
     """The dataset's `noise` metadata, with gyro_psd (and mag_std for
-    mag-iekf) checked; DataError if the sidecar file is missing or is not
-    a JSON object with an object `noise`."""
+    mag-iekf) checked; DataError if the sidecar file is missing, is not
+    valid JSON, or is not a JSON object with an object `noise`."""
     path = world.metadata_path(dataset_path)
     try:
         meta = world.read_metadata(dataset_path)
     except FileNotFoundError as exc:
         raise DataError(f"missing dataset metadata: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: not valid JSON: {exc}") from exc
     noise = meta.get("noise", {}) if isinstance(meta, dict) else None
     if not isinstance(noise, dict):
         raise DataError(f"{path}: metadata and its noise section must be JSON objects")

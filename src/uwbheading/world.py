@@ -132,6 +132,8 @@ class AntennaPattern:
     table: np.ndarray | None = None  # (k, 2) of (bearing rad, gain dBi)
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.g0, self.a2, self.phi2, self.a1, self.phi1)):
+            raise ValueError("antenna pattern g0, a2, phi2, a1 and phi1 must be finite")
         if self.table is not None:
             t = np.asarray(self.table, dtype=float)
             if t.ndim != 2 or t.shape[1] != 2 or not np.all(np.isfinite(t)):
@@ -195,6 +197,13 @@ class SensorNoiseConfig:
             raise ValueError("noise standard deviations and gyro PSD must be finite and >= 0")
         if not (math.isfinite(self.rss_quantum) and self.rss_quantum > 0):
             raise ValueError("rss quantum must be finite and positive")
+        c = self.mag_disturbance_center
+        if c is not None and not (np.shape(c) == (2,) and np.all(np.isfinite(c))):
+            raise ValueError("magnetic disturbance center must be None or a finite 2-vector")
+        if not (math.isfinite(self.mag_disturbance_radius) and self.mag_disturbance_radius >= 0):
+            raise ValueError("magnetic disturbance radius must be finite and >= 0")
+        if not math.isfinite(self.mag_disturbance_bias):
+            raise ValueError("magnetic disturbance bias must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,8 +281,8 @@ def generate_trajectory(
     Profiles: smooth-random (drifting heading, quasi-random position sweep),
     waypoint-loop (elliptic loop with tangent heading), spin-in-place.
     """
-    if duration <= 0 or rate_hz <= 0:
-        raise ValueError("duration and rate must be positive")
+    if not (duration > 0 and rate_hz > 0 and duration * rate_hz < math.inf):
+        raise ValueError("duration and rate must be positive, with a finite product")
     rng = np.random.default_rng(seed)
     n = int(round(duration * rate_hz))
     t = np.arange(n) / rate_hz

@@ -38,6 +38,11 @@ def identity_train(x, y):
     return gp.TrainingSet(x=x, y=y, standardizer=std)
 
 
+def fit_pass(x, y):
+    """The fit pass over unstrided rows `x`: their distances and LML buffers."""
+    return gp._SharedInputs(identity_train(x, y), gp.HyperparamSearchConfig())
+
+
 # --- kernel ----------------------------------------------------------------
 
 
@@ -385,7 +390,8 @@ def test_lml_gradient_matches_central_differences(seed):
     y = np.sin(x[:, 0]) + 0.3 * rng.normal(size=n)
     log_params = np.log(rng.uniform([0.3, 0.3, 0.05], [2.0, 2.0, 0.8]))
     train = identity_train(x, y)
-    neg_lml, neg_grad = gp._neg_lml_and_grad(log_params, gp._sq_dists(x, x), y)
+    work = fit_pass(x, y)
+    neg_lml, neg_grad = gp._neg_lml_and_grad(log_params, work.d2, y, work)
     assert -neg_lml == pytest.approx(
         gp.log_marginal_likelihood(train, gp.SeKernelParams(*np.exp(log_params))),
         rel=1e-12,
@@ -454,14 +460,13 @@ def test_lml_and_grad_equal_oracle_bit_for_bit(case):
         x = rng.normal(size=(int(rng.integers(5, 60)), int(rng.integers(1, 4))))
         draws = [np.log(rng.uniform([0.3, 0.3, 0.05], [2.0, 2.0, 0.8])) for _ in range(3)]
     y = np.sin(x[:, 0]) + 0.3 * rng.normal(size=len(x))
-    d2 = gp._sq_dists(x, x)
-    work = gp._LmlWork(len(x))  # reused over the draws, as within a fit
+    work = fit_pass(x, y)  # reused over the draws, as within a fit
+    d2 = work.d2
     for log_params in draws:
         f0, g0, jitter = oracle_neg_lml_and_grad(log_params, d2, y)
-        for buffers in (None, work):
-            f, g = gp._neg_lml_and_grad(log_params, d2, y, buffers)
-            assert float(f).hex() == float(f0).hex()
-            assert g.tobytes() == g0.tobytes()
+        f, g = gp._neg_lml_and_grad(log_params, d2, y, work)
+        assert float(f).hex() == float(f0).hex()
+        assert g.tobytes() == g0.tobytes()
         assert work.jitter == jitter
         assert (jitter > 0) == (case == "jitter")
 
@@ -471,8 +476,8 @@ def test_lml_evaluation_allocates_at_most_two_matrices():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(n, 10))
     y = np.sin(x[:, 0]) + 0.1 * rng.normal(size=n)
-    d2 = gp._sq_dists(x, x)
-    work = gp._LmlWork(n)
+    work = fit_pass(x, y)
+    d2 = work.d2
     log_params = np.log([1.0, 3.0, 0.1])
     gp._neg_lml_and_grad(log_params, d2, y, work)  # warm-up
     tracemalloc.start()
@@ -483,6 +488,29 @@ def test_lml_evaluation_allocates_at_most_two_matrices():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * n * n * 8
+
+
+@pytest.mark.parametrize("n, calls", [(2, 1), (500, 1), (501, 2)])
+def test_fit_pass_computes_distances_once_up_to_500_rows(monkeypatch, n, calls):
+    """Up to 500 rows the heuristic lengthscale reads the fit pass's own
+    distances; above, it computes those of a stride subsample."""
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(n, 3))
+    sq_dists, count = gp._sq_dists, 0
+
+    def counted(a, b):
+        nonlocal count
+        count += 1
+        return sq_dists(a, b)
+
+    monkeypatch.setattr(gp, "_sq_dists", counted)
+    work = fit_pass(x, np.zeros(n))
+    monkeypatch.undo()
+    assert count == calls
+    sub = x[:: math.ceil(n / 500)]
+    d2 = gp._sq_dists(sub, sub)
+    median = float(np.sqrt(np.median(d2[np.triu_indices(len(sub), 1)])))
+    assert work.lengthscale == max(median, 1e-3)
 
 
 @pytest.fixture(scope="module")

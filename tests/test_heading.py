@@ -356,7 +356,8 @@ def test_shared_distance_prediction_matches_reference_bits():
 
 def test_one_row_prediction_matches_reference_bits_on_bench_world(bench_world):
     """On every test-split row of the benchmark-scale world, the one-row
-    pass gives the pair's and each GP's reference posterior to the bit."""
+    pass and the batch path on that one row give the pair's and each GP's
+    reference posterior to the bit."""
     train = world.read_dataset(bench_world["train"])
     pair = heading.train_heading_gps(
         train.features, train.gt_heading, gp.HyperparamSearchConfig(max_points=200)
@@ -368,12 +369,15 @@ def test_one_row_prediction_matches_reference_bits_on_bench_world(bench_world):
         assert all(type(v) is float for v in (pt.s, pt.c, pt.var_s, pt.var_c))
         row = np.concatenate([ranges, rss])
         (s, vs), (c, vc) = (reference_posterior(m, row) for m in (pair.gp_sin, pair.gp_cos))
-        assert np.array([pt.s, pt.c, pt.var_s, pt.var_c]).tobytes() == np.concatenate(
-            [s, c, vs, vc]
-        ).tobytes()
+        reference = np.concatenate([s, c, vs, vc]).tobytes()
+        assert np.array([pt.s, pt.c, pt.var_s, pt.var_c]).tobytes() == reference
+        batch = heading.predict_pseudo_trig_arrays(pair, row[None])
+        assert np.concatenate(batch).tobytes() == reference
         for model in (pair.gp_sin, pair.gp_cos):
-            mean, var = reference_posterior(model, row, floor=0.0)
-            assert np.array(model.predict(row)).tobytes() == np.concatenate([mean, var]).tobytes()
+            expected = np.concatenate(reference_posterior(model, row, floor=0.0)).tobytes()
+            assert np.array(model.predict(row)).tobytes() == expected
+            assert np.array(gp.predict_row((model,), row)[0]).tobytes() == expected
+            assert np.concatenate(model.predict_many(row[None])).tobytes() == expected
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -809,6 +809,7 @@ def _reshape_array(key, edit):
         ("data/test.csv", lambda p: p.write_text(p.read_text().rsplit(",", 1)[0]), 2, "row width"),
         ("data/test.csv", _write(",".join(world.DATASET_COLUMNS) + "\n"), 2, "empty dataset"),
         ("data/test.meta.json", Path.unlink, 2, "test.meta.json"),
+        ("data/test.meta.json", _write("{"), 2, "test.meta.json"),
         ("data/test.meta.json", _write("[]"), 2, "JSON objects"),
         ("data/test.meta.json", _write('{"noise": 3}'), 2, "JSON objects"),
         ("models/gp_sin.npz", Path.unlink, 2, "gp_sin.npz"),
@@ -834,7 +835,8 @@ def _reshape_array(key, edit):
         ("cfg.json", _write('{"run": "fast"}'), 1, "JSON objects"),
     ],
     ids=[
-        "truncated-csv", "empty-dataset", "missing-metadata", "metadata-not-object",
+        "truncated-csv", "empty-dataset", "missing-metadata", "corrupt-metadata",
+        "metadata-not-object",
         "noise-not-object", "missing-gp-sin", "truncated-gp-sin", "gp-sin-without-hyper",
         "gp-sin-two-hyper", "gp-sin-four-hyper", "gp-sin-2d-hyper", "gp-sin-text-hyper",
         "gp-sin-vector-y-mean", "gp-sin-1d-x", "gp-sin-short-std-mean", "gp-sin-negative-hyper",

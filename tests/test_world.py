@@ -340,12 +340,29 @@ def test_rss_gain_table_interpolation_is_periodic():
         (world.PathLossModel, {"d0": math.inf}),
         (world.PathLossModel, {"p0": math.nan}),
         (world.PathLossModel, {"gamma": -math.inf}),
+        (world.AntennaPattern, {"a2": math.nan}),
+        (world.AntennaPattern, {"g0": math.inf}),
+        (world.SensorNoiseConfig, {"mag_disturbance_center": (0.0, 0.0),
+                                   "mag_disturbance_bias": math.nan}),
+        (world.SensorNoiseConfig, {"mag_disturbance_center": (0.0, 0.0),
+                                   "mag_disturbance_radius": math.nan}),
+        (world.SensorNoiseConfig, {"mag_disturbance_center": (0.0, 0.0),
+                                   "mag_disturbance_radius": -0.5}),
+        (world.SensorNoiseConfig, {"mag_disturbance_center": (math.nan, 0.0)}),
+        (world.SensorNoiseConfig, {"mag_disturbance_center": (0.0, 0.0, 0.0)}),
+        (world.generate_trajectory, {"area": AREA, "duration": math.inf, "rate_hz": 10.0}),
+        (world.generate_trajectory, {"area": AREA, "duration": math.nan, "rate_hz": 10.0}),
+        (world.generate_trajectory, {"area": AREA, "duration": 10.0, "rate_hz": math.inf}),
+        (world.generate_trajectory, {"area": AREA, "duration": 1e300, "rate_hz": 1e10}),
     ],
     ids=["nan-range-std", "negative-rss-std", "inf-mag-std", "nan-gyro-psd", "nan-rss-quantum",
-         "zero-rss-quantum", "zero-d0", "negative-d0", "inf-d0", "nan-p0", "inf-gamma"],
+         "zero-rss-quantum", "zero-d0", "negative-d0", "inf-d0", "nan-p0", "inf-gamma",
+         "nan-pattern-a2", "inf-pattern-g0", "nan-disturbance-bias", "nan-disturbance-radius",
+         "negative-disturbance-radius", "nan-disturbance-center", "3d-disturbance-center",
+         "inf-duration", "nan-duration", "inf-rate", "overflowing-epoch-count"],
 )
 def test_world_types_reject_non_finite_and_out_of_range_values(cls, kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be"):
         cls(**kwargs)
 
 
