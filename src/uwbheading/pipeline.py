@@ -63,7 +63,6 @@ def _check(cfg, rule, *names) -> None:
             raise ValueError(f"{name} must be {valid}, got {value!r}")
 
 
-_FINITE = (_finite_number, "a finite number")
 _POSITIVE = (lambda x: _finite_number(x) and x > 0, "a finite number > 0")
 _NON_NEGATIVE = (lambda x: _finite_number(x) and x >= 0, "a finite number >= 0")
 _SEED = (lambda x: _integer(x) and x >= 0, "an integer >= 0")
@@ -71,57 +70,30 @@ _SEED = (lambda x: _integer(x) and x >= 0, "an integer >= 0")
 
 @dataclass
 class GenerateConfig:
-    area_width: float = 4.0
-    area_height: float = 2.0
+    """The CLI's settable generate values. The arena, anchors, antenna
+    pattern, path loss and trajectory profile are `world`'s defaults;
+    library callers pass their own to `world.build_dataset`."""
+
     rate_hz: float = 10.0
     train_duration_s: float = 1800.0
     test_duration_s: float = 300.0
-    train_profile: str = "smooth-random"
-    test_profile: str = "smooth-random"
     seed: int = 0
     range_std: float = 0.10
     rss_std: float = 0.5
     gyro_psd: float = 3e-3
     mag_std: float = 0.05
     rss_quantum: float = 1.0
-    pattern_g0: float = 0.0
-    pattern_a2: float = 4.0
-    pattern_phi2: float = 0.0
-    pattern_a1: float = 2.0
-    pattern_phi1: float = 0.0
-    pathloss_p0: float = -75.0
-    pathloss_d0: float = 1.0
-    pathloss_gamma: float = 1.8
 
     def __post_init__(self):
-        side = 2 * world.TRAJECTORY_MARGIN_M
-        _check(self, (lambda x: _finite_number(x) and x >= side, f"a finite number >= {side}"),
-               "area_width", "area_height")
-        _check(self, _POSITIVE, "rate_hz", "train_duration_s", "test_duration_s",
-               "rss_quantum", "pathloss_d0")
+        _check(self, _POSITIVE, "rate_hz", "train_duration_s", "test_duration_s", "rss_quantum")
         _check(self, _NON_NEGATIVE, "range_std", "rss_std", "gyro_psd", "mag_std")
-        _check(self, _FINITE, "pattern_g0", "pattern_a2", "pattern_phi2", "pattern_a1",
-               "pattern_phi1", "pathloss_p0", "pathloss_gamma")
-        _check(self, (lambda x: x in world.TRAJECTORY_PROFILES,
-                      f"one of {world.TRAJECTORY_PROFILES}"), "train_profile", "test_profile")
         _check(self, _SEED, "seed")
-
-    def area(self) -> world.Rectangle:
-        return world.Rectangle.centered(self.area_width, self.area_height)
-
-    def pattern(self) -> world.AntennaPattern:
-        return world.AntennaPattern(
-            g0=self.pattern_g0,
-            a2=self.pattern_a2,
-            phi2=self.pattern_phi2,
-            a1=self.pattern_a1,
-            phi1=self.pattern_phi1,
-        )
-
-    def path_loss(self) -> world.PathLossModel:
-        return world.PathLossModel(
-            p0=self.pathloss_p0, d0=self.pathloss_d0, gamma=self.pathloss_gamma
-        )
+        # train fits on at least 2 rows and run filters at least 1 epoch
+        for name, least in (("train_duration_s", 2), ("test_duration_s", 1)):
+            epochs = getattr(self, name) * self.rate_hz
+            if not (math.isfinite(epochs) and round(epochs) >= least):
+                raise ValueError(f"{name} * rate_hz must round to a finite count of at least"
+                                 f" {least} epochs, got {epochs!r}")
 
     def noise(self, seed: int) -> world.SensorNoiseConfig:
         return world.SensorNoiseConfig(
@@ -167,21 +139,19 @@ def cmd_generate(cfg: GenerateConfig, out_dir) -> dict:
     """Write train/test datasets with disjoint trajectories in one world."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    area = cfg.area()
+    area, profile = world.DEFAULT_AREA, "smooth-random"
     anchors = world.default_anchors(area)
-    pattern = cfg.pattern()
-    path_loss = cfg.path_loss()
+    pattern, path_loss = world.AntennaPattern(), world.PathLossModel()
     paths = {}
-    for split, duration, profile, traj_seed, noise_seed in (
-        ("train", cfg.train_duration_s, cfg.train_profile, cfg.seed, cfg.seed + 1_000_003),
-        ("test", cfg.test_duration_s, cfg.test_profile, cfg.seed + 1, cfg.seed + 2_000_003),
+    for split, duration, traj_seed, noise_seed in (
+        ("train", cfg.train_duration_s, cfg.seed, cfg.seed + 1_000_003),
+        ("test", cfg.test_duration_s, cfg.seed + 1, cfg.seed + 2_000_003),
     ):
-        traj = world.generate_trajectory(
-            area, duration, cfg.rate_hz, profile=profile, seed=traj_seed
-        )
-        data = world.build_dataset(traj, anchors, pattern, cfg.noise(noise_seed), path_loss)
+        traj = world.generate_trajectory(area, duration, cfg.rate_hz, profile, traj_seed)
+        noise = cfg.noise(noise_seed)
+        data = world.build_dataset(traj, anchors, pattern, noise, path_loss)
         meta = world.world_metadata(
-            area, anchors, pattern, cfg.noise(noise_seed), path_loss,
+            area, anchors, pattern, noise, path_loss,
             seed=traj_seed, duration=duration, rate_hz=cfg.rate_hz, profile=profile,
         )
         path = out_dir / f"{split}.csv"
@@ -531,9 +501,7 @@ def _config_section(path, section) -> dict:
         return {}
     try:
         data = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
         raise ConfigError(f"bad config file {path}: {exc}") from exc
     values = data.get(section, {}) if isinstance(data, dict) else None
     if not isinstance(values, dict):

@@ -43,7 +43,6 @@ __all__ = [
 
 RANGE_FLOOR_M = 0.01
 
-TRAJECTORY_PROFILES = ("smooth-random", "waypoint-loop", "spin-in-place")
 TRAJECTORY_MARGIN_M = 0.05  # gap between a trajectory's sweep and the walls
 
 _DATASET_ANCHORS = 5  # the dataset header has range/RSS columns for this many

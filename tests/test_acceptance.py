@@ -24,10 +24,10 @@ def report(num, desc, ok, detail=""):
 
 def make_world(seed, train_s, test_s, rate, **noise_overrides):
     cfg = pipeline.GenerateConfig(seed=seed, **noise_overrides)
-    area = cfg.area()
+    area = world.DEFAULT_AREA
     anchors = world.default_anchors(area)
-    pattern = cfg.pattern()
-    pl = cfg.path_loss()
+    pattern = world.AntennaPattern()
+    pl = world.PathLossModel()
     out = []
     for duration, traj_seed, noise_seed in (
         (train_s, seed, seed + 1_000_003),

@@ -714,6 +714,8 @@ def test_cli_bad_run_config_is_usage_error(workspace, tmp_path, capsys, key, val
         ("range_std", -0.1), ("rss_std", math.nan), ("gyro_psd", True), ("mag_std", "0.05"),
         ("rss_quantum", 0), ("pattern_a2", "4"), ("pattern_phi1", math.inf),
         ("pathloss_p0", None), ("pathloss_d0", 0), ("pathloss_gamma", True),
+        # epoch counts that generate cannot make, or train (< 2) or run (< 1) cannot use
+        ("rate_hz", 1e308), ("train_duration_s", 0.1), ("test_duration_s", 0.04),
     ],
 )
 def test_cli_bad_generate_config_is_usage_error(tmp_path, capsys, key, value):
@@ -723,6 +725,29 @@ def test_cli_bad_generate_config_is_usage_error(tmp_path, capsys, key, value):
     assert pipeline.main(["generate", "--config", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("area_width", 4.0), ("area_height", 2.0),
+        ("train_profile", "smooth-random"), ("test_profile", "smooth-random"),
+        ("pattern_g0", 0.0), ("pattern_a2", 4.0), ("pattern_phi2", 0.0),
+        ("pattern_a1", 2.0), ("pattern_phi1", 0.0),
+        ("pathloss_p0", -75.0), ("pathloss_d0", 1.0), ("pathloss_gamma", 1.8),
+    ],
+)
+def test_cli_generate_rejects_world_keys(tmp_path, capsys, key, value):
+    """The arena, antenna pattern, path loss and trajectory profile are
+    world's defaults, not generate settings: naming one, even at its
+    default value, is an unknown key."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"generate": {key: value}}))
+    out = tmp_path / "data"
+    assert pipeline.main(["generate", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "unknown GenerateConfig keys" in err and key in err
     assert not out.exists()
 
 
@@ -787,6 +812,11 @@ def _write(text):
     return lambda path: path.write_text(text)
 
 
+def _to_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
 def _drop_hyper(path):
     with np.load(path) as z:
         arrays = {k: z[k] for k in z.files if k != "hyper"}
@@ -833,6 +863,8 @@ def _reshape_array(key, edit):
         ("models/heading_model.json", _write('{"files": {"sin": 1, "cos": 2}}'), 2, "bad model manifest"),
         ("cfg.json", _write("[1, 2]"), 1, "JSON objects"),
         ("cfg.json", _write('{"run": "fast"}'), 1, "JSON objects"),
+        ("cfg.json", lambda p: p.write_bytes(b'{"run": "\xff"}'), 1, "cfg.json: "),
+        ("cfg.json", _to_directory, 1, "cfg.json: "),
     ],
     ids=[
         "truncated-csv", "empty-dataset", "missing-metadata", "corrupt-metadata",
@@ -843,6 +875,7 @@ def _reshape_array(key, edit):
         "gp-sin-nan-y-mean", "gp-sin-nan-std-mean",
         "corrupt-manifest", "manifest-without-files",
         "manifest-files-not-names", "config-not-object", "config-section-not-object",
+        "config-not-utf-8", "config-is-directory",
     ],
 )
 def test_cli_malformed_input_exit_code(workspace, tmp_path, capsys, target, edit, code, message):
