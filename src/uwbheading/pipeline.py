@@ -7,7 +7,9 @@ float-level pass (`iekf.filter_runs`). Traces and report tables are written
 and read, like datasets, by `world.write_table` and `world.read_table`.
 
 Subcommands: generate, train, run, report. Exit codes: 0 success,
-1 usage/config error, 2 data error, 3 numerical failure.
+1 usage/config error, 2 data error, 3 numerical failure. Every input file is
+read through `_read`, which decides what a data error is; any other
+exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -33,11 +35,27 @@ TRACE_COLUMNS = ("t", "run", "error", "three_sigma", "mahalanobis")
 
 
 class DataError(RuntimeError):
-    """Missing or malformed input data."""
+    """An input file that is missing, unreadable or malformed, or dataset
+    rows the GPs cannot fit or predict on."""
 
 
 class NumericalError(RuntimeError):
     """Numerical failure (factorization breakdown, NaN propagation)."""
+
+
+def _read(reader, path, *args):
+    """`reader(path, *args)` for a file the CLI reads. An OSError or
+    ValueError from it means the file is missing, unreadable or malformed: it
+    becomes a DataError that names the file once."""
+    try:
+        return reader(path, *args)
+    except (OSError, ValueError) as exc:
+        why = f"not valid JSON: {exc}" if isinstance(exc, json.JSONDecodeError) else str(exc)
+        raise DataError(why if str(Path(path)) in why else f"{path}: {why}") from exc
+
+
+def _json_file(path):
+    return json.loads(Path(path).read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -45,8 +63,10 @@ class NumericalError(RuntimeError):
 
 
 def _finite_number(x) -> bool:
-    """A finite real number; bools are not numbers here."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    """A real number that is finite as a float (an int beyond the float range
+    is not); bools are not numbers here."""
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
 
 
 def _integer(x) -> bool:
@@ -164,14 +184,14 @@ def cmd_train(dataset_path, cfg: TrainConfig, out_dir) -> heading.HeadingGpPair:
     """Train the sin/cos GP pair and serialize it with a training summary."""
     out_dir = Path(out_dir)
     stamps = [time.perf_counter()]  # stage boundaries: read, fit, save
-    data = world.read_dataset(dataset_path)
-    if len(data) < 2:
-        raise DataError(f"training dataset {dataset_path} has fewer than 2 rows")
+    data = _read(world.read_dataset, dataset_path)
     stamps.append(time.perf_counter())
     try:
         pair = heading.train_heading_gps(data.features, data.gt_heading, cfg)
-    except gp.UnfittableDataError as exc:
+    except (gp.UnfittableDataError, np.linalg.LinAlgError) as exc:
         raise NumericalError(str(exc)) from exc
+    except ValueError as exc:  # fewer than 2 rows, or a spread that overflows the standardizer
+        raise DataError(f"{dataset_path}: the GPs cannot fit its rows: {exc}") from exc
     stamps.append(time.perf_counter())
     pair.save(out_dir)
     stamps.append(time.perf_counter())
@@ -277,24 +297,21 @@ def run_filter(
 
 def _noise_metadata(dataset_path, estimator) -> dict:
     """The dataset's `noise` metadata, with gyro_psd (and mag_std for
-    mag-iekf) checked; DataError if the sidecar file is missing, is not
-    valid JSON, or is not a JSON object with an object `noise`."""
+    mag-iekf) checked; DataError if the sidecar file is missing, unreadable,
+    not valid JSON, or not a JSON object with an object `noise`."""
     path = world.metadata_path(dataset_path)
-    try:
-        meta = world.read_metadata(dataset_path)
-    except FileNotFoundError as exc:
-        raise DataError(f"missing dataset metadata: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    meta = _read(_json_file, path)
     noise = meta.get("noise", {}) if isinstance(meta, dict) else None
     if not isinstance(noise, dict):
         raise DataError(f"{path}: metadata and its noise section must be JSON objects")
     psd = noise.get("gyro_psd")
     if psd is not None and not (_finite_number(psd) and psd > 0):
         raise DataError(f"{path}: gyro_psd must be finite and positive, got {psd!r}")
-    mag_std = noise.get("mag_std")
-    if estimator == "mag-iekf" and not (_finite_number(mag_std) and mag_std >= 0):
-        raise DataError(f"{path}: mag-iekf needs a finite noise.mag_std >= 0, got {mag_std!r}")
+    mag_std = noise.get("mag_std")  # cmd_run squares it into the magnetometer variance
+    ok = _finite_number(mag_std) and mag_std >= 0 and _finite_number(mag_std * mag_std)
+    if estimator == "mag-iekf" and not ok:
+        raise DataError(f"{path}: mag-iekf needs a noise.mag_std >= 0 whose square is finite,"
+                        f" got {mag_std!r}")
     return noise
 
 
@@ -305,7 +322,7 @@ def cmd_run(dataset_path, model_dir, cfg: RunConfig, out_dir) -> dict:
     filters them all.
     """
     stamps = [time.perf_counter()]  # stage boundaries: load, predict, filter, write
-    data = world.read_dataset(dataset_path)
+    data = _read(world.read_dataset, dataset_path)
     if len(data) == 0:
         raise DataError(f"empty dataset: {dataset_path}")
     noise_meta = _noise_metadata(dataset_path, cfg.estimator)
@@ -313,25 +330,22 @@ def cmd_run(dataset_path, model_dir, cfg: RunConfig, out_dir) -> dict:
     if q_c is None:
         raise DataError("q_c not given and dataset metadata lacks gyro_psd")
 
-    pair = None
     mag_var = noise_meta["mag_std"] ** 2 if cfg.estimator == "mag-iekf" else None
-    if cfg.estimator == "gp-iekf":
-        if model_dir is None:
-            raise DataError("gp-iekf requires --models")
-        pair = heading.HeadingGpPair.load(model_dir)
+    if cfg.estimator == "gp-iekf" and model_dir is None:
+        raise DataError("gp-iekf requires --models")
+    pair = _read(heading.HeadingGpPair.load, model_dir) if cfg.estimator == "gp-iekf" else None
     stamps.append(time.perf_counter())
-    measurements = _measurements_for(cfg.estimator, data, pair, mag_var)
+    try:
+        measurements = _measurements_for(cfg.estimator, data, pair, mag_var)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(str(exc)) from exc
+    except ValueError as exc:  # e.g. a range so large that its distances overflow
+        raise DataError(f"{dataset_path}: the GPs cannot predict on its rows: {exc}") from exc
     stamps.append(time.perf_counter())
 
-    thetas0 = []
-    for r in range(cfg.monte_carlo_runs):
-        rng = np.random.default_rng([cfg.seed, r])
-        thetas0.append(
-            so2.wrap_angle(
-                data.gt_heading[0]
-                + math.sqrt(cfg.init_error_var) * rng.standard_normal()
-            )
-        )
+    rngs = (np.random.default_rng([cfg.seed, r]) for r in range(cfg.monte_carlo_runs))
+    init_std = math.sqrt(cfg.init_error_var)
+    thetas0 = [so2.wrap_angle(data.gt_heading[0] + init_std * g.standard_normal()) for g in rngs]
     errs, sigs, mahals = run_filter(
         data, measurements, q_c, thetas0, cfg.init_error_var, gate=cfg.gate
     )
@@ -401,10 +415,7 @@ def _run_estimator(run_dir) -> str:
     is not a JSON object whose `estimator` is one of ESTIMATORS (the name
     goes into report file names)."""
     path = Path(run_dir) / "metrics.json"
-    try:
-        metrics = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: not valid JSON: {exc}") from exc
+    metrics = _read(_json_file, path)
     est = metrics.get("estimator") if isinstance(metrics, dict) else None
     if est not in ESTIMATORS:
         raise DataError(f"{path}: must be a JSON object whose estimator is one of"
@@ -419,7 +430,7 @@ def _load_traces(run_dir):
     `cmd_run` writes them."""
     est = _run_estimator(run_dir)
     path = Path(run_dir) / "traces.csv"
-    raw = world.read_table(path, TRACE_COLUMNS)
+    raw = _read(world.read_table, path, TRACE_COLUMNS)
     t = np.unique(raw[:, 0])
     runs = len(raw) // t.size if t.size else 0
     if runs < 1 or len(raw) != runs * t.size:
@@ -435,8 +446,6 @@ def cmd_report(run_dirs, out_dir) -> list[Path]:
     """Aggregate run traces, one run dir per estimator, into plot-data files."""
     loaded, dir_of = [], {}
     for d in run_dirs:
-        if not (Path(d) / "traces.csv").exists():
-            raise DataError(f"missing traces in {d}")
         loaded.append(_load_traces(d))
         est = loaded[-1][0]
         if est in dir_of:
@@ -500,7 +509,7 @@ def _config_section(path, section) -> dict:
     if path is None:
         return {}
     try:
-        data = json.loads(Path(path).read_text())
+        data = _json_file(path)
     except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
         raise ConfigError(f"bad config file {path}: {exc}") from exc
     values = data.get(section, {}) if isinstance(data, dict) else None
@@ -599,7 +608,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, FileNotFoundError, ValueError) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -1,8 +1,11 @@
 import hashlib
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -528,6 +531,18 @@ def test_cli_report_rejects_malformed_traces(run_dirs, tmp_path, capsys, target,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target", ["metrics.json", "traces.csv"])
+def test_cli_report_input_is_directory(run_dirs, tmp_path, capsys, target):
+    d = tmp_path / "run"
+    shutil.copytree(run_dirs["mag-iekf"], d)
+    _to_directory(d / target)
+    out = tmp_path / "report"
+    assert pipeline.main(["report", "--runs-dirs", str(d), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and str(d / target) in err
+    assert not out.exists()
+
+
 def test_cli_report_rejects_two_runs_of_one_estimator(run_dirs, tmp_path, capsys):
     dirs = [str(run_dirs["deadreckon"]), str(run_dirs["mag-iekf"]), str(tmp_path / "again")]
     shutil.copytree(run_dirs["mag-iekf"], dirs[2])
@@ -646,6 +661,82 @@ def test_cli_bad_dataset_row_is_data_error(workspace, tmp_path, capsys, column, 
     world.metadata_path(bad).write_text(world.metadata_path(src).read_text())
     assert pipeline.main(command + ["--dataset", str(bad), "--out", str(tmp_path / "out")]) == 2
     assert "line 4" in capsys.readouterr().err
+
+
+def test_cli_train_dataset_is_directory(tmp_path, capsys):
+    dataset = tmp_path / "train.csv"
+    dataset.mkdir()
+    out = tmp_path / "models"
+    assert pipeline.main(["train", "--dataset", str(dataset), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and str(dataset) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, value", [("train", "1e300"), ("run", "1.7e308")])
+def test_cli_overflowing_range_is_data_error(workspace, tmp_path, capsys, command, value):
+    """A finite range so large that the standardizer's spread (train) or the
+    query distances (run) overflow: dataset rows the GPs cannot fit or
+    predict on, a data error that names the dataset."""
+    src = workspace / "data" / "test.csv"
+    lines = src.read_text().splitlines()
+    col = world.DATASET_COLUMNS.index("range_0")
+    cells = lines[3].split(",")
+    cells[col] = value
+    lines[3] = ",".join(cells)
+    bad = tmp_path / "test.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    world.metadata_path(bad).write_text(world.metadata_path(src).read_text())
+    argv = [command, "--dataset", str(bad), "--out", str(tmp_path / "out")]
+    if command == "run":
+        argv += ["--estimator", "gp-iekf", "--runs", "1", "--models", str(workspace / "models")]
+    assert pipeline.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and str(bad) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_bug_is_not_a_data_error(workspace, tmp_path, monkeypatch):
+    """A ValueError that no input explains is a bug: main lets it propagate
+    instead of reporting a data error."""
+    def broken(*args):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(iekf, "filter_runs", broken)
+    argv = ["run", "--estimator", "deadreckon", "--runs", "1",
+            "--dataset", str(workspace / "data" / "test.csv"), "--out", str(tmp_path / "r")]
+    with pytest.raises(ValueError, match="bug"):
+        pipeline.main(argv)
+
+
+@pytest.mark.parametrize("command", ["train", "run"])
+def test_cli_linalg_error_is_numerical_failure(workspace, tmp_path, capsys, monkeypatch, command):
+    """A LinAlgError, though a ValueError, from the fit or the prediction is
+    a numerical failure (exit 3), not a data error."""
+    def breakdown(*args, **kwargs):
+        raise np.linalg.LinAlgError("dtrtrs failed with info=3")
+
+    name = "train_heading_gps" if command == "train" else "predict_pseudo_trig_arrays"
+    monkeypatch.setattr(heading, name, breakdown)
+    argv = [command, "--dataset", str(workspace / "data" / "test.csv"), "--out", str(tmp_path / "o")]
+    if command == "run":
+        argv += ["--runs", "1", "--models", str(workspace / "models")]
+    assert pipeline.main(argv) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_without_runpy_warning():
+    """`python -m uwbheading.pipeline` runs without runpy's warning that
+    importing the package already loaded the module."""
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning:runpy", "-m", "uwbheading.pipeline",
+         "--help"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_exit_codes(tmp_path):
@@ -788,12 +879,18 @@ def _set_noise(key, value):
         ("mag-iekf", _set_noise("mag_std", "0.05"), 3e-3, "mag_std"),
         ("mag-iekf", _set_noise("mag_std", math.nan), 3e-3, "mag_std"),
         ("mag-iekf", _set_noise("mag_std", True), 3e-3, "mag_std"),
+        # squared into the magnetometer variance, these overflow a float
+        ("mag-iekf", _set_noise("mag_std", 1e200), 3e-3, "mag_std"),
+        ("mag-iekf", _set_noise("mag_std", 10**200), 3e-3, "mag_std"),
+        # an integer beyond the float range
+        ("deadreckon", _set_noise("gyro_psd", 10**400), None, "gyro_psd"),
         ("mag-iekf", None, 3e-3, "meta.json"),
         ("deadreckon", None, 3e-3, "meta.json"),
     ],
     ids=[
         "negative-psd", "zero-psd", "nan-psd", "inf-psd", "string-psd", "no-psd", "bool-psd",
         "mag-without-mag-std", "string-mag-std", "nan-mag-std", "bool-mag-std",
+        "huge-mag-std", "huge-int-mag-std", "huge-int-psd",
         "mag-without-metadata",
         "deadreckon-without-metadata",
     ],
@@ -838,12 +935,14 @@ def _reshape_array(key, edit):
     [
         ("data/test.csv", lambda p: p.write_text(p.read_text().rsplit(",", 1)[0]), 2, "row width"),
         ("data/test.csv", _write(",".join(world.DATASET_COLUMNS) + "\n"), 2, "empty dataset"),
+        ("data/test.csv", _to_directory, 2, "data/test.csv"),
         ("data/test.meta.json", Path.unlink, 2, "test.meta.json"),
         ("data/test.meta.json", _write("{"), 2, "test.meta.json"),
         ("data/test.meta.json", _write("[]"), 2, "JSON objects"),
         ("data/test.meta.json", _write('{"noise": 3}'), 2, "JSON objects"),
         ("models/gp_sin.npz", Path.unlink, 2, "gp_sin.npz"),
         ("models/gp_sin.npz", lambda p: p.write_bytes(p.read_bytes()[:200]), 2, "gp_sin.npz"),
+        ("models/gp_sin.npz", _to_directory, 2, "models/gp_sin.npz"),
         ("models/gp_sin.npz", _drop_hyper, 2, "gp_sin.npz"),
         ("models/gp_sin.npz", _reshape_array("hyper", lambda h: h[:2]), 2, "gp_sin.npz"),
         ("models/gp_sin.npz", _reshape_array("hyper", lambda h: np.append(h, 1.0)), 2, "gp_sin.npz"),
@@ -867,9 +966,10 @@ def _reshape_array(key, edit):
         ("cfg.json", _to_directory, 1, "cfg.json: "),
     ],
     ids=[
-        "truncated-csv", "empty-dataset", "missing-metadata", "corrupt-metadata",
-        "metadata-not-object",
-        "noise-not-object", "missing-gp-sin", "truncated-gp-sin", "gp-sin-without-hyper",
+        "truncated-csv", "empty-dataset", "dataset-is-directory", "missing-metadata",
+        "corrupt-metadata", "metadata-not-object",
+        "noise-not-object", "missing-gp-sin", "truncated-gp-sin", "gp-sin-is-directory",
+        "gp-sin-without-hyper",
         "gp-sin-two-hyper", "gp-sin-four-hyper", "gp-sin-2d-hyper", "gp-sin-text-hyper",
         "gp-sin-vector-y-mean", "gp-sin-1d-x", "gp-sin-short-std-mean", "gp-sin-negative-hyper",
         "gp-sin-nan-y-mean", "gp-sin-nan-std-mean",
