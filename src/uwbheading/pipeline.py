@@ -43,6 +43,10 @@ class NumericalError(RuntimeError):
     """Numerical failure (factorization breakdown, NaN propagation)."""
 
 
+class ConfigError(RuntimeError):
+    """A bad flag, config value or output path: a usage error."""
+
+
 def _read(reader, path, *args):
     """`reader(path, *args)` for a file the CLI reads. An OSError or
     ValueError from it means the file is missing, unreadable or malformed: it
@@ -91,8 +95,8 @@ _SEED = (lambda x: _integer(x) and x >= 0, "an integer >= 0")
 @dataclass
 class GenerateConfig:
     """The CLI's settable generate values. The arena, anchors, antenna
-    pattern, path loss and trajectory profile are `world`'s defaults;
-    library callers pass their own to `world.build_dataset`."""
+    pattern and path loss are `world`'s defaults; library callers pass
+    their own to `world.build_dataset`."""
 
     rate_hz: float = 10.0
     train_duration_s: float = 1800.0
@@ -159,7 +163,7 @@ def cmd_generate(cfg: GenerateConfig, out_dir) -> dict:
     """Write train/test datasets with disjoint trajectories in one world."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    area, profile = world.DEFAULT_AREA, "smooth-random"
+    area = world.DEFAULT_AREA
     anchors = world.default_anchors(area)
     pattern, path_loss = world.AntennaPattern(), world.PathLossModel()
     paths = {}
@@ -167,12 +171,12 @@ def cmd_generate(cfg: GenerateConfig, out_dir) -> dict:
         ("train", cfg.train_duration_s, cfg.seed, cfg.seed + 1_000_003),
         ("test", cfg.test_duration_s, cfg.seed + 1, cfg.seed + 2_000_003),
     ):
-        traj = world.generate_trajectory(area, duration, cfg.rate_hz, profile, traj_seed)
+        traj = world.generate_trajectory(area, duration, cfg.rate_hz, traj_seed)
         noise = cfg.noise(noise_seed)
         data = world.build_dataset(traj, anchors, pattern, noise, path_loss)
         meta = world.world_metadata(
             area, anchors, pattern, noise, path_loss,
-            seed=traj_seed, duration=duration, rate_hz=cfg.rate_hz, profile=profile,
+            seed=traj_seed, duration=duration, rate_hz=cfg.rate_hz,
         )
         path = out_dir / f"{split}.csv"
         world.write_dataset(path, data, meta)
@@ -332,7 +336,7 @@ def cmd_run(dataset_path, model_dir, cfg: RunConfig, out_dir) -> dict:
 
     mag_var = noise_meta["mag_std"] ** 2 if cfg.estimator == "mag-iekf" else None
     if cfg.estimator == "gp-iekf" and model_dir is None:
-        raise DataError("gp-iekf requires --models")
+        raise ConfigError("gp-iekf requires --models")
     pair = _read(heading.HeadingGpPair.load, model_dir) if cfg.estimator == "gp-iekf" else None
     stamps.append(time.perf_counter())
     try:
@@ -518,10 +522,6 @@ def _config_section(path, section) -> dict:
     return values
 
 
-class ConfigError(RuntimeError):
-    pass
-
-
 def _build(cls, file_values: dict, overrides: dict):
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = set(file_values) - names
@@ -533,6 +533,14 @@ def _build(cls, file_values: dict, overrides: dict):
         return cls(**merged)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _check_out(out) -> None:
+    """ConfigError unless `out` is a directory or can be made one: the
+    nearest existing path or link among it and its parents is a directory."""
+    existing = next(p for p in (Path(out), *Path(out).parents) if p.exists() or p.is_symlink())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {out}: {existing} is not a directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -572,6 +580,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_out(args.out)
         if args.command == "generate":
             cfg = _build(
                 GenerateConfig, _config_section(args.config, "generate"),

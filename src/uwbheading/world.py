@@ -76,11 +76,11 @@ class Rectangle:
             [(self.xmin + self.xmax) / 2.0, (self.ymin + self.ymax) / 2.0]
         )
 
-    def contains(self, p, slack: float = 1e-9) -> np.ndarray:
-        """Whether each point of an (..., 2) array lies inside, within slack."""
+    def contains(self, p) -> np.ndarray:
+        """Whether each point of an (..., 2) array lies inside, within 1e-9."""
         p = np.asarray(p, dtype=float)
-        lo = np.array([self.xmin, self.ymin]) - slack
-        hi = np.array([self.xmax, self.ymax]) + slack
+        lo = np.array([self.xmin, self.ymin]) - 1e-9
+        hi = np.array([self.xmax, self.ymax]) + 1e-9
         return np.all((lo <= p) & (p <= hi), axis=-1)
 
 
@@ -100,9 +100,9 @@ class Anchor:
         object.__setattr__(self, "position", p)
 
 
-def default_anchors(area: Rectangle = DEFAULT_AREA, margin: float = 0.3) -> list[Anchor]:
-    """Five anchors: four just outside the corners, one past the mid +x wall."""
-    dx, dy = margin, margin
+def default_anchors(area: Rectangle = DEFAULT_AREA) -> list[Anchor]:
+    """Five anchors: four 0.3 m outside the corners, one past the mid +y wall."""
+    dx, dy = 0.3, 0.3
     return [
         Anchor(0, (area.xmin - dx, area.ymin - dy)),
         Anchor(1, (area.xmax + dx, area.ymin - dy)),
@@ -119,8 +119,7 @@ class AntennaPattern:
     Parametric form: g(phi) = g0 + a2*cos(2(phi - phi2)) + a1*cos(phi - phi1).
     A pure two-lobe pattern (a1 = 0) is pi-symmetric and leaves heading
     observable only mod pi, so the default mixes in a single-lobe term while
-    keeping the peak-to-trough spread near 10 dBi. A measured gain table
-    (periodic linear interpolation) may be supplied instead.
+    keeping the peak-to-trough spread near 10 dBi.
     """
 
     g0: float = 0.0
@@ -128,28 +127,14 @@ class AntennaPattern:
     phi2: float = 0.0
     a1: float = 2.0  # single-lobe amplitude, dBi
     phi1: float = 0.0
-    table: np.ndarray | None = None  # (k, 2) of (bearing rad, gain dBi)
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.g0, self.a2, self.phi2, self.a1, self.phi1)):
             raise ValueError("antenna pattern g0, a2, phi2, a1 and phi1 must be finite")
-        if self.table is not None:
-            t = np.asarray(self.table, dtype=float)
-            if t.ndim != 2 or t.shape[1] != 2 or not np.all(np.isfinite(t)):
-                raise ValueError("gain table must be a finite (k, 2) array")
-            t = t[np.argsort(t[:, 0])]
-            object.__setattr__(self, "table", t)
 
     def gain(self, phi) -> np.ndarray:
         """Gain at relative bearing(s) phi; 2*pi periodic."""
         phi = np.asarray(phi, dtype=float)
-        if self.table is not None:
-            xp = self.table[:, 0]
-            fp = self.table[:, 1]
-            # close the period so interpolation wraps
-            xp = np.concatenate([xp, [xp[0] + 2 * math.pi]])
-            fp = np.concatenate([fp, [fp[0]]])
-            return np.interp(np.mod(phi - xp[0], 2 * math.pi) + xp[0], xp, fp)
         return (
             self.g0
             + self.a2 * np.cos(2.0 * (phi - self.phi2))
@@ -269,17 +254,10 @@ class Dataset:
 
 
 def generate_trajectory(
-    area: Rectangle,
-    duration: float,
-    rate_hz: float,
-    profile: str = "smooth-random",
-    seed: int = 0,
+    area: Rectangle, duration: float, rate_hz: float, seed: int = 0
 ) -> Trajectory:
-    """Sample a ground-truth trajectory confined to ``area``.
-
-    Profiles: smooth-random (drifting heading, quasi-random position sweep),
-    waypoint-loop (elliptic loop with tangent heading), spin-in-place.
-    """
+    """Sample a smooth-random ground-truth trajectory confined to ``area``:
+    a drifting heading and a quasi-random position sweep."""
     if not (duration > 0 and rate_hz > 0 and duration * rate_hz < math.inf):
         raise ValueError("duration and rate must be positive, with a finite product")
     rng = np.random.default_rng(seed)
@@ -291,42 +269,23 @@ def generate_trajectory(
     if min(ax, ay) < 0:
         raise ValueError(f"area sides must be at least {2 * TRAJECTORY_MARGIN_M} m")
 
-    if profile == "spin-in-place":
-        omega = 2.5 * 2 * math.pi / duration  # >= 2 full revolutions
-        pos = np.tile(area.center, (n, 1))
-        heading = omega * t
-        rate = np.full(n, omega)
-    elif profile == "smooth-random":
-        # heading: slow drift plus low-frequency sinusoids; the analytic rate
-        # keeps finite-difference consistency below 1e-6 rad/s at 100 Hz
-        drift = rng.choice([-1.0, 1.0]) * rng.uniform(0.15, 0.25)
-        amps = rng.uniform(0.2, 0.5, size=3)
-        freqs = rng.uniform(0.05, 0.25, size=3)
-        phases = rng.uniform(0.0, 2 * math.pi, size=3)
-        theta0 = rng.uniform(-math.pi, math.pi)
-        arg = np.outer(t, freqs) + phases
-        heading = theta0 + drift * t + np.sum(amps * np.sin(arg), axis=-1)
-        rate = drift + np.sum(amps * freqs * np.cos(arg), axis=-1)
-        # quasi-random bounded position sweep: two incommensurate sinusoids
-        # per axis with amplitude budget inside the area
-        nu = rng.uniform(0.03, 0.12, size=4)
-        ph = rng.uniform(0.0, 2 * math.pi, size=4)
-        x = cx + ax * (0.6 * np.sin(nu[0] * t + ph[0]) + 0.4 * np.sin(nu[1] * t + ph[1]))
-        y = cy + ay * (0.6 * np.sin(nu[2] * t + ph[2]) + 0.4 * np.sin(nu[3] * t + ph[3]))
-        pos = np.column_stack([x, y])
-    elif profile == "waypoint-loop":
-        loops = max(2.0, duration / 60.0)
-        psi0 = rng.uniform(0.0, 2 * math.pi)
-        psi_rate = loops * 2 * math.pi / duration
-        psi = psi0 + psi_rate * t
-        rx, ry = 0.9 * ax, 0.9 * ay
-        pos = np.column_stack([cx + rx * np.cos(psi), cy + ry * np.sin(psi)])
-        vx, vy = -rx * np.sin(psi) * psi_rate, ry * np.cos(psi) * psi_rate
-        axx, ayy = -rx * np.cos(psi) * psi_rate**2, -ry * np.sin(psi) * psi_rate**2
-        heading = np.unwrap(np.arctan2(vy, vx))
-        rate = (vx * ayy - vy * axx) / (vx**2 + vy**2)
-    else:
-        raise ValueError(f"unknown trajectory profile: {profile}")
+    # heading: slow drift plus low-frequency sinusoids; the analytic rate
+    # keeps finite-difference consistency below 1e-6 rad/s at 100 Hz
+    drift = rng.choice([-1.0, 1.0]) * rng.uniform(0.15, 0.25)
+    amps = rng.uniform(0.2, 0.5, size=3)
+    freqs = rng.uniform(0.05, 0.25, size=3)
+    phases = rng.uniform(0.0, 2 * math.pi, size=3)
+    theta0 = rng.uniform(-math.pi, math.pi)
+    arg = np.outer(t, freqs) + phases
+    heading = theta0 + drift * t + np.sum(amps * np.sin(arg), axis=-1)
+    rate = drift + np.sum(amps * freqs * np.cos(arg), axis=-1)
+    # quasi-random bounded position sweep: two incommensurate sinusoids
+    # per axis with amplitude budget inside the area
+    nu = rng.uniform(0.03, 0.12, size=4)
+    ph = rng.uniform(0.0, 2 * math.pi, size=4)
+    x = cx + ax * (0.6 * np.sin(nu[0] * t + ph[0]) + 0.4 * np.sin(nu[1] * t + ph[1]))
+    y = cy + ay * (0.6 * np.sin(nu[2] * t + ph[2]) + 0.4 * np.sin(nu[3] * t + ph[3]))
+    pos = np.column_stack([x, y])
 
     if not area.contains(pos).all():
         raise AssertionError("trajectory escaped the area")
@@ -515,8 +474,8 @@ def world_metadata(
     seed: int,
     duration: float,
     rate_hz: float,
-    profile: str,
 ) -> dict:
+    # "table" and "profile" are constants, kept so that sidecars stay byte-identical
     return {
         "area": [area.xmin, area.xmax, area.ymin, area.ymax],
         "anchors": [{"id": a.id, "position": a.position.tolist()} for a in anchors],
@@ -526,13 +485,13 @@ def world_metadata(
             "phi2": pattern.phi2,
             "a1": pattern.a1,
             "phi1": pattern.phi1,
-            "table": None if pattern.table is None else pattern.table.tolist(),
+            "table": None,
         },
         "path_loss": asdict(path_loss),
         "noise": asdict(cfg),
         "seed": seed,
         "duration_s": duration,
         "rate_hz": rate_hz,
-        "profile": profile,
+        "profile": "smooth-random",
         "columns": DATASET_COLUMNS,
     }

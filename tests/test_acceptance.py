@@ -33,7 +33,7 @@ def make_world(seed, train_s, test_s, rate, **noise_overrides):
         (train_s, seed, seed + 1_000_003),
         (test_s, seed + 1, seed + 2_000_003),
     ):
-        traj = world.generate_trajectory(area, duration, rate, "smooth-random", traj_seed)
+        traj = world.generate_trajectory(area, duration, rate, traj_seed)
         out.append(world.build_dataset(traj, anchors, pattern, cfg.noise(noise_seed), pl))
     return out  # [train_records, test_records]
 

@@ -134,7 +134,7 @@ def test_train_rejects_tiny_dataset(tmp_path):
 
 def clean_records(duration=30.0, rate=50.0, seed=0):
     area = world.DEFAULT_AREA
-    traj = world.generate_trajectory(area, duration, rate, "smooth-random", seed=seed)
+    traj = world.generate_trajectory(area, duration, rate, seed=seed)
     noise = world.SensorNoiseConfig(
         range_std=0.0, rss_std=0.0, gyro_psd=1e-12, mag_std=0.0,
         rss_quantum=1e-9, seed=seed,
@@ -758,6 +758,51 @@ def test_cli_exit_codes(tmp_path):
     ) == 2
 
 
+@pytest.mark.parametrize("kind", ["file", "under-file", "dangling-link"])
+@pytest.mark.parametrize("command", ["generate", "train", "run", "report"])
+def test_cli_unusable_out_is_usage_error(
+    workspace, run_dirs, tmp_path, capsys, monkeypatch, command, kind
+):
+    """An --out that is a file, lies under one, or is a link to nowhere
+    exits 1 naming that path before the command does any work; the path is
+    left as it was."""
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(heading, "train_heading_gps", must_not_run)
+    monkeypatch.setattr(pipeline, "run_filter", must_not_run)
+    blocker = tmp_path / "blocker"
+    if kind == "dangling-link":
+        blocker.symlink_to(tmp_path / "nowhere")
+    else:
+        blocker.write_text("keep\n")
+    out = blocker / "sub" / "deeper" if kind == "under-file" else blocker
+    data = str(workspace / "data" / "test.csv")
+    argv = {
+        "generate": ["generate"],
+        "train": ["train", "--dataset", data],
+        "run": ["run", "--dataset", data, "--runs", "1", "--models", str(workspace / "models")],
+        "report": ["report", "--runs-dirs", *map(str, run_dirs.values())],
+    }[command] + ["--out", str(out)]
+    assert pipeline.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{blocker} is not a directory" in err
+    if kind == "dangling-link":
+        assert blocker.is_symlink() and not (tmp_path / "nowhere").exists()
+    else:
+        assert blocker.read_text() == "keep\n"
+
+
+def test_cli_gp_iekf_without_models_is_usage_error(workspace, tmp_path, capsys):
+    out = tmp_path / "r"
+    argv = ["run", "--dataset", str(workspace / "data" / "test.csv"), "--runs", "1",
+            "--out", str(out)]
+    assert pipeline.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "requires --models" in err
+    assert not out.exists()
+
+
 def copy_dataset(workspace, tmp_path, edit_meta=None):
     """The test split copied into tmp_path; `edit_meta(meta)` edits its
     metadata, None drops the metadata file."""
@@ -800,11 +845,8 @@ def test_cli_bad_run_config_is_usage_error(workspace, tmp_path, capsys, key, val
         ("seed", "x"), ("seed", True), ("seed", -1), ("seed", 0.5),
         ("rate_hz", -1), ("rate_hz", 0), ("rate_hz", math.inf), ("rate_hz", True),
         ("train_duration_s", 0), ("test_duration_s", "300"),
-        ("train_profile", "zigzag"), ("test_profile", None),
-        ("area_width", 0.05), ("area_height", -2.0), ("area_width", False),
         ("range_std", -0.1), ("rss_std", math.nan), ("gyro_psd", True), ("mag_std", "0.05"),
-        ("rss_quantum", 0), ("pattern_a2", "4"), ("pattern_phi1", math.inf),
-        ("pathloss_p0", None), ("pathloss_d0", 0), ("pathloss_gamma", True),
+        ("rss_quantum", 0),
         # epoch counts that generate cannot make, or train (< 2) or run (< 1) cannot use
         ("rate_hz", 1e308), ("train_duration_s", 0.1), ("test_duration_s", 0.04),
     ],

@@ -63,23 +63,15 @@ def head(traj, k):
 # --- trajectories -----------------------------------------------------------------
 
 
-def test_spin_in_place_covers_two_revolutions():
-    traj = world.generate_trajectory(AREA, 120.0, 10.0, "spin-in-place", seed=3)
-    assert np.ptp(traj.position, axis=0).max() == 0.0
-    total = traj.heading[-1] - traj.heading[0]
-    assert total >= 2 * 2 * math.pi
-
-
 def test_trajectory_deterministic_per_seed():
-    a = world.generate_trajectory(AREA, 30.0, 10.0, "smooth-random", seed=5)
-    b = world.generate_trajectory(AREA, 30.0, 10.0, "smooth-random", seed=5)
+    a = world.generate_trajectory(AREA, 30.0, 10.0, seed=5)
+    b = world.generate_trajectory(AREA, 30.0, 10.0, seed=5)
     for column in ("t", "position", "heading", "rate"):
         assert getattr(a, column).tobytes() == getattr(b, column).tobytes()
 
 
-@pytest.mark.parametrize("profile", ["smooth-random", "waypoint-loop", "spin-in-place"])
-def test_trajectory_confined_and_continuous(profile):
-    traj = world.generate_trajectory(AREA, 60.0, 10.0, profile, seed=1)
+def test_trajectory_confined_and_continuous():
+    traj = world.generate_trajectory(AREA, 60.0, 10.0, seed=1)
     n = len(traj.t)
     assert traj.position.shape == (n, 2)
     assert traj.heading.shape == traj.rate.shape == (n,)
@@ -89,7 +81,7 @@ def test_trajectory_confined_and_continuous(profile):
 
 
 def test_smooth_random_rate_consistency_at_100hz():
-    traj = world.generate_trajectory(AREA, 20.0, 100.0, "smooth-random", seed=2)
+    traj = world.generate_trajectory(AREA, 20.0, 100.0, seed=2)
     h, r = traj.heading, traj.rate
     central = (h[2:] - h[:-2]) * 100.0 / 2.0
     assert np.abs(central - r[1:-1]).max() < 1e-6
@@ -97,9 +89,7 @@ def test_smooth_random_rate_consistency_at_100hz():
 
 def test_trajectory_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        world.generate_trajectory(AREA, -1.0, 10.0, "smooth-random", 0)
-    with pytest.raises(ValueError):
-        world.generate_trajectory(AREA, 10.0, 10.0, "zigzag", 0)
+        world.generate_trajectory(AREA, -1.0, 10.0, 0)
     with pytest.raises(ValueError):
         world.Rectangle(0.0, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="area sides"):
@@ -187,11 +177,7 @@ def records_bit_equal(a, b):
 
 
 _std = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
-_table = st.lists(
-    st.tuples(st.floats(-math.pi, math.pi), st.floats(-6.0, 6.0)),
-    min_size=1, max_size=6, unique_by=lambda row: row[0],
-).map(lambda rows: world.AntennaPattern(table=np.array(rows)))
-_formula = st.builds(
+_pattern = st.builds(
     world.AntennaPattern,
     a2=st.floats(0.0, 6.0), phi2=st.floats(-math.pi, math.pi),
     a1=st.floats(0.0, 3.0), phi1=st.floats(-math.pi, math.pi),
@@ -200,12 +186,11 @@ _formula = st.builds(
 
 @settings(max_examples=60, deadline=None)
 @given(
-    profile=st.sampled_from(["smooth-random", "waypoint-loop", "spin-in-place"]),
     traj_seed=st.integers(0, 2**16),
     size=st.sampled_from(["empty", "one", "many"]),
     duration=st.floats(1.0, 8.0),
     rate_hz=st.sampled_from([2.0, 5.0, 10.0]),
-    pattern=st.one_of(_formula, _table),
+    pattern=_pattern,
     range_std=_std, rss_std=_std, gyro_psd=_std, mag_std=_std,
     rss_quantum=st.sampled_from([1e-9, 0.1, 1.0]),
     # (where along the trajectory the disc is centred, radius, bias)
@@ -216,10 +201,10 @@ _formula = st.builds(
     anchor_order=st.permutations(range(5)),
 )
 def test_build_dataset_matches_per_epoch_reference(
-    profile, traj_seed, size, duration, rate_hz, pattern, range_std, rss_std,
+    traj_seed, size, duration, rate_hz, pattern, range_std, rss_std,
     gyro_psd, mag_std, rss_quantum, disturbance, noise_seed, anchor_order,
 ):
-    traj = world.generate_trajectory(AREA, duration, rate_hz, profile, seed=traj_seed)
+    traj = world.generate_trajectory(AREA, duration, rate_hz, seed=traj_seed)
     traj = head(traj, {"empty": 0, "one": 1, "many": len(traj.t)}[size])
     n = len(traj.t)
     dist = {}
@@ -316,14 +301,6 @@ def test_rss_world_rotation_invariance():
         (v0,) = build([pose(heading=0.3)], [a0], cfg)
         (v1,) = build([pose(heading=0.3 + shift)], [a1], cfg)
         assert v0.rss[0] == pytest.approx(v1.rss[0], abs=1e-9)
-
-
-def test_rss_gain_table_interpolation_is_periodic():
-    table = np.array([[-math.pi, 1.0], [0.0, 3.0], [math.pi / 2, -1.0]])
-    pattern = world.AntennaPattern(table=table)
-    assert float(pattern.gain(0.0)) == pytest.approx(3.0)
-    assert float(pattern.gain(2 * math.pi)) == pytest.approx(3.0, abs=1e-9)
-    assert float(pattern.gain(-math.pi)) == pytest.approx(float(pattern.gain(math.pi)), abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -423,7 +400,7 @@ def test_mag_localized_disturbance():
 
 
 def test_build_dataset_counts_and_determinism():
-    traj = world.generate_trajectory(AREA, 20.0, 10.0, "smooth-random", seed=0)
+    traj = world.generate_trajectory(AREA, 20.0, 10.0, seed=0)
     recs1 = world.build_dataset(traj, ANCHORS, PATTERN, world.SensorNoiseConfig(seed=1))
     recs2 = world.build_dataset(traj, ANCHORS, PATTERN, world.SensorNoiseConfig(seed=1))
     recs3 = world.build_dataset(traj, ANCHORS, PATTERN, world.SensorNoiseConfig(seed=2))
@@ -438,19 +415,18 @@ def test_build_dataset_counts_and_determinism():
 
 
 def test_build_dataset_rejects_duplicate_anchor_ids():
-    traj = world.generate_trajectory(AREA, 1.0, 10.0, "smooth-random", seed=0)
+    traj = world.generate_trajectory(AREA, 1.0, 10.0, seed=0)
     bad = [world.Anchor(0, (0.0, 0.0)), world.Anchor(0, (1.0, 0.0))]
     with pytest.raises(ValueError):
         world.build_dataset(traj, bad, PATTERN, world.SensorNoiseConfig(seed=0))
 
 
 def test_dataset_file_round_trip(tmp_path):
-    traj = world.generate_trajectory(AREA, 10.0, 10.0, "smooth-random", seed=0)
+    traj = world.generate_trajectory(AREA, 10.0, 10.0, seed=0)
     recs = world.build_dataset(traj, ANCHORS, PATTERN, world.SensorNoiseConfig(seed=1))
     meta = world.world_metadata(
         AREA, ANCHORS, PATTERN, world.SensorNoiseConfig(seed=1),
         world.PathLossModel(), seed=0, duration=10.0, rate_hz=10.0,
-        profile="smooth-random",
     )
     path = tmp_path / "data.csv"
     world.write_dataset(path, recs, meta)
@@ -463,7 +439,7 @@ def test_dataset_file_round_trip(tmp_path):
 
 
 def test_dataset_write_is_byte_identical(tmp_path):
-    traj = world.generate_trajectory(AREA, 5.0, 10.0, "smooth-random", seed=0)
+    traj = world.generate_trajectory(AREA, 5.0, 10.0, seed=0)
     recs = world.build_dataset(traj, ANCHORS, PATTERN, world.SensorNoiseConfig(seed=1))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     world.write_dataset(p1, recs)
@@ -472,7 +448,7 @@ def test_dataset_write_is_byte_identical(tmp_path):
 
 
 def test_write_dataset_rejects_other_anchor_counts(tmp_path):
-    traj = world.generate_trajectory(AREA, 2.0, 10.0, "smooth-random", seed=0)
+    traj = world.generate_trajectory(AREA, 2.0, 10.0, seed=0)
     recs = world.build_dataset(traj, ANCHORS[:3], PATTERN, world.SensorNoiseConfig(seed=1))
     path = tmp_path / "three.csv"
     with pytest.raises(ValueError, match="5 anchors"):
@@ -505,7 +481,7 @@ def test_read_dataset_checks_row_width_and_tokens(tmp_path):
 
 
 def written_dataset(tmp_path):
-    traj = world.generate_trajectory(AREA, 20.0, 10.0, "smooth-random", seed=4)
+    traj = world.generate_trajectory(AREA, 20.0, 10.0, seed=4)
     data = world.build_dataset(traj, ANCHORS, PATTERN, world.SensorNoiseConfig(seed=5))
     path = tmp_path / "data.csv"
     world.write_dataset(path, data)
@@ -616,14 +592,14 @@ def test_zero_noise_dataset_supports_heading_regression():
     # end-to-end sanity: clean world -> GP -> heading RMSE far below chance
     from uwbheading import gp, heading
 
-    traj = world.generate_trajectory(AREA, 400.0, 5.0, "smooth-random", seed=0)
+    traj = world.generate_trajectory(AREA, 400.0, 5.0, seed=0)
     recs = world.build_dataset(traj, ANCHORS, PATTERN, quiet(seed=1))
     feats = np.array([r.feature_vector() for r in recs])
     gts = np.array([r.gt_heading for r in recs])
     pair = heading.train_heading_gps(
         feats, gts, gp.HyperparamSearchConfig(max_points=400)
     )
-    traj2 = world.generate_trajectory(AREA, 60.0, 5.0, "smooth-random", seed=1)
+    traj2 = world.generate_trajectory(AREA, 60.0, 5.0, seed=1)
     recs2 = world.build_dataset(traj2, ANCHORS, PATTERN, quiet(seed=2))
     errs = []
     for r in recs2:
@@ -640,14 +616,14 @@ def test_isotropic_pattern_removes_heading_information():
     from uwbheading import gp, heading
 
     flat = world.AntennaPattern(a2=0.0, a1=0.0)
-    traj = world.generate_trajectory(AREA, 200.0, 5.0, "smooth-random", seed=0)
+    traj = world.generate_trajectory(AREA, 200.0, 5.0, seed=0)
     recs = world.build_dataset(traj, ANCHORS, flat, quiet(seed=1))
     feats = np.array([r.feature_vector() for r in recs])
     gts = np.array([r.gt_heading for r in recs])
     pair = heading.train_heading_gps(
         feats, gts, gp.HyperparamSearchConfig(max_points=250)
     )
-    traj2 = world.generate_trajectory(AREA, 60.0, 5.0, "smooth-random", seed=1)
+    traj2 = world.generate_trajectory(AREA, 60.0, 5.0, seed=1)
     recs2 = world.build_dataset(traj2, ANCHORS, flat, quiet(seed=2))
     f2 = np.array([r.feature_vector() for r in recs2])
     g2 = np.array([r.gt_heading for r in recs2])
