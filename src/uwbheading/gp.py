@@ -9,11 +9,16 @@ decades around its heuristic. Inputs are standardized internally (the
 isotropic lengthscale is meaningless across mixed units); outputs are
 centered and the training mean is added back at prediction.
 
-One fit-pass object (`_SharedInputs`) holds what every fit on one training
-input shares: its rows, their squared distances, the heuristic lengthscale
-and the buffers each likelihood evaluation computes in. Prediction has one
-batch path for any number of rows (`predict_shared_inputs`) and one online
-path for a single row as Python floats (`predict_row`), equal to the bit.
+Several output vectors on one training input (`fit_shared_inputs`) share
+one kernel: one search maximizes the sum of their log marginal likelihoods,
+and one Cholesky factor serves every model (the intrinsic coregionalization
+model with an identity output covariance; Alvarez, Rosasco & Lawrence 2012).
+One fit-pass object (`_SharedInputs`) holds that search and what it shares:
+the rows, their squared distances, the heuristic lengthscale and the buffers
+each likelihood evaluation computes in. Prediction has one batch path for
+any number of rows (`predict_shared_inputs`) and one online path for a
+single row as Python floats (`predict_row`), equal to the bit; each takes
+one kernel and one triangular solve for all the models.
 
 Fitting, factorizing and batch prediction run on one BLAS thread (see
 `_blas`): threaded OpenBLAS workers keep spinning after a call and slow the
@@ -27,6 +32,7 @@ import math
 import numbers
 import zipfile
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve, lapack
@@ -199,8 +205,7 @@ def _clamp_distances(d2: np.ndarray) -> np.ndarray:
 def _se_kernel(d2: np.ndarray, divisor, signal_var, out=None) -> np.ndarray:
     """The SE kernel signal_var * exp(d2 / divisor) of squared distances `d2`,
     where `divisor` is -2 sigma_l^2 and `signal_var` is sigma_f^2, computed
-    into `out` (which may be `d2`) when given. Either scalar may instead be
-    an array that broadcasts against `d2`, one value per row."""
+    into `out` (which may be `d2`) when given."""
     k = np.divide(d2, divisor, out=out)
     np.exp(k, out=k)
     k *= signal_var
@@ -262,20 +267,37 @@ def _heuristic_lengthscale(x: np.ndarray, d2: np.ndarray | None = None) -> float
 def _heuristic_center(
     x: np.ndarray, y: np.ndarray, sl: float | None = None
 ) -> tuple[float, float, float]:
-    """Start (sigma_f, sigma_l, sigma_n) of the fit; `sl` is
+    """Start (sigma_f, sigma_l, sigma_n) of the fit of one kernel to the
+    output vector `y`, or to each row of a (p, n) `y`: sigma_f is the mean of
+    the outputs' standard deviations, each at least 1e-3. `sl` is
     `_heuristic_lengthscale(x)` if the caller has it."""
-    sf = max(float(np.std(y)), 1e-3)
+    sfs = [max(float(np.std(yk)), 1e-3) for yk in np.atleast_2d(y)]
+    sf = sum(sfs) / len(sfs)
     return sf, _heuristic_lengthscale(x) if sl is None else sl, 0.1 * sf
 
 
-class _SharedInputs:
-    """One fit pass over a training input, which the fits of every output
-    vector on that input share: the stride-capped rows, their squared
-    distances and the heuristic lengthscale, and the three n x n buffers that
-    `_neg_lml_and_grad` computes in, with the jitter its last factorization
-    added."""
+def _factorize(x: np.ndarray, params: SeKernelParams) -> tuple[np.ndarray, float]:
+    """`_chol_with_jitter` of K + sigma_n^2 I on the rows of `x`."""
+    k = gram_matrix(x, x, params)
+    k.reshape(-1)[:: x.shape[0] + 1] += params.sigma_n**2  # the diagonal, as a view
+    return _chol_with_jitter(k)
 
-    def __init__(self, train: TrainingSet, search: HyperparamSearchConfig):
+
+class _SharedInputs:
+    """One fit pass over a training input and the output vectors on it,
+    which share one kernel: the stride-capped rows, their squared distances,
+    the heuristic lengthscale and the centered outputs; the three n x n
+    buffers that `_neg_lml_and_grad` computes in, with the jitter its last
+    factorization added; and `fitted`, the one hyperparameter search."""
+
+    def __init__(
+        self,
+        train: TrainingSet,
+        search: HyperparamSearchConfig,
+        outputs: tuple[np.ndarray, ...] | None = None,
+    ):
+        """`outputs` are the (n,) output vectors on `train`'s inputs, by
+        default `train.y` alone."""
         if train.n < 2:
             raise ValueError("fit requires at least 2 training points")
         n, cap = train.n, search.max_points
@@ -283,17 +305,67 @@ class _SharedInputs:
         self.x = train.x[:: self.stride]
         self.d2 = _sq_dists(self.x, self.x)
         self.lengthscale = _heuristic_lengthscale(self.x, self.d2)
+        ys = [y[:: self.stride] for y in ((train.y,) if outputs is None else outputs)]
+        self.y = np.array([y - np.mean(y) for y in ys])  # (p, n), one output a row
         self.kernel, self.noisy, self.w = (np.empty_like(self.d2) for _ in range(3))
         self.jitter = 0.0
+
+    @cached_property
+    def fitted(self) -> tuple[SeKernelParams, tuple[np.ndarray, float], dict]:
+        """The params of one bounded L-BFGS-B search on the summed negative
+        LML of every output, the factor (chol, jitter) of K + sigma_n^2 I
+        at them, and the search's `GpModel` counts.
+
+        The search runs on the analytic gradient, over the log of (sigma_f,
+        sigma_l, sigma_n), from ``_heuristic_center``; each log-parameter is
+        bounded to +-``_BOUND_DECADES`` decades around its start. It keeps
+        the best point evaluated. Deterministic: no RNG. Raises
+        ``UnfittableDataError`` when the start point cannot be factorized; a
+        trial point that cannot be factorized later counts as infinitely
+        unlikely and marks the search as not converged.
+        """
+        start = np.log(_heuristic_center(self.x, self.y, self.lengthscale))
+        span = _BOUND_DECADES * math.log(10.0)
+        evals, jittered, best_f, best_x, hit_unfittable = 0, 0, math.inf, start, False
+
+        def objective(log_params):
+            nonlocal evals, jittered, best_f, best_x, hit_unfittable
+            evals += 1
+            try:
+                f, g = _neg_lml_and_grad(log_params, self.d2, self.y, self)
+            except UnfittableDataError:
+                if evals == 1:
+                    raise
+                hit_unfittable = True
+                return math.inf, np.zeros(3)
+            jittered += self.jitter > 0.0
+            if f < best_f:
+                best_f, best_x = f, log_params.copy()
+            return f, g
+
+        result = minimize(
+            objective, start, jac=True, method="L-BFGS-B",
+            bounds=[(c - span, c + span) for c in start],
+        )
+        params = SeKernelParams(*np.exp(best_x))
+        counts = dict(
+            lml_evals=evals,
+            jittered_evals=jittered,
+            converged=bool(result.success) and not hit_unfittable,
+        )
+        return params, _factorize(self.x, params), counts
 
 
 def _neg_lml_and_grad(
     log_params: np.ndarray, d2: np.ndarray, y: np.ndarray, work: _SharedInputs
 ) -> tuple[float, np.ndarray]:
     """Negative log marginal likelihood and its gradient with respect to
-    log(sigma_f, sigma_l, sigma_n), from one Cholesky factorization.
+    log(sigma_f, sigma_l, sigma_n), from one Cholesky factorization, of the
+    output vector `y`, or summed over the p rows of a (p, n) `y` under one
+    kernel.
 
-    dL/dtheta = 1/2 tr((alpha alpha^T - K^-1) dK/dtheta) (GPML eq. 5.9), with
+    dL/dtheta = 1/2 tr((A A^T - p K^-1) dK/dtheta) with A = K^-1 Y, the
+    columns of Y being the outputs (GPML eq. 5.9, summed over outputs), with
     dK/dlog sigma_f = 2 K_f, dK/dlog sigma_l = K_f * D^2 / sigma_l^2 and
     dK/dlog sigma_n = 2 sigma_n^2 I.
 
@@ -301,18 +373,19 @@ def _neg_lml_and_grad(
     buffers; the factor, inverted in place, is the one n x n float array
     allocated per call.
     """
-    n = y.shape[0]
+    ys = np.atleast_2d(y)
+    p, n = ys.shape
     k_f, k, w = work.kernel, work.noisy, work.w
     sf2, sl2, sn2 = np.exp(2.0 * log_params)
     _se_kernel(d2, -2.0 * sl2, sf2, out=k_f)
     np.copyto(k, k_f)
     k.reshape(-1)[:: n + 1] += sn2  # the diagonal, as a view
     chol, work.jitter = _chol_with_jitter(k)
-    alpha = cho_solve((chol, True), y, check_finite=False)
+    alpha = cho_solve((chol, True), ys.T, check_finite=False)  # (n, p)
     lml = (
-        -0.5 * float(np.dot(y, alpha))
-        - float(np.sum(np.log(np.diag(chol))))
-        - 0.5 * n * math.log(2.0 * math.pi)
+        -0.5 * sum(float(np.dot(yk, ak)) for yk, ak in zip(ys, alpha.T))
+        - p * float(np.sum(np.log(np.diag(chol))))
+        - 0.5 * p * n * math.log(2.0 * math.pi)
     )
     k_inv, info = lapack.dpotri(chol, lower=1, overwrite_c=1)
     if info != 0:
@@ -321,7 +394,8 @@ def _neg_lml_and_grad(
     # so K^-1 + K^-T mirrors it exactly and doubles only the diagonal
     np.add(k_inv, k_inv.T, out=k)
     k.reshape(-1)[:: n + 1] *= 0.5
-    np.multiply(alpha[:, None], alpha[None, :], out=w)  # np.outer(alpha, alpha)
+    k *= p
+    np.matmul(alpha, alpha.T, out=w)  # with one output, np.outer(alpha, alpha)
     w -= k
     wk = np.multiply(w, k_f, out=k)
     grad_f = np.sum(wk)
@@ -336,55 +410,21 @@ def fit(
     search: HyperparamSearchConfig | None = None,
     shared: _SharedInputs | None = None,
 ) -> "GpModel":
-    """Fit hyperparameters by log-marginal-likelihood maximization.
+    """Fit hyperparameters by log-marginal-likelihood maximization, as
+    `_SharedInputs.fitted` describes.
 
-    One bounded L-BFGS-B run on the analytic gradient, over the log of
-    (sigma_f, sigma_l, sigma_n), starting at ``_heuristic_center``; each
-    log-parameter is bounded to +-``_BOUND_DECADES`` decades around its start.
-    The model keeps the best point evaluated. Deterministic: no RNG. Raises
-    ``UnfittableDataError`` when the start point cannot be factorized; a trial
-    point that cannot be factorized later in the search counts as infinitely
-    unlikely and marks the fit as not converged.
-
-    `shared` is `fit_shared_inputs`'s one pass over the inputs that `train`
-    shares with other output vectors; without it the fit makes that pass.
+    `shared` is `fit_shared_inputs`' fit pass over `train` and the sets
+    fitted with it. Its search runs once, at the first `fit` through it, and
+    every such fit gets its params and factor. Without it the fit makes its
+    own pass.
     """
     if shared is None:
         shared = _SharedInputs(train, search or HyperparamSearchConfig())
-    x, d2 = shared.x, shared.d2
+    params, factor, counts = shared.fitted
     y = train.y[:: shared.stride]
-    y_mean = float(np.mean(y))
-    yc = y - y_mean
-
-    start = np.log(_heuristic_center(x, yc, shared.lengthscale))
-    span = _BOUND_DECADES * math.log(10.0)
-    evals, jittered, best_f, best_x, hit_unfittable = 0, 0, math.inf, start, False
-
-    def objective(log_params):
-        nonlocal evals, jittered, best_f, best_x, hit_unfittable
-        evals += 1
-        try:
-            f, g = _neg_lml_and_grad(log_params, d2, yc, shared)
-        except UnfittableDataError:
-            if evals == 1:
-                raise
-            hit_unfittable = True
-            return math.inf, np.zeros(3)
-        jittered += shared.jitter > 0.0
-        if f < best_f:
-            best_f, best_x = f, log_params.copy()
-        return f, g
-
-    result = minimize(
-        objective, start, jac=True, method="L-BFGS-B",
-        bounds=[(c - span, c + span) for c in start],
-    )
-    converged = bool(result.success) and not hit_unfittable
-
-    params = SeKernelParams(*np.exp(best_x))
-    used = TrainingSet(x=x, y=y, standardizer=train.standardizer)
-    model = GpModel.from_params(used, params, y_mean=y_mean)
-    return replace(model, lml_evals=evals, converged=converged, jittered_evals=jittered)
+    used = TrainingSet(x=shared.x, y=y, standardizer=train.standardizer)
+    model = GpModel.from_params(used, params, y_mean=float(np.mean(y)), factor=factor)
+    return replace(model, **counts)
 
 
 @_blas.one_thread()
@@ -392,16 +432,18 @@ def fit_shared_inputs(
     trainings: tuple[TrainingSet, ...], search: HyperparamSearchConfig | None = None
 ) -> list["GpModel"]:
     """`fit` each training set, where all share the first one's inputs and
-    standardizer and differ only in their outputs.
+    standardizer and differ only in their outputs, with one kernel: one
+    hyperparameter search on the sum of their log marginal likelihoods, whose
+    factor every model shares. ValueError if the inputs differ.
 
-    One `_SharedInputs` fit pass serves every fit; each model equals its
-    own `fit` to the bit. The fit-side twin of
-    `predict_shared_inputs`. ValueError if the inputs differ.
+    With one training set this is its own `fit`, to the bit. The fit-side
+    twin of `predict_shared_inputs`.
     """
     first = trainings[0]
     if not all(first.same_inputs(t) for t in trainings[1:]):
         raise ValueError("training sets differ in their inputs or standardizer")
-    shared = _SharedInputs(first, search or HyperparamSearchConfig())
+    search = search or HyperparamSearchConfig()
+    shared = _SharedInputs(first, search, tuple(t.y for t in trainings))
     # through the module's `fit`, so that a wrapper of `gp.fit` (as the
     # benchmark's tracer installs) sees every fit
     return [fit(t, search, shared) for t in trainings]
@@ -435,13 +477,17 @@ class GpModel:
     @classmethod
     @_blas.one_thread()
     def from_params(
-        cls, train: TrainingSet, params: SeKernelParams, y_mean: float = 0.0
+        cls,
+        train: TrainingSet,
+        params: SeKernelParams,
+        y_mean: float = 0.0,
+        factor: tuple[np.ndarray, float] | None = None,
     ) -> "GpModel":
-        """Factorize K + sigma_n^2 I once; the factor gives alpha and the LML."""
+        """Factorize K + sigma_n^2 I once, unless `factor` is its (chol,
+        jitter) from `_factorize` on `train.x` and `params`; the factor gives
+        alpha and the LML."""
         yc = np.asarray_chkfinite(train.y - y_mean)
-        k = gram_matrix(train.x, train.x, params)
-        k.reshape(-1)[:: train.n + 1] += params.sigma_n**2  # the diagonal, as a view
-        chol, jitter = _chol_with_jitter(k)
+        chol, jitter = _factorize(train.x, params) if factor is None else factor
         half = _solve_lower(chol, yc)
         alpha = _solve_lower(chol, half, trans=1)
         lml = float(
@@ -464,20 +510,6 @@ class GpModel:
         """Vectorized posterior mean and variance over (m, d) raw queries."""
         return predict_shared_inputs((self,), x_raw)[0]
 
-    def _posterior(
-        self, d2: np.ndarray, overwrite: bool = False
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and variance from the (n, m) squared distances of
-        the training rows to the queries; with `overwrite` the kernel is
-        computed in place over `d2`."""
-        k_star = _se_kernel(d2, self.kernel_divisor, self.signal_var,
-                            out=d2 if overwrite else None)
-        means = k_star.T @ self.alpha + self.y_mean
-        v = _solve_lower(self.chol, k_star)
-        v *= v
-        variances = self.signal_var - np.sum(v, axis=0)
-        return means, np.maximum(variances, 0.0)
-
     def save(self, path) -> None:
         """Serialize to an .npz archive; the factorization and LML are
         rebuilt on load."""
@@ -494,8 +526,13 @@ class GpModel:
         )
 
     @classmethod
-    def load(cls, path) -> "GpModel":
-        """ValueError naming `path` if it is not an archive as `save` writes."""
+    def load(cls, path, factor_of: "GpModel | None" = None) -> "GpModel":
+        """ValueError naming `path` if it is not an archive as `save` writes.
+
+        The factor of `factor_of` serves the loaded model too when the archive
+        has its inputs, standardizer and params, as the models of one
+        `fit_shared_inputs` do; otherwise the model factorizes its own.
+        """
         try:
             with np.load(path) as z:
                 x, y, mean, scale, y_mean, hyper = (
@@ -518,18 +555,25 @@ class GpModel:
                 raise ValueError(f"y_mean must be finite, got {y_mean}")
         except (zipfile.BadZipFile, KeyError, EOFError, ValueError) as exc:
             raise ValueError(f"bad model archive {path}: {exc}") from exc
-        return cls.from_params(train, params, y_mean=y_mean)
+        factor = None
+        same_kernel = factor_of is not None and factor_of.params == params
+        if same_kernel and factor_of.train.same_inputs(train):
+            factor = factor_of.chol, factor_of.jitter
+        return cls.from_params(train, params, y_mean=y_mean, factor=factor)
 
 
 def predict_shared_inputs(
     models: tuple[GpModel, ...], x_raw: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Posterior mean and variance of each model over (m, d) raw queries, for
-    any m, standardizing the queries and computing their distances to the
-    training rows once for all models, as matrices on one BLAS thread.
+    any m, as matrices on one BLAS thread. The models share one kernel, so
+    the queries' standardization, kernel, triangular solve and variances are
+    computed once for all of them (every model gets the same variance array),
+    and each model's mean is its own dot with that kernel.
 
-    Every model must have the first one's `train.x` and standardizer; the
-    caller checks that once, where it pairs the models, not per query.
+    Every model must have the first one's `train.x`, standardizer and
+    `params`; the caller checks that once, where it pairs the models, not
+    per query.
     """
     x = np.atleast_2d(np.asarray(x_raw, dtype=float))
     first = models[0]
@@ -538,8 +582,12 @@ def predict_shared_inputs(
     xs = first.train.standardizer.apply(x)
     with _blas.one_thread():
         d2 = _sq_dists(first.train.x, xs)
-        last = len(models) - 1
-        return [m._posterior(d2, overwrite=i == last) for i, m in enumerate(models)]
+        k_star = _se_kernel(d2, first.kernel_divisor, first.signal_var, out=d2)
+        means = [k_star.T @ m.alpha + m.y_mean for m in models]
+        v = _solve_lower(first.chol, k_star)
+    v *= v
+    variances = np.maximum(first.signal_var - np.sum(v, axis=0), 0.0)
+    return [(mean, variances) for mean in means]
 
 
 def predict_row(models: tuple[GpModel, ...], x_raw: np.ndarray) -> list[tuple[float, float]]:
@@ -548,10 +596,10 @@ def predict_row(models: tuple[GpModel, ...], x_raw: np.ndarray) -> list[tuple[fl
     bit.
 
     For one row numpy's fixed cost per call outweighs the arithmetic, so
-    the models' kernels are built as one (len(models), n) array. Each model
-    then takes one dot for its mean and one triangular solve in place of its
-    kernel row, and one reduction sums every model's squared solve. The
-    models must share their training inputs, as in `predict_shared_inputs`.
+    the shared kernel row is built once; each model takes one dot with it
+    for its mean, and one triangular solve in its place and one reduction
+    give the variance of all. The models must share their training inputs
+    and params, as in `predict_shared_inputs`.
     """
     first = models[0]
     if x_raw.shape != (first.train.d,):
@@ -561,14 +609,10 @@ def predict_row(models: tuple[GpModel, ...], x_raw: np.ndarray) -> list[tuple[fl
     d2 = _clamp_distances(
         first.train_sq_norms + np.add.reduce(xs * xs) - 2.0 * (first.train.x @ xs)
     )
-    # each row is gram_matrix(train.x, xs)
-    k = _se_kernel(d2, [[m.kernel_divisor] for m in models], [[m.signal_var] for m in models])
-    means = []
-    for m, k_star in zip(models, k):
-        means.append(float(k_star @ m.alpha) + m.y_mean)
-        _solve_lower(m.chol, k_star, overwrite=True)  # v = chol^-1 k_star, over k_star
-    k *= k
-    return [
-        (mean, max(m.signal_var - v2, 0.0))
-        for m, mean, v2 in zip(models, means, np.add.reduce(k, axis=1).tolist())
-    ]
+    # gram_matrix(train.x, xs), over d2
+    k_star = _se_kernel(d2, first.kernel_divisor, first.signal_var, out=d2)
+    means = [float(k_star @ m.alpha) + m.y_mean for m in models]
+    _solve_lower(first.chol, k_star, overwrite=True)  # v = chol^-1 k_star, over k_star
+    k_star *= k_star
+    variance = max(first.signal_var - float(np.add.reduce(k_star)), 0.0)
+    return [(mean, variance) for mean in means]

@@ -1,7 +1,9 @@
 """Heading prediction from UWB range + RSS features.
 
-Two independent GPs map the 10-dimensional feature vector (5 ranges, 5 RSS)
-to pseudo-sine and pseudo-cosine of heading. Their joint output is
+Two GPs sharing one kernel map the 10-dimensional feature vector (5 ranges,
+5 RSS) to pseudo-sine and pseudo-cosine of heading: one hyperparameter
+search fits both, and each prediction takes one kernel and one triangular
+solve for the pair. Their joint output is
 normalized onto SO(2) and the scalar heading variance is propagated through
 the normalization with a first-order expansion.
 """
@@ -84,8 +86,8 @@ class PseudoTrig:
     def __post_init__(self):
         if not (math.isfinite(self.s) and math.isfinite(self.c)):
             raise ValueError("pseudo-trig values must be finite")
-        if self.var_s <= 0 or self.var_c <= 0:
-            raise ValueError("pseudo-trig variances must be positive")
+        if not (0.0 < self.var_s < math.inf and 0.0 < self.var_c < math.inf):
+            raise ValueError("pseudo-trig variances must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -98,8 +100,10 @@ class HeadingMeasurement:
     def __post_init__(self):
         if not math.isfinite(self.angle):
             raise ValueError(f"measurement angle must be finite, got {self.angle}")
-        if not (math.isfinite(self.var_theta) and self.var_theta > 0):
-            raise ValueError("measurement variance must be positive")
+        if not 0.0 < self.var_theta < math.inf:
+            raise ValueError(
+                f"measurement variance must be finite and positive, got {self.var_theta}"
+            )
 
     @property
     def rot(self) -> np.ndarray:
@@ -109,15 +113,25 @@ class HeadingMeasurement:
 
 @dataclass(frozen=True)
 class HeadingGpPair:
-    """Independent sin/cos GPs sharing the feature domain."""
+    """The sin/cos GPs, on one feature domain with one kernel."""
 
     gp_sin: gp.GpModel
     gp_cos: gp.GpModel
 
     def __post_init__(self):
-        # predict_pseudo_trig_arrays computes the query distances once for both
+        # the pair's predictions compute one kernel and one solve for both
         if not self.gp_sin.train.same_inputs(self.gp_cos.train):
             raise ValueError("sin/cos GPs disagree on training inputs or standardizer")
+        if self.gp_sin.params != self.gp_cos.params:
+            sin, cos = (
+                f"({p.sigma_f:.6g}, {p.sigma_l:.6g}, {p.sigma_n:.6g})"
+                for p in (self.gp_sin.params, self.gp_cos.params)
+            )
+            raise ValueError(
+                f"sin/cos GPs have different kernel params (sigma_f, sigma_l, sigma_n)"
+                f" {sin} and {cos}, but the pair shares one kernel; retrain the model"
+                " (pairs trained with a kernel per GP cannot be loaded)"
+            )
 
     def save(self, directory) -> None:
         directory = Path(directory)
@@ -145,7 +159,8 @@ class HeadingGpPair:
             raise ValueError(
                 f"bad model manifest {path}: need 'files' naming the sin and cos models ({exc!r})"
             ) from exc
-        return cls(gp_sin=gp.GpModel.load(sin), gp_cos=gp.GpModel.load(cos))
+        gp_sin = gp.GpModel.load(sin)
+        return cls(gp_sin=gp_sin, gp_cos=gp.GpModel.load(cos, factor_of=gp_sin))
 
 
 def train_heading_gps(
@@ -153,8 +168,9 @@ def train_heading_gps(
     headings: np.ndarray,
     search: gp.HyperparamSearchConfig | None = None,
 ) -> HeadingGpPair:
-    """Fit the sin and cos GPs on a common feature matrix, from one pass
-    over it (`gp.fit_shared_inputs`).
+    """Fit the sin and cos GPs on a common feature matrix with one kernel,
+    from one pass over it and one hyperparameter search
+    (`gp.fit_shared_inputs`).
 
     ``features`` is (m, 10) raw (unstandardized) vectors; ``headings`` is
     (m,) ground-truth angles in radians.
@@ -185,7 +201,7 @@ def predict_pseudo_trig(pair: HeadingGpPair, feature: UwbFeature) -> PseudoTrig:
 def predict_pseudo_trig_arrays(pair: HeadingGpPair, vectors: np.ndarray):
     """Batch pseudo-trig prediction over (m, 10) raw feature vectors as
     (s, c, var_s, var_c) arrays, variances floored at VAR_FLOOR. Both GPs
-    share one standardization and one distance computation."""
+    share one standardization, kernel and triangular solve."""
     (s, vs), (c, vc) = gp.predict_shared_inputs((pair.gp_sin, pair.gp_cos), vectors)
     return s, c, np.maximum(vs, VAR_FLOOR), np.maximum(vc, VAR_FLOOR)
 

@@ -63,8 +63,8 @@ class GyroSample:
     dt: float  # s
 
     def __post_init__(self):
-        if not (math.isfinite(self.rate) and self.dt > 0):
-            raise ValueError("gyro sample needs finite rate and dt > 0")
+        if not (math.isfinite(self.rate) and 0.0 < self.dt < math.inf):
+            raise ValueError("gyro sample needs a finite rate and a finite dt > 0")
 
 
 @dataclass(frozen=True)

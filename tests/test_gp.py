@@ -449,6 +449,75 @@ def oracle_neg_lml_and_grad(log_params, d2, y):
     return -lml, -grad, jitter
 
 
+def oracle_summed_neg_lml_and_grad(log_params, d2, ys):
+    """`oracle_neg_lml_and_grad` of one kernel on the p outputs that are the
+    rows of `ys`: the summed negative LML, with A = K^-1 Y and A A^T - p K^-1
+    in place of alpha alpha^T - K^-1 in the gradient."""
+    sf2, sl2, sn2 = np.exp(2.0 * log_params)
+    p, n = ys.shape
+    k_f = sf2 * np.exp(-d2 / (2.0 * sl2))
+    chol, jitter = oracle_chol_with_jitter(k_f + sn2 * np.eye(n))
+    alpha = cho_solve((chol, True), ys.T, check_finite=False)
+    lml = (
+        -0.5 * sum(float(np.dot(y, a)) for y, a in zip(ys, alpha.T))
+        - p * float(np.sum(np.log(np.diag(chol))))
+        - 0.5 * p * n * math.log(2.0 * math.pi)
+    )
+    k_inv, info = lapack.dpotri(chol, lower=1)
+    assert info == 0
+    k_inv = np.tril(k_inv) + np.tril(k_inv, -1).T
+    w = alpha @ alpha.T - p * k_inv
+    wk = w * k_f
+    grad = np.array(
+        [np.sum(wk), 0.5 * np.sum(wk * d2) / sl2, sn2 * np.trace(w)]
+    )
+    return -lml, -grad, jitter
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_summed_lml_gradient_matches_central_differences(seed):
+    """Two outputs under one kernel: the objective is the sum of their own
+    LMLs, and its gradient matches central differences of that sum."""
+    rng = np.random.default_rng(300 + seed)
+    n, d = int(rng.integers(5, 30)), int(rng.integers(1, 4))
+    x = rng.normal(size=(n, d))
+    ys = np.array([np.sin(x[:, 0]), np.cos(x[:, 0])]) + 0.3 * rng.normal(size=(2, n))
+    log_params = np.log(rng.uniform([0.3, 0.3, 0.05], [2.0, 2.0, 0.8]))
+    trains = [identity_train(x, y) for y in ys]
+    work = fit_pass(x, ys[0])
+
+    def summed_lml(lp):
+        params = gp.SeKernelParams(*np.exp(lp))
+        return sum(gp.log_marginal_likelihood(t, params) for t in trains)
+
+    neg_lml, neg_grad = gp._neg_lml_and_grad(log_params, work.d2, ys, work)
+    assert -neg_lml == pytest.approx(summed_lml(log_params), rel=1e-12)
+    h = 1e-5
+    numeric = np.empty(3)
+    for i in range(3):
+        step = np.zeros(3)
+        step[i] = h
+        numeric[i] = (summed_lml(log_params + step) - summed_lml(log_params - step)) / (2 * h)
+    assert np.abs(-neg_grad - numeric).max() <= 1e-5 * np.abs(numeric).max()
+
+
+@pytest.mark.parametrize("outputs", [1, 2, 3])
+def test_summed_lml_and_grad_equal_oracle_bit_for_bit(outputs):
+    rng = np.random.default_rng(400 + outputs)
+    x = rng.normal(size=(40, 3))
+    ys = np.sin(x[:, :outputs].T) + 0.3 * rng.normal(size=(outputs, 40))
+    work = fit_pass(x, ys[0])
+    for log_params in (np.log(rng.uniform([0.3, 0.3, 0.05], [2.0, 2.0, 0.8])) for _ in range(3)):
+        f0, g0, jitter = oracle_summed_neg_lml_and_grad(log_params, work.d2, ys)
+        f, g = gp._neg_lml_and_grad(log_params, work.d2, ys, work)
+        assert float(f).hex() == float(f0).hex()
+        assert g.tobytes() == g0.tobytes()
+        assert work.jitter == jitter
+        if outputs == 1:  # the summed oracle of one output is the one-output oracle
+            f1, g1, _ = oracle_neg_lml_and_grad(log_params, work.d2, ys[0])
+            assert float(f1).hex() == float(f0).hex() and g1.tobytes() == g0.tobytes()
+
+
 @pytest.mark.parametrize("case", [0, 1, 2, 3, 4, "jitter"])
 def test_lml_and_grad_equal_oracle_bit_for_bit(case):
     if case == "jitter":  # duplicated rows and sigma_n 1e-9: K is singular until jittered
@@ -550,23 +619,24 @@ def test_fit_lml_at_least_grid_descent_reference(case, bench_world_train):
 
 
 # float.hex of (sigma_f, sigma_l, sigma_n, lml), then lml_evals, converged and
-# jitter of each heading GP fitted on the bench world. Recorded on x86-64 with
+# jitter of each heading GP fitted on the bench world; the pair shares its
+# kernel, so only the LMLs differ between sin and cos. Recorded on x86-64 with
 # AVX-512 (numpy 2.4 and its bundled OpenBLAS); the bits pass through BLAS and
 # SIMD kernels, so a host that rounds differently needs its own values, while
-# test_fit_equals_oracle_fit_bit_for_bit holds on any host.
+# the oracle fit tests below hold on any host.
 PINNED_FITS = {
-    (120, "sin"): ("0x1.b53c4a5cf23c2p+0", "0x1.ec722f8935da6p+1", "0x1.a1e69c8d4f769p-3",
-                   "-0x1.c65923e658a90p+5", 21, True, "0x0.0p+0"),
-    (120, "cos"): ("0x1.5fc6d3ef23baep+0", "0x1.a297851be01f6p+1", "0x1.60ae9ba1c98dbp-3",
-                   "-0x1.918887c44640ep+5", 18, True, "0x0.0p+0"),
-    (200, "sin"): ("0x1.4f1be6a9ce188p+0", "0x1.70a328e9c6e54p+1", "0x1.351f34447a9a5p-3",
-                   "-0x1.ae86d5e5aec5cp+5", 18, True, "0x0.0p+0"),
-    (200, "cos"): ("0x1.3734810831f41p+0", "0x1.7fc286417a56cp+1", "0x1.418dcbc82be30p-3",
-                   "-0x1.5776a436127a4p+5", 15, True, "0x0.0p+0"),
-    (500, "sin"): ("0x1.22ff1983a7e12p-1", "0x1.76f3c27dc9802p+0", "0x1.451487ed6f093p-4",
-                   "0x1.628a6379799a0p+5", 20, True, "0x0.0p+0"),
-    (500, "cos"): ("0x1.0cdb0e7093983p-1", "0x1.5f11d67e89b63p+0", "0x1.b6d5f80cf949dp-5",
-                   "0x1.2e624c97cb550p+6", 20, True, "0x0.0p+0"),
+    (120, "sin"): ("0x1.7d662e88f720ap+0", "0x1.bf56366972d25p+1", "0x1.84a3e3e079b82p-3",
+                   "-0x1.c8b4e1878ae8dp+5", 18, True, "0x0.0p+0"),
+    (120, "cos"): ("0x1.7d662e88f720ap+0", "0x1.bf56366972d25p+1", "0x1.84a3e3e079b82p-3",
+                   "-0x1.941297a5263efp+5", 18, True, "0x0.0p+0"),
+    (200, "sin"): ("0x1.42e24562359d4p+0", "0x1.7713ccf81d805p+1", "0x1.3b6ac41f942a0p-3",
+                   "-0x1.b0989fbb402dcp+5", 17, True, "0x0.0p+0"),
+    (200, "cos"): ("0x1.42e24562359d4p+0", "0x1.7713ccf81d805p+1", "0x1.3b6ac41f942a0p-3",
+                   "-0x1.59d32aa25d820p+5", 17, True, "0x0.0p+0"),
+    (500, "sin"): ("0x1.170dbdf27a975p-1", "0x1.6a1012e91c31bp+0", "0x1.13f29590ace43p-4",
+                   "0x1.5a9d4b01325e0p+5", 20, True, "0x0.0p+0"),
+    (500, "cos"): ("0x1.170dbdf27a975p-1", "0x1.6a1012e91c31bp+0", "0x1.13f29590ace43p-4",
+                   "0x1.297d53c8ba9b8p+6", 20, True, "0x0.0p+0"),
 }
 
 
@@ -598,22 +668,55 @@ def _same_model(a, b):
     )
 
 
-def test_fit_equals_oracle_fit_bit_for_bit(monkeypatch, bench_world_train):
-    """`fit_shared_inputs`, each set's own `fit`, and `fit` on the oracle
-    evaluation give the same models, factors included."""
+def _bench_heading_sets(bench_world_train):
     feats, headings = bench_world_train
     std = gp.Standardizer.from_data(feats)
-    sets = [gp.TrainingSet(x=std.apply(feats), y=f(headings), standardizer=std)
+    return [gp.TrainingSet(x=std.apply(feats), y=f(headings), standardizer=std)
             for f in (np.sin, np.cos)]
+
+
+def test_fit_equals_oracle_fit_bit_for_bit(monkeypatch, bench_world_train):
+    """Each set's own `fit`, `fit_shared_inputs` of that set alone, and
+    `fit` on the oracle evaluation give the same models, factors included."""
+    sets = _bench_heading_sets(bench_world_train)
     search = gp.HyperparamSearchConfig(max_points=200)
-    shared = gp.fit_shared_inputs(sets, search)
     alone = [gp.fit(t, search) for t in sets]
+    shared = [gp.fit_shared_inputs((t,), search)[0] for t in sets]
+    # the fit pass holds its one output as a (1, n) row
     monkeypatch.setattr(
-        gp, "_neg_lml_and_grad", lambda p, d2, y, work: oracle_neg_lml_and_grad(p, d2, y)[:2]
+        gp, "_neg_lml_and_grad",
+        lambda p, d2, y, work: oracle_neg_lml_and_grad(p, d2, y.ravel())[:2],
     )
     oracle = [gp.fit(t, search) for t in sets]
-    for models in zip(shared, alone, oracle):
+    for models in zip(alone, shared, oracle):
         assert all(_same_model(models[0], m) for m in models[1:])
+
+
+def test_joint_fit_equals_oracle_summed_fit_bit_for_bit(monkeypatch, bench_world_train):
+    """`fit_shared_inputs` of the sin/cos pair and the same fit on the oracle
+    summed evaluation give the same models, factors included; the pair
+    shares one kernel and one factor, and each model's LML is its own."""
+    sets = _bench_heading_sets(bench_world_train)
+    search = gp.HyperparamSearchConfig(max_points=200)
+    joint = gp.fit_shared_inputs(sets, search)
+    monkeypatch.setattr(
+        gp, "_neg_lml_and_grad",
+        lambda p, d2, y, work: oracle_summed_neg_lml_and_grad(p, d2, y)[:2],
+    )
+    oracle = gp.fit_shared_inputs(sets, search)
+    monkeypatch.undo()
+    for a, b in zip(joint, oracle):
+        assert _same_model(a, b)
+    sin, cos = joint
+    assert sin.params == cos.params and sin.chol is cos.chol
+    assert (sin.lml_evals, sin.converged) == (cos.lml_evals, cos.converged)
+    for model in joint:
+        own = gp.log_marginal_likelihood(
+            gp.TrainingSet(x=model.train.x, y=model.train.y - model.y_mean,
+                           standardizer=model.train.standardizer),
+            model.params,
+        )
+        assert float(model.lml).hex() == float(own).hex()
 
 
 def test_fit_shared_inputs_rejects_differing_inputs():
@@ -740,6 +843,30 @@ def test_fit_and_predict_do_not_depend_on_blas_thread_count():
             _set_blas_threads(n)
             model = gp.fit(train, gp.HyperparamSearchConfig(max_points=300))
             results.append((model.chol, model.alpha, *model.predict_many(queries)))
+    finally:
+        for set_threads, n in zip(_blas._setters(), before):
+            set_threads(n)
+    for threaded, single in zip(*results):
+        assert np.array_equal(threaded, single)
+
+
+@needs_openblas
+def test_pair_fit_and_predict_do_not_depend_on_blas_thread_count():
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(300, 4))
+    std = gp.Standardizer.from_data(x)
+    sets = [gp.TrainingSet(x=std.apply(x), y=f(x[:, 0]) + 0.1 * rng.normal(size=300),
+                           standardizer=std) for f in (np.sin, np.cos)]
+    queries = rng.normal(size=(500, 4))
+    results = []
+    before = _set_blas_threads(2)
+    try:
+        for n in (2, 1):
+            _set_blas_threads(n)
+            models = gp.fit_shared_inputs(sets, gp.HyperparamSearchConfig(max_points=300))
+            predicted = gp.predict_shared_inputs(models, queries)
+            results.append([models[0].chol, *(m.alpha for m in models),
+                            *(v for pair in predicted for v in pair)])
     finally:
         for set_threads, n in zip(_blas._setters(), before):
             set_threads(n)

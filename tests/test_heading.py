@@ -247,8 +247,17 @@ def test_feature_validation():
 def test_measurement_requires_rotation_and_positive_variance():
     with pytest.raises(ValueError):
         heading.HeadingMeasurement(angle=math.nan, var_theta=0.1)
-    with pytest.raises(ValueError):
-        heading.HeadingMeasurement(angle=0.0, var_theta=0.0)
+    for var in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="variance must be finite and positive"):
+            heading.HeadingMeasurement(angle=0.0, var_theta=var)
+
+
+@pytest.mark.parametrize("var", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("field", ["var_s", "var_c"])
+def test_pseudo_trig_variances_must_be_finite_and_positive(field, var):
+    values = {"s": 0.0, "c": 1.0, "var_s": 0.01, "var_c": 0.01, field: var}
+    with pytest.raises(ValueError, match="variances must be finite and positive"):
+        heading.PseudoTrig(**values)
 
 
 # --- training ------------------------------------------------------------------
@@ -394,7 +403,7 @@ def test_predict_rejects_overflowing_query():
             heading.predict_pseudo_trig_arrays(pair, np.tile(huge.as_vector(), (rows, 1)))
 
 
-@pytest.mark.parametrize("field", ["x", "rows", "mean", "scale"])
+@pytest.mark.parametrize("field", ["x", "rows", "mean", "scale", "params"])
 def test_pair_rejects_gps_with_different_inputs(field):
     rng = np.random.default_rng(9)
     feats = random_features(rng, 20)
@@ -402,20 +411,24 @@ def test_pair_rejects_gps_with_different_inputs(field):
     train = pair.gp_cos.train
     std = train.standardizer
     x, y, mean, scale = train.x, train.y, std.mean, std.scale
-    if field == "x":
+    params, message = pair.gp_cos.params, "training inputs or standardizer"
+    if field == "params":  # as in a model directory trained with a kernel per GP
+        params = gp.SeKernelParams(1.5 * params.sigma_f, params.sigma_l, params.sigma_n)
+        message = "different kernel params.*retrain"
+    elif field == "x":
         x = x[::-1]
     elif field == "rows":
         x, y = x[:-1], y[:-1]
     elif field == "mean":
         mean = mean + 1.0
-    else:
+    elif field == "scale":
         scale = 2.0 * scale
     other = gp.GpModel.from_params(
         gp.TrainingSet(x=x, y=y, standardizer=gp.Standardizer(mean=mean, scale=scale)),
-        pair.gp_cos.params,
+        params,
         y_mean=pair.gp_cos.y_mean,
     )
-    with pytest.raises(ValueError, match="training inputs or standardizer"):
+    with pytest.raises(ValueError, match=message):
         heading.HeadingGpPair(gp_sin=pair.gp_sin, gp_cos=other)
 
 
@@ -424,6 +437,29 @@ def test_train_rejects_bad_input():
         heading.train_heading_gps(np.ones((1, 10)), np.array([0.0]))
     with pytest.raises(ValueError):
         heading.train_heading_gps(np.ones((3, 10)), np.array([0.0, np.nan, 1.0]))
+
+
+def test_pair_load_factorizes_once(tmp_path, monkeypatch):
+    """Loading a pair factorizes its shared kernel once; both GPs hold that
+    factor, equal to the trained pair's."""
+    rng = np.random.default_rng(12)
+    feats = random_features(rng, 30)
+    pair = heading.train_heading_gps(feats, rng.uniform(-math.pi, math.pi, 30), SMALL_SEARCH)
+    pair.save(tmp_path / "model")
+    chol_with_jitter, calls = gp._chol_with_jitter, 0
+
+    def counted(k):
+        nonlocal calls
+        calls += 1
+        return chol_with_jitter(k)
+
+    monkeypatch.setattr(gp, "_chol_with_jitter", counted)
+    loaded = heading.HeadingGpPair.load(tmp_path / "model")
+    assert calls == 1
+    assert loaded.gp_sin.chol is loaded.gp_cos.chol
+    assert np.array_equal(loaded.gp_sin.chol, pair.gp_sin.chol)
+    for orig, back in ((pair.gp_sin, loaded.gp_sin), (pair.gp_cos, loaded.gp_cos)):
+        assert back.alpha.tobytes() == orig.alpha.tobytes() and back.lml == orig.lml
 
 
 def test_pair_serialization_round_trip(tmp_path):

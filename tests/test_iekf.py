@@ -304,8 +304,9 @@ def test_state_validation():
         iekf.FilterState(angle=0.0, cov=0.0)
     with pytest.raises(ValueError):
         iekf.FilterState(angle=math.nan, cov=1.0)
-    with pytest.raises(ValueError):
-        iekf.GyroSample(rate=0.1, dt=0.0)
+    for dt in (0.0, -0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite dt > 0"):
+            iekf.GyroSample(rate=0.1, dt=dt)
     with pytest.raises(ValueError):
         iekf.ProcessNoise(psd=0.0)
     for psd in (-1.0, math.nan, math.inf):

@@ -298,10 +298,10 @@ def test_run_filter_takes_pairs_and_checks_them_as_measurements():
     for bad, message in (
         ((math.nan, 0.1), "angle must be finite"),
         ((math.inf, 0.1), "angle must be finite"),
-        ((0.0, 0.0), "variance must be positive"),
-        ((0.0, -1.0), "variance must be positive"),
-        ((0.0, math.inf), "variance must be positive"),
-        ((0.0, math.nan), "variance must be positive"),
+        ((0.0, 0.0), "variance must be finite and positive"),
+        ((0.0, -1.0), "variance must be finite and positive"),
+        ((0.0, math.inf), "variance must be finite and positive"),
+        ((0.0, math.nan), "variance must be finite and positive"),
     ):
         with pytest.raises(ValueError, match=message):
             pipeline.run_filter(recs, [None, (0.1, 0.1), bad, None], 1e-6, [0.0], 1.0)
@@ -999,6 +999,8 @@ def _reshape_array(key, edit):
          "gp_sin.npz: y_mean must be finite"),
         ("models/gp_sin.npz", _reshape_array("std_mean", lambda m: np.append(np.nan, m[1:])), 2,
          "gp_sin.npz: standardizer means must be finite"),
+        # a model directory trained with a kernel per GP
+        ("models/gp_cos.npz", _reshape_array("hyper", lambda h: 1.5 * h), 2, "retrain"),
         ("models/heading_model.json", _write("{"), 2, "bad model manifest"),
         ("models/heading_model.json", _write('{"feature_dim": 10}'), 2, "bad model manifest"),
         ("models/heading_model.json", _write('{"files": {"sin": 1, "cos": 2}}'), 2, "bad model manifest"),
@@ -1014,7 +1016,7 @@ def _reshape_array(key, edit):
         "gp-sin-without-hyper",
         "gp-sin-two-hyper", "gp-sin-four-hyper", "gp-sin-2d-hyper", "gp-sin-text-hyper",
         "gp-sin-vector-y-mean", "gp-sin-1d-x", "gp-sin-short-std-mean", "gp-sin-negative-hyper",
-        "gp-sin-nan-y-mean", "gp-sin-nan-std-mean",
+        "gp-sin-nan-y-mean", "gp-sin-nan-std-mean", "gp-cos-own-kernel",
         "corrupt-manifest", "manifest-without-files",
         "manifest-files-not-names", "config-not-object", "config-section-not-object",
         "config-not-utf-8", "config-is-directory",
