@@ -1,5 +1,5 @@
-"""Exact scalar-output Gaussian-process regression with the squared
-exponential kernel.
+"""Exact Gaussian-process regression with the squared exponential kernel,
+for one or more outputs on one training input.
 
 Hyperparameters are fitted by maximizing the log marginal likelihood with one
 bounded L-BFGS-B run on its analytic gradient (Rasmussen & Williams 2006,
@@ -9,16 +9,18 @@ decades around its heuristic. Inputs are standardized internally (the
 isotropic lengthscale is meaningless across mixed units); outputs are
 centered and the training mean is added back at prediction.
 
-Several output vectors on one training input (`fit_shared_inputs`) share
-one kernel: one search maximizes the sum of their log marginal likelihoods,
-and one Cholesky factor serves every model (the intrinsic coregionalization
-model with an identity output covariance; Alvarez, Rosasco & Lawrence 2012).
-One fit-pass object (`_SharedInputs`) holds that search and what it shares:
-the rows, their squared distances, the heuristic lengthscale and the buffers
-each likelihood evaluation computes in. Prediction has one batch path for
-any number of rows (`predict_shared_inputs`) and one online path for a
-single row as Python floats (`predict_row`), equal to the bit; each takes
-one kernel and one triangular solve for all the models.
+A model's p outputs share one kernel: one search maximizes the sum of their
+log marginal likelihoods, and one Cholesky factor serves them all (the
+intrinsic coregionalization model with an identity output covariance;
+Alvarez, Rosasco & Lawrence 2012). Each output keeps its own values, mean,
+alpha and LML (GPML sec. 2.2), as the rows of a (p, n) array; a model of one
+(n,) output vector keeps (n,), float and (m,) shapes. One fit-pass object
+(`_FitPass`) holds the search and what it shares: the rows, their squared
+distances, the heuristic lengthscale and the buffers each likelihood
+evaluation computes in. Prediction has one batch path for any number of rows
+(`GpModel.predict_many`) and one online path for a single row as Python
+floats (`GpModel.predict`), equal to the bit; each takes one kernel and one
+triangular solve for all the outputs.
 
 Fitting, factorizing and batch prediction run on one BLAS thread (see
 `_blas`): threaded OpenBLAS workers keep spinning after a call and slow the
@@ -30,9 +32,9 @@ from __future__ import annotations
 
 import math
 import numbers
+import tokenize
 import zipfile
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve, lapack
@@ -51,9 +53,6 @@ __all__ = [
     "gram_matrix",
     "log_marginal_likelihood",
     "fit",
-    "fit_shared_inputs",
-    "predict_shared_inputs",
-    "predict_row",
 ]
 
 # Jitter escalation bounds, as fractions of mean(diag(K)).
@@ -83,6 +82,7 @@ class SeKernelParams:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be strictly positive, got {v}")
+            object.__setattr__(self, name, float(v))  # a Python float, bit for bit
 
 
 @dataclass(frozen=True)
@@ -114,18 +114,20 @@ class Standardizer:
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """Standardized training inputs with their outputs."""
+    """Standardized training inputs with their outputs: one (n,) output
+    vector, or p >= 1 of them as the rows of a (p, n) array."""
 
     x: np.ndarray  # (n, d), standardized
-    y: np.ndarray  # (n,)
+    y: np.ndarray  # (n,) or (p, n)
     standardizer: Standardizer
 
     def __post_init__(self):
         x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        y = np.asarray(self.y, dtype=float).ravel()
-        if x.shape[0] < 1 or x.shape[1] < 1:
-            raise ValueError("training set needs n >= 1 and d >= 1")
-        if x.shape[0] != y.shape[0]:
+        y = np.asarray(self.y, dtype=float)
+        y = np.ascontiguousarray(y) if y.ndim == 2 else y.ravel()
+        if x.shape[0] < 1 or x.shape[1] < 1 or y.size < 1:
+            raise ValueError("training set needs n >= 1, d >= 1 and p >= 1")
+        if x.shape[0] != y.shape[-1]:
             raise ValueError("input/output row counts differ")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValueError("training data contains non-finite entries")
@@ -145,14 +147,6 @@ class TrainingSet:
     @property
     def d(self) -> int:
         return self.x.shape[1]
-
-    def same_inputs(self, other: "TrainingSet") -> bool:
-        """Whether `other` has these inputs and this standardizer, exactly."""
-        return (
-            np.array_equal(self.x, other.x)
-            and np.array_equal(self.standardizer.mean, other.standardizer.mean)
-            and np.array_equal(self.standardizer.scale, other.standardizer.scale)
-        )
 
 
 @dataclass
@@ -283,21 +277,14 @@ def _factorize(x: np.ndarray, params: SeKernelParams) -> tuple[np.ndarray, float
     return _chol_with_jitter(k)
 
 
-class _SharedInputs:
-    """One fit pass over a training input and the output vectors on it,
-    which share one kernel: the stride-capped rows, their squared distances,
-    the heuristic lengthscale and the centered outputs; the three n x n
-    buffers that `_neg_lml_and_grad` computes in, with the jitter its last
-    factorization added; and `fitted`, the one hyperparameter search."""
+class _FitPass:
+    """One fit pass over a training set, whose outputs share one kernel: the
+    stride-capped rows, their squared distances, the heuristic lengthscale,
+    and each output's mean and centered values, the latter as the rows of a
+    (p, n) array; the three n x n buffers that `_neg_lml_and_grad` computes
+    in, with the jitter its last factorization added."""
 
-    def __init__(
-        self,
-        train: TrainingSet,
-        search: HyperparamSearchConfig,
-        outputs: tuple[np.ndarray, ...] | None = None,
-    ):
-        """`outputs` are the (n,) output vectors on `train`'s inputs, by
-        default `train.y` alone."""
+    def __init__(self, train: TrainingSet, search: HyperparamSearchConfig):
         if train.n < 2:
             raise ValueError("fit requires at least 2 training points")
         n, cap = train.n, search.max_points
@@ -305,16 +292,15 @@ class _SharedInputs:
         self.x = train.x[:: self.stride]
         self.d2 = _sq_dists(self.x, self.x)
         self.lengthscale = _heuristic_lengthscale(self.x, self.d2)
-        ys = [y[:: self.stride] for y in ((train.y,) if outputs is None else outputs)]
-        self.y = np.array([y - np.mean(y) for y in ys])  # (p, n), one output a row
+        ys = np.atleast_2d(train.y)[:, :: self.stride]
+        self.y_mean = [float(np.mean(y)) for y in ys]
+        self.y = np.array([y - m for y, m in zip(ys, self.y_mean)])  # (p, n)
         self.kernel, self.noisy, self.w = (np.empty_like(self.d2) for _ in range(3))
         self.jitter = 0.0
 
-    @cached_property
-    def fitted(self) -> tuple[SeKernelParams, tuple[np.ndarray, float], dict]:
+    def search(self) -> tuple[SeKernelParams, dict]:
         """The params of one bounded L-BFGS-B search on the summed negative
-        LML of every output, the factor (chol, jitter) of K + sigma_n^2 I
-        at them, and the search's `GpModel` counts.
+        LML of every output, and the search's `GpModel` counts.
 
         The search runs on the analytic gradient, over the log of (sigma_f,
         sigma_l, sigma_n), from ``_heuristic_center``; each log-parameter is
@@ -347,17 +333,16 @@ class _SharedInputs:
             objective, start, jac=True, method="L-BFGS-B",
             bounds=[(c - span, c + span) for c in start],
         )
-        params = SeKernelParams(*np.exp(best_x))
         counts = dict(
             lml_evals=evals,
             jittered_evals=jittered,
             converged=bool(result.success) and not hit_unfittable,
         )
-        return params, _factorize(self.x, params), counts
+        return SeKernelParams(*np.exp(best_x)), counts
 
 
 def _neg_lml_and_grad(
-    log_params: np.ndarray, d2: np.ndarray, y: np.ndarray, work: _SharedInputs
+    log_params: np.ndarray, d2: np.ndarray, y: np.ndarray, work: _FitPass
 ) -> tuple[float, np.ndarray]:
     """Negative log marginal likelihood and its gradient with respect to
     log(sigma_f, sigma_l, sigma_n), from one Cholesky factorization, of the
@@ -405,110 +390,136 @@ def _neg_lml_and_grad(
 
 
 @_blas.one_thread()
-def fit(
-    train: TrainingSet,
-    search: HyperparamSearchConfig | None = None,
-    shared: _SharedInputs | None = None,
-) -> "GpModel":
-    """Fit hyperparameters by log-marginal-likelihood maximization, as
-    `_SharedInputs.fitted` describes.
-
-    `shared` is `fit_shared_inputs`' fit pass over `train` and the sets
-    fitted with it. Its search runs once, at the first `fit` through it, and
-    every such fit gets its params and factor. Without it the fit makes its
-    own pass.
-    """
-    if shared is None:
-        shared = _SharedInputs(train, search or HyperparamSearchConfig())
-    params, factor, counts = shared.fitted
-    y = train.y[:: shared.stride]
-    used = TrainingSet(x=shared.x, y=y, standardizer=train.standardizer)
-    model = GpModel.from_params(used, params, y_mean=float(np.mean(y)), factor=factor)
-    return replace(model, **counts)
-
-
-@_blas.one_thread()
-def fit_shared_inputs(
-    trainings: tuple[TrainingSet, ...], search: HyperparamSearchConfig | None = None
-) -> list["GpModel"]:
-    """`fit` each training set, where all share the first one's inputs and
-    standardizer and differ only in their outputs, with one kernel: one
-    hyperparameter search on the sum of their log marginal likelihoods, whose
-    factor every model shares. ValueError if the inputs differ.
-
-    With one training set this is its own `fit`, to the bit. The fit-side
-    twin of `predict_shared_inputs`.
-    """
-    first = trainings[0]
-    if not all(first.same_inputs(t) for t in trainings[1:]):
-        raise ValueError("training sets differ in their inputs or standardizer")
-    search = search or HyperparamSearchConfig()
-    shared = _SharedInputs(first, search, tuple(t.y for t in trainings))
-    # through the module's `fit`, so that a wrapper of `gp.fit` (as the
-    # benchmark's tracer installs) sees every fit
-    return [fit(t, search, shared) for t in trainings]
+def fit(train: TrainingSet, search: HyperparamSearchConfig | None = None) -> "GpModel":
+    """Fit one kernel to every output of `train` by log-marginal-likelihood
+    maximization, as `_FitPass.search` describes. A one-output fit is that
+    output's own fit, to the bit, whether it stands alone or is a row of a
+    (p, n) `train.y`."""
+    work = _FitPass(train, search or HyperparamSearchConfig())
+    params, counts = work.search()
+    y = train.y[..., :: work.stride]
+    used = TrainingSet(x=work.x, y=y, standardizer=train.standardizer)
+    y_mean = work.y_mean if y.ndim == 2 else work.y_mean[0]
+    return replace(GpModel.from_params(used, params, y_mean=y_mean), **counts)
 
 
 @dataclass(frozen=True)
 class GpModel:
-    """Trained GP: immutable after construction, safe for concurrent predict."""
+    """Trained GP with one or more outputs on one kernel: immutable after
+    construction, safe for concurrent predict.
+
+    With an (n,) `train.y`, `alpha` is (n,) and `y_mean` and `lml` are
+    floats; with a (p, n) one, they hold one row or entry per output.
+    """
 
     train: TrainingSet
     params: SeKernelParams
     chol: np.ndarray = field(repr=False)  # lower factor of K + sigma_n^2 I, Fortran order
-    alpha: np.ndarray = field(repr=False)  # solves (K + sigma_n^2 I) alpha = yc
-    y_mean: float = 0.0
-    lml: float = math.nan  # log marginal likelihood of train.y - y_mean
+    alpha: np.ndarray = field(repr=False)  # solves (K + sigma_n^2 I) alpha = yc, per output
+    y_mean: float | np.ndarray = 0.0
+    lml: float | np.ndarray = math.nan  # log marginal likelihood of train.y - y_mean, per output
     jitter: float = 0.0  # diagonal jitter added to factorize K + sigma_n^2 I
     lml_evals: int = 0  # objective evaluations of the fit that chose params
     jittered_evals: int = 0  # of those, the ones whose factorization needed jitter
     converged: bool | None = None  # the fit's optimizer success; None if not fitted
-    # (n,) squared norms of the train.x rows, for predict_row's distances
+    # (n,) squared norms of the train.x rows, for predict's distances
     train_sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
     # -2 sigma_l^2 and sigma_f^2 as Python floats, for the posterior
     kernel_divisor: float = field(init=False, repr=False, compare=False)
     signal_var: float = field(init=False, repr=False, compare=False)
+    # (alpha row, y_mean as a Python float) of each output, for the posterior
+    _outputs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "train_sq_norms", np.sum(self.train.x**2, axis=1))
         object.__setattr__(self, "kernel_divisor", float(-2.0 * self.params.sigma_l**2))
         object.__setattr__(self, "signal_var", float(self.params.sigma_f**2))
+        object.__setattr__(self, "_outputs", tuple(
+            zip(np.atleast_2d(self.alpha), np.atleast_1d(self.y_mean).tolist())
+        ))
 
     @classmethod
     @_blas.one_thread()
     def from_params(
-        cls,
-        train: TrainingSet,
-        params: SeKernelParams,
-        y_mean: float = 0.0,
-        factor: tuple[np.ndarray, float] | None = None,
+        cls, train: TrainingSet, params: SeKernelParams, y_mean: float | np.ndarray = 0.0
     ) -> "GpModel":
-        """Factorize K + sigma_n^2 I once, unless `factor` is its (chol,
-        jitter) from `_factorize` on `train.x` and `params`; the factor gives
-        alpha and the LML."""
-        yc = np.asarray_chkfinite(train.y - y_mean)
-        chol, jitter = _factorize(train.x, params) if factor is None else factor
-        half = _solve_lower(chol, yc)
-        alpha = _solve_lower(chol, half, trans=1)
-        lml = float(
-            -0.5 * np.dot(half, half)
-            - np.sum(np.log(np.diag(chol)))
-            - 0.5 * train.n * math.log(2.0 * math.pi)
-        )
+        """Factorize K + sigma_n^2 I once; the factor gives each output's
+        alpha, by two triangular solves, and LML. `y_mean` is one float, or
+        one per row of a (p, n) `train.y`."""
+        y_mean = np.broadcast_to(y_mean, train.y.shape[:-1]).astype(float)
+        yc = np.asarray_chkfinite(train.y - y_mean[..., None])
+        chol, jitter = _factorize(train.x, params)
+        halves = [_solve_lower(chol, y) for y in np.atleast_2d(yc)]
+        alpha = np.array([_solve_lower(chol, half, trans=1) for half in halves])
+        log_det = np.sum(np.log(np.diag(chol)))  # half the log determinant
+        lml = np.array([
+            -0.5 * np.dot(half, half) - log_det - 0.5 * train.n * math.log(2.0 * math.pi)
+            for half in halves
+        ])
+        if train.y.ndim == 1:
+            alpha, y_mean, lml = alpha[0], float(y_mean), float(lml[0])
         return cls(train=train, params=params, chol=chol, alpha=alpha,
                    y_mean=y_mean, lml=lml, jitter=jitter)
 
-    def predict(self, x_star_raw: np.ndarray) -> tuple[float, float]:
-        """Posterior mean and variance at one raw (unstandardized) query, a
-        (d,) or (1, d) array, by `predict_row`; `predict_many` predicts more."""
-        x = np.atleast_2d(np.asarray(x_star_raw, dtype=float))
-        if x.ndim != 2 or len(x) != 1:
-            raise ValueError(f"predict takes one query, got shape {np.shape(x_star_raw)}")
-        return predict_row((self,), x[0])[0]
+    def output(self, k: int) -> "GpModel":
+        """Output `k` as a one-output model that shares this model's factor.
+        Each call builds a new model; the predictions do not use it."""
+        train = replace(self.train, y=np.atleast_2d(self.train.y)[k])
+        return replace(
+            self, train=train, alpha=np.atleast_2d(self.alpha)[k],
+            y_mean=float(np.atleast_1d(self.y_mean)[k]), lml=float(np.atleast_1d(self.lml)[k]),
+        )
+
+    def predict(self, x_star_raw: np.ndarray):
+        """Posterior (mean, variance) at one raw (unstandardized) query, a
+        (d,) or (1, d) array, as Python floats equal to `predict_many`'s
+        one-row values to the bit. The mean is a float, or a list of one per
+        output with a (p, n) `train.y`; the variance is every output's.
+
+        For one row numpy's fixed cost per call outweighs the arithmetic, so
+        the kernel row is built once; each output takes one dot with it for
+        its mean, and one triangular solve in its place and one reduction
+        give the variance.
+        """
+        x = np.asarray(x_star_raw, dtype=float)
+        if x.ndim == 2 and len(x) == 1:
+            x = x[0]
+        if x.shape != (self.train.d,):
+            raise ValueError(
+                f"predict takes one query of shape ({self.train.d},),"
+                f" got shape {np.shape(x_star_raw)}"
+            )
+        std = self.train.standardizer
+        xs = (x - std.mean) / std.scale
+        d2 = _clamp_distances(
+            self.train_sq_norms + np.add.reduce(xs * xs) - 2.0 * (self.train.x @ xs)
+        )
+        # gram_matrix(train.x, xs), over d2
+        k_star = _se_kernel(d2, self.kernel_divisor, self.signal_var, out=d2)
+        means = [float(k_star @ alpha) + y_mean for alpha, y_mean in self._outputs]
+        _solve_lower(self.chol, k_star, overwrite=True)  # v = chol^-1 k_star, over k_star
+        k_star *= k_star
+        variance = max(self.signal_var - float(np.add.reduce(k_star)), 0.0)
+        return means if self.alpha.ndim == 2 else means[0], variance
 
     def predict_many(self, x_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized posterior mean and variance over (m, d) raw queries."""
-        return predict_shared_inputs((self,), x_raw)[0]
+        """Posterior mean and variance over (m, d) raw queries, for any m, as
+        arrays on one BLAS thread: the means are (m,), or (p, m) with a (p, n)
+        `train.y`, and the (m,) variance is every output's. The queries'
+        standardization, kernel, triangular solve and variance are computed
+        once, and each output's mean is its own dot with that kernel."""
+        x = np.atleast_2d(np.asarray(x_raw, dtype=float))
+        if x.ndim != 2 or x.shape[1] != self.train.d:
+            raise ValueError(f"queries have shape {x.shape}, not (m, {self.train.d})")
+        xs = self.train.standardizer.apply(x)
+        with _blas.one_thread():
+            d2 = _sq_dists(self.train.x, xs)
+            k_star = _se_kernel(d2, self.kernel_divisor, self.signal_var, out=d2)
+            means = [k_star.T @ alpha + y_mean for alpha, y_mean in self._outputs]
+            v = _solve_lower(self.chol, k_star)
+        v *= v
+        variance = np.maximum(self.signal_var - np.sum(v, axis=0), 0.0)
+        return np.array(means) if self.alpha.ndim == 2 else means[0], variance
 
     def save(self, path) -> None:
         """Serialize to an .npz archive; the factorization and LML are
@@ -526,93 +537,36 @@ class GpModel:
         )
 
     @classmethod
-    def load(cls, path, factor_of: "GpModel | None" = None) -> "GpModel":
-        """ValueError naming `path` if it is not an archive as `save` writes.
-
-        The factor of `factor_of` serves the loaded model too when the archive
-        has its inputs, standardizer and params, as the models of one
-        `fit_shared_inputs` do; otherwise the model factorizes its own.
-        """
+    def load(cls, path) -> "GpModel":
+        """ValueError naming `path` if it is not an archive as `save` writes."""
         try:
             with np.load(path) as z:
                 x, y, mean, scale, y_mean, hyper = (
                     z[k] for k in ("x", "y", "std_mean", "std_scale", "y_mean", "hyper")
                 )
+        # zipfile raises NotImplementedError for a flipped flag bit that
+        # asks for encryption, and numpy's .npy header parser TokenError
+        except (zipfile.BadZipFile, KeyError, EOFError, ValueError, NotImplementedError,
+                tokenize.TokenError) as exc:
+            raise ValueError(f"bad model archive {path}: {exc}") from exc
+        try:
             if not (
                 x.ndim == 2
+                and y.ndim in (1, 2)
                 and mean.shape == scale.shape == (x.shape[1],)
                 and hyper.shape == (3,)
-                and y_mean.shape == ()
+                and y_mean.shape == y.shape[:-1]
             ):
                 raise ValueError(
-                    f"x, std_mean, std_scale, hyper and y_mean have shapes {x.shape},"
-                    f" {mean.shape}, {scale.shape}, {hyper.shape} and {y_mean.shape},"
-                    " not (n, d), (d,), (d,), (3,) and ()"
+                    f"x, y, std_mean, std_scale, hyper and y_mean have shapes {x.shape},"
+                    f" {y.shape}, {mean.shape}, {scale.shape}, {hyper.shape} and"
+                    f" {y_mean.shape}, not (n, d), (n,) or (p, n), (d,), (d,), (3,)"
+                    " and () or (p,)"
                 )
             train = TrainingSet(x=x, y=y, standardizer=Standardizer(mean=mean, scale=scale))
-            params, y_mean = SeKernelParams(*hyper.astype(float)), float(y_mean)
-            if not math.isfinite(y_mean):
+            params, y_mean = SeKernelParams(*hyper.astype(float)), y_mean.astype(float)
+            if not np.all(np.isfinite(y_mean)):
                 raise ValueError(f"y_mean must be finite, got {y_mean}")
-        except (zipfile.BadZipFile, KeyError, EOFError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"bad model archive {path}: {exc}") from exc
-        factor = None
-        same_kernel = factor_of is not None and factor_of.params == params
-        if same_kernel and factor_of.train.same_inputs(train):
-            factor = factor_of.chol, factor_of.jitter
-        return cls.from_params(train, params, y_mean=y_mean, factor=factor)
-
-
-def predict_shared_inputs(
-    models: tuple[GpModel, ...], x_raw: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Posterior mean and variance of each model over (m, d) raw queries, for
-    any m, as matrices on one BLAS thread. The models share one kernel, so
-    the queries' standardization, kernel, triangular solve and variances are
-    computed once for all of them (every model gets the same variance array),
-    and each model's mean is its own dot with that kernel.
-
-    Every model must have the first one's `train.x`, standardizer and
-    `params`; the caller checks that once, where it pairs the models, not
-    per query.
-    """
-    x = np.atleast_2d(np.asarray(x_raw, dtype=float))
-    first = models[0]
-    if x.ndim != 2 or x.shape[1] != first.train.d:
-        raise ValueError(f"queries have shape {x.shape}, not (m, {first.train.d})")
-    xs = first.train.standardizer.apply(x)
-    with _blas.one_thread():
-        d2 = _sq_dists(first.train.x, xs)
-        k_star = _se_kernel(d2, first.kernel_divisor, first.signal_var, out=d2)
-        means = [k_star.T @ m.alpha + m.y_mean for m in models]
-        v = _solve_lower(first.chol, k_star)
-    v *= v
-    variances = np.maximum(first.signal_var - np.sum(v, axis=0), 0.0)
-    return [(mean, variances) for mean in means]
-
-
-def predict_row(models: tuple[GpModel, ...], x_raw: np.ndarray) -> list[tuple[float, float]]:
-    """Posterior (mean, variance) of each model at one raw (d,) float query,
-    as Python floats equal to `predict_shared_inputs`' one-row values to the
-    bit.
-
-    For one row numpy's fixed cost per call outweighs the arithmetic, so
-    the shared kernel row is built once; each model takes one dot with it
-    for its mean, and one triangular solve in its place and one reduction
-    give the variance of all. The models must share their training inputs
-    and params, as in `predict_shared_inputs`.
-    """
-    first = models[0]
-    if x_raw.shape != (first.train.d,):
-        raise ValueError(f"query shape {x_raw.shape} != ({first.train.d},)")
-    std = first.train.standardizer
-    xs = (x_raw - std.mean) / std.scale
-    d2 = _clamp_distances(
-        first.train_sq_norms + np.add.reduce(xs * xs) - 2.0 * (first.train.x @ xs)
-    )
-    # gram_matrix(train.x, xs), over d2
-    k_star = _se_kernel(d2, first.kernel_divisor, first.signal_var, out=d2)
-    means = [float(k_star @ m.alpha) + m.y_mean for m in models]
-    _solve_lower(first.chol, k_star, overwrite=True)  # v = chol^-1 k_star, over k_star
-    k_star *= k_star
-    variance = max(first.signal_var - float(np.add.reduce(k_star)), 0.0)
-    return [(mean, variance) for mean in means]
+        return cls.from_params(train, params, y_mean=y_mean)

@@ -1,16 +1,16 @@
 """Heading prediction from UWB range + RSS features.
 
-Two GPs sharing one kernel map the 10-dimensional feature vector (5 ranges,
-5 RSS) to pseudo-sine and pseudo-cosine of heading: one hyperparameter
-search fits both, and each prediction takes one kernel and one triangular
-solve for the pair. Their joint output is
-normalized onto SO(2) and the scalar heading variance is propagated through
-the normalization with a first-order expansion.
+One two-output GP maps the 10-dimensional feature vector (5 ranges, 5 RSS)
+to pseudo-sine and pseudo-cosine of heading: its two outputs share one
+kernel, fitted by one hyperparameter search, and each prediction takes one
+kernel and one triangular solve for both. The model is saved as one archive,
+`heading_model.npz`. Its joint output is normalized onto SO(2) and the
+scalar heading variance is propagated through the normalization with a
+first-order expansion.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,6 +37,7 @@ __all__ = [
 
 NORM_EPS = 1e-3  # below this radius the linearization diverges; skip the epoch
 VAR_FLOOR = 1e-8
+MODEL_FILE = "heading_model.npz"  # the model's archive in a model directory
 
 
 class DegeneratePredictionError(ValueError):
@@ -113,54 +114,37 @@ class HeadingMeasurement:
 
 @dataclass(frozen=True)
 class HeadingGpPair:
-    """The sin/cos GPs, on one feature domain with one kernel."""
+    """The sin/cos GPs: one model whose two outputs, the rows of its (2, n)
+    `train.y`, are sin and cos of heading."""
 
-    gp_sin: gp.GpModel
-    gp_cos: gp.GpModel
+    model: gp.GpModel
 
-    def __post_init__(self):
-        # the pair's predictions compute one kernel and one solve for both
-        if not self.gp_sin.train.same_inputs(self.gp_cos.train):
-            raise ValueError("sin/cos GPs disagree on training inputs or standardizer")
-        if self.gp_sin.params != self.gp_cos.params:
-            sin, cos = (
-                f"({p.sigma_f:.6g}, {p.sigma_l:.6g}, {p.sigma_n:.6g})"
-                for p in (self.gp_sin.params, self.gp_cos.params)
-            )
-            raise ValueError(
-                f"sin/cos GPs have different kernel params (sigma_f, sigma_l, sigma_n)"
-                f" {sin} and {cos}, but the pair shares one kernel; retrain the model"
-                " (pairs trained with a kernel per GP cannot be loaded)"
-            )
+    @property
+    def gp_sin(self) -> gp.GpModel:
+        """The sin output as a one-output model (`gp.GpModel.output`)."""
+        return self.model.output(0)
+
+    @property
+    def gp_cos(self) -> gp.GpModel:
+        """The cos output as a one-output model (`gp.GpModel.output`)."""
+        return self.model.output(1)
 
     def save(self, directory) -> None:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        self.gp_sin.save(directory / "gp_sin.npz")
-        self.gp_cos.save(directory / "gp_cos.npz")
-        manifest = {
-            "feature_order": "range_0..4,rss_0..4 by anchor id",
-            "feature_dim": int(self.gp_sin.train.d),
-            "norm_eps": NORM_EPS,
-            "files": {"sin": "gp_sin.npz", "cos": "gp_cos.npz"},
-        }
-        (directory / "heading_model.json").write_text(
-            json.dumps(manifest, indent=2) + "\n"
-        )
+        self.model.save(directory / MODEL_FILE)
 
     @classmethod
     def load(cls, directory) -> "HeadingGpPair":
-        directory = Path(directory)
-        path = directory / "heading_model.json"
-        try:
-            files = json.loads(path.read_text())["files"]
-            sin, cos = [directory / files[k] for k in ("sin", "cos")]
-        except (ValueError, KeyError, TypeError) as exc:
+        """ValueError naming the archive if it is not a two-output model."""
+        path = Path(directory) / MODEL_FILE
+        model = gp.GpModel.load(path)
+        if model.train.y.shape[:-1] != (2,):
             raise ValueError(
-                f"bad model manifest {path}: need 'files' naming the sin and cos models ({exc!r})"
-            ) from exc
-        gp_sin = gp.GpModel.load(sin)
-        return cls(gp_sin=gp_sin, gp_cos=gp.GpModel.load(cos, factor_of=gp_sin))
+                f"bad model archive {path}: y has shape {model.train.y.shape},"
+                " not (2, n) for the sin and cos outputs"
+            )
+        return cls(model)
 
 
 def train_heading_gps(
@@ -168,9 +152,8 @@ def train_heading_gps(
     headings: np.ndarray,
     search: gp.HyperparamSearchConfig | None = None,
 ) -> HeadingGpPair:
-    """Fit the sin and cos GPs on a common feature matrix with one kernel,
-    from one pass over it and one hyperparameter search
-    (`gp.fit_shared_inputs`).
+    """Fit the sin and cos outputs on a common feature matrix with one
+    kernel, by one `gp.fit`.
 
     ``features`` is (m, 10) raw (unstandardized) vectors; ``headings`` is
     (m,) ground-truth angles in radians.
@@ -183,27 +166,25 @@ def train_heading_gps(
         raise ValueError("need at least 2 training records")
     if not np.all(np.isfinite(headings)):
         raise ValueError("headings must be finite")
-    std = gp.Standardizer.from_data(features)
-    xs = std.apply(features)
-    gp_sin, gp_cos = gp.fit_shared_inputs(
-        tuple(gp.TrainingSet(x=xs, y=f(headings), standardizer=std) for f in (np.sin, np.cos)),
-        search,
-    )
-    return HeadingGpPair(gp_sin=gp_sin, gp_cos=gp_cos)
+    trig = np.array([np.sin(headings), np.cos(headings)])
+    return HeadingGpPair(gp.fit(gp.TrainingSet.from_raw(features, trig), search))
 
 
 def predict_pseudo_trig(pair: HeadingGpPair, feature: UwbFeature) -> PseudoTrig:
-    """`predict_pseudo_trig_arrays` at one feature, by `gp.predict_row`."""
-    (s, vs), (c, vc) = gp.predict_row((pair.gp_sin, pair.gp_cos), feature.as_vector())
-    return PseudoTrig(s=s, c=c, var_s=max(vs, VAR_FLOOR), var_c=max(vc, VAR_FLOOR))
+    """`predict_pseudo_trig_arrays` at one feature, by the model's one-row
+    `predict`."""
+    (s, c), v = pair.model.predict(feature.as_vector())
+    v = max(v, VAR_FLOOR)
+    return PseudoTrig(s=s, c=c, var_s=v, var_c=v)
 
 
 def predict_pseudo_trig_arrays(pair: HeadingGpPair, vectors: np.ndarray):
     """Batch pseudo-trig prediction over (m, 10) raw feature vectors as
-    (s, c, var_s, var_c) arrays, variances floored at VAR_FLOOR. Both GPs
-    share one standardization, kernel and triangular solve."""
-    (s, vs), (c, vc) = gp.predict_shared_inputs((pair.gp_sin, pair.gp_cos), vectors)
-    return s, c, np.maximum(vs, VAR_FLOOR), np.maximum(vc, VAR_FLOOR)
+    (s, c, var_s, var_c) arrays, variances floored at VAR_FLOOR. The two
+    outputs share one variance, so var_s and var_c are one array."""
+    (s, c), v = pair.model.predict_many(vectors)
+    v = np.maximum(v, VAR_FLOOR)
+    return s, c, v, v
 
 
 def predict_pseudo_trig_many(

@@ -185,7 +185,8 @@ def cmd_generate(cfg: GenerateConfig, out_dir) -> dict:
 
 
 def cmd_train(dataset_path, cfg: TrainConfig, out_dir) -> heading.HeadingGpPair:
-    """Train the sin/cos GP pair and serialize it with a training summary."""
+    """Train the two-output sin/cos GP and serialize it with a training
+    summary."""
     out_dir = Path(out_dir)
     stamps = [time.perf_counter()]  # stage boundaries: read, fit, save
     data = _read(world.read_dataset, dataset_path)
@@ -201,7 +202,7 @@ def cmd_train(dataset_path, cfg: TrainConfig, out_dir) -> heading.HeadingGpPair:
     stamps.append(time.perf_counter())
     summary = {
         "n_records": len(data),
-        "n_used": int(pair.gp_sin.train.n),
+        "n_used": int(pair.model.train.n),
         "max_points": cfg.max_points,
         "capped": len(data) > cfg.max_points,
         **dict(zip(("read_s", "fit_s", "save_s"), np.diff(stamps).tolist())),

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ def identity_train(x, y):
 
 def fit_pass(x, y):
     """The fit pass over unstrided rows `x`: their distances and LML buffers."""
-    return gp._SharedInputs(identity_train(x, y), gp.HyperparamSearchConfig())
+    return gp._FitPass(identity_train(x, y), gp.HyperparamSearchConfig())
 
 
 # --- kernel ----------------------------------------------------------------
@@ -298,6 +299,10 @@ def test_training_set_rejects_bad_data():
         gp.TrainingSet.from_raw(np.array([[np.nan]]), np.array([1.0]))
     with pytest.raises(ValueError):
         gp.TrainingSet.from_raw(np.zeros((2, 1)), np.array([1.0]))
+    # (p, n) outputs: n must be the input row count, and p at least 1
+    for y in (np.zeros((2, 3)), np.zeros((0, 4))):
+        with pytest.raises(ValueError):
+            identity_train(np.zeros((4, 2)), y)
 
 
 def test_chol_rejects_nan_matrix_without_jitter():
@@ -328,6 +333,11 @@ def test_serialization_round_trip(tmp_path):
     with np.load(path) as archive:
         assert "lml" not in archive.files
     assert loaded.lml == model.lml  # recomputed from the rebuilt factor
+    # the fit and the archive both hand over np.float64; the params hold floats
+    for params in (model.params, loaded.params):
+        assert all(type(v) is float for v in (params.sigma_f, params.sigma_l, params.sigma_n))
+        assert "np.float64" not in repr(params)
+    assert loaded.params == model.params
     queries = rng.normal(size=(40, 4)) * [1.0, 10.0, 0.1, 5.0]
     m0, v0 = model.predict_many(queries)
     m1, v1 = loaded.predict_many(queries)
@@ -668,63 +678,58 @@ def _same_model(a, b):
     )
 
 
-def _bench_heading_sets(bench_world_train):
+def _bench_heading_set(bench_world_train):
+    """The bench world's sin and cos of heading as the two outputs of one set."""
     feats, headings = bench_world_train
-    std = gp.Standardizer.from_data(feats)
-    return [gp.TrainingSet(x=std.apply(feats), y=f(headings), standardizer=std)
-            for f in (np.sin, np.cos)]
+    return gp.TrainingSet.from_raw(feats, np.array([np.sin(headings), np.cos(headings)]))
 
 
 def test_fit_equals_oracle_fit_bit_for_bit(monkeypatch, bench_world_train):
-    """Each set's own `fit`, `fit_shared_inputs` of that set alone, and
-    `fit` on the oracle evaluation give the same models, factors included."""
-    sets = _bench_heading_sets(bench_world_train)
+    """Each output's own `fit`, the `fit` of that output alone as a (1, n)
+    row, and `fit` on the oracle evaluation give the same models, factors
+    included."""
+    both = _bench_heading_set(bench_world_train)
+    sets = [replace(both, y=y) for y in both.y]
     search = gp.HyperparamSearchConfig(max_points=200)
     alone = [gp.fit(t, search) for t in sets]
-    shared = [gp.fit_shared_inputs((t,), search)[0] for t in sets]
+    as_row = [gp.fit(replace(t, y=t.y[None]), search) for t in sets]
+    assert all(m.alpha.shape == (1, 200) and m.lml.shape == (1,) for m in as_row)
     # the fit pass holds its one output as a (1, n) row
     monkeypatch.setattr(
         gp, "_neg_lml_and_grad",
         lambda p, d2, y, work: oracle_neg_lml_and_grad(p, d2, y.ravel())[:2],
     )
     oracle = [gp.fit(t, search) for t in sets]
-    for models in zip(alone, shared, oracle):
-        assert all(_same_model(models[0], m) for m in models[1:])
+    for one, row, orc in zip(alone, as_row, oracle):
+        assert _same_model(one, row.output(0)) and _same_model(one, orc)
 
 
 def test_joint_fit_equals_oracle_summed_fit_bit_for_bit(monkeypatch, bench_world_train):
-    """`fit_shared_inputs` of the sin/cos pair and the same fit on the oracle
-    summed evaluation give the same models, factors included; the pair
-    shares one kernel and one factor, and each model's LML is its own."""
-    sets = _bench_heading_sets(bench_world_train)
+    """The two-output `fit` of sin and cos and the same fit on the oracle
+    summed evaluation give the same model, factor included; each output's
+    LML is its own."""
+    both = _bench_heading_set(bench_world_train)
     search = gp.HyperparamSearchConfig(max_points=200)
-    joint = gp.fit_shared_inputs(sets, search)
+    joint = gp.fit(both, search)
     monkeypatch.setattr(
         gp, "_neg_lml_and_grad",
         lambda p, d2, y, work: oracle_summed_neg_lml_and_grad(p, d2, y)[:2],
     )
-    oracle = gp.fit_shared_inputs(sets, search)
+    oracle = gp.fit(both, search)
     monkeypatch.undo()
-    for a, b in zip(joint, oracle):
-        assert _same_model(a, b)
-    sin, cos = joint
-    assert sin.params == cos.params and sin.chol is cos.chol
-    assert (sin.lml_evals, sin.converged) == (cos.lml_evals, cos.converged)
-    for model in joint:
+    assert joint.alpha.shape == (2, 200) and joint.lml.shape == joint.y_mean.shape == (2,)
+    assert joint.alpha.tobytes() == oracle.alpha.tobytes()
+    assert joint.lml.tobytes() == oracle.lml.tobytes()
+    for k in range(2):
+        model = joint.output(k)
+        assert _same_model(model, oracle.output(k))
+        assert model.chol is joint.chol
         own = gp.log_marginal_likelihood(
             gp.TrainingSet(x=model.train.x, y=model.train.y - model.y_mean,
                            standardizer=model.train.standardizer),
             model.params,
         )
         assert float(model.lml).hex() == float(own).hex()
-
-
-def test_fit_shared_inputs_rejects_differing_inputs():
-    rng = np.random.default_rng(8)
-    a = gp.TrainingSet.from_raw(rng.normal(size=(20, 2)), rng.normal(size=20))
-    b = gp.TrainingSet.from_raw(rng.normal(size=(20, 2)), rng.normal(size=20))
-    with pytest.raises(ValueError, match="differ"):
-        gp.fit_shared_inputs((a, b))
 
 
 def test_fit_counts_jittered_evaluations(monkeypatch):
@@ -854,19 +859,17 @@ def test_fit_and_predict_do_not_depend_on_blas_thread_count():
 def test_pair_fit_and_predict_do_not_depend_on_blas_thread_count():
     rng = np.random.default_rng(17)
     x = rng.normal(size=(300, 4))
-    std = gp.Standardizer.from_data(x)
-    sets = [gp.TrainingSet(x=std.apply(x), y=f(x[:, 0]) + 0.1 * rng.normal(size=300),
-                           standardizer=std) for f in (np.sin, np.cos)]
+    y = np.array([f(x[:, 0]) + 0.1 * rng.normal(size=300) for f in (np.sin, np.cos)])
+    train = gp.TrainingSet.from_raw(x, y)
     queries = rng.normal(size=(500, 4))
     results = []
     before = _set_blas_threads(2)
     try:
         for n in (2, 1):
             _set_blas_threads(n)
-            models = gp.fit_shared_inputs(sets, gp.HyperparamSearchConfig(max_points=300))
-            predicted = gp.predict_shared_inputs(models, queries)
-            results.append([models[0].chol, *(m.alpha for m in models),
-                            *(v for pair in predicted for v in pair)])
+            model = gp.fit(train, gp.HyperparamSearchConfig(max_points=300))
+            means, variance = model.predict_many(queries)
+            results.append([model.chol, model.alpha, means, variance])
     finally:
         for set_threads, n in zip(_blas._setters(), before):
             set_threads(n)

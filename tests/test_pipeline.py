@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uwbheading import heading, iekf, pipeline, so2, world
+from uwbheading import gp, heading, iekf, pipeline, so2, world
 
 SMALL_GEN = dict(
     train_duration_s=600.0,
@@ -972,6 +973,54 @@ def _reshape_array(key, edit):
     return rewrite
 
 
+def _flag_strong_encryption(path):
+    """Set general-purpose flag bit 6 in the archive's first central
+    directory entry, which zipfile refuses as strong encryption."""
+    data = bytearray(path.read_bytes())
+    at = data.index(b"PK\x01\x02") + 8
+    data[at] |= 0x40
+    path.write_bytes(bytes(data))
+
+
+def _unclose_npy_header(path):
+    """Blank the `)` that closes x.npy's shape tuple in its header, with the
+    archive's CRCs kept valid."""
+    with zipfile.ZipFile(path) as z:
+        members = {name: z.read(name) for name in z.namelist()}
+    header = members["x.npy"]
+    at = header.index(b")", header.index(b"'shape': ("))
+    members["x.npy"] = header[:at] + b" " + header[at + 1:]
+    with zipfile.ZipFile(path, "w") as z:
+        for name, data in members.items():
+            z.writestr(name, data)
+
+
+def _one_output_model(path):
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(120, 10))
+    model = gp.GpModel.from_params(
+        gp.TrainingSet.from_raw(x, np.sin(x[:, 0])), gp.SeKernelParams(1.0, 1.0, 0.1)
+    )
+    with path.open("wb") as f:  # under this name, not with np.savez's added .npz
+        model.save(f)
+
+
+def _two_archives_own_kernels(path):
+    """The model directory as trained when each GP had its own kernel and
+    archive, with a manifest naming the two."""
+    pair = heading.HeadingGpPair.load(path.parent)
+    path.unlink()
+    pair.gp_sin.save(path.parent / "gp_sin.npz")
+    cos = pair.gp_cos
+    p = cos.params
+    gp.GpModel.from_params(
+        cos.train, gp.SeKernelParams(1.5 * p.sigma_f, p.sigma_l, p.sigma_n), y_mean=cos.y_mean
+    ).save(path.parent / "gp_cos.npz")
+    (path.parent / "heading_model.json").write_text(
+        '{"files": {"sin": "gp_sin.npz", "cos": "gp_cos.npz"}}\n'
+    )
+
+
 @pytest.mark.parametrize(
     "target, edit, code, message",
     [
@@ -982,28 +1031,29 @@ def _reshape_array(key, edit):
         ("data/test.meta.json", _write("{"), 2, "test.meta.json"),
         ("data/test.meta.json", _write("[]"), 2, "JSON objects"),
         ("data/test.meta.json", _write('{"noise": 3}'), 2, "JSON objects"),
-        ("models/gp_sin.npz", Path.unlink, 2, "gp_sin.npz"),
-        ("models/gp_sin.npz", lambda p: p.write_bytes(p.read_bytes()[:200]), 2, "gp_sin.npz"),
-        ("models/gp_sin.npz", _to_directory, 2, "models/gp_sin.npz"),
-        ("models/gp_sin.npz", _drop_hyper, 2, "gp_sin.npz"),
-        ("models/gp_sin.npz", _reshape_array("hyper", lambda h: h[:2]), 2, "gp_sin.npz"),
-        ("models/gp_sin.npz", _reshape_array("hyper", lambda h: np.append(h, 1.0)), 2, "gp_sin.npz"),
-        ("models/gp_sin.npz", _reshape_array("hyper", lambda h: h[None, :]), 2, "gp_sin.npz"),
-        ("models/gp_sin.npz", _reshape_array("hyper", lambda h: np.array(["f", "l", "n"])), 2,
-         "gp_sin.npz"),
-        ("models/gp_sin.npz", _reshape_array("y_mean", lambda m: np.array([m, m])), 2, "gp_sin.npz"),
-        ("models/gp_sin.npz", _reshape_array("x", np.ravel), 2, "gp_sin.npz"),
-        ("models/gp_sin.npz", _reshape_array("std_mean", lambda m: m[:3]), 2, "gp_sin.npz"),
-        ("models/gp_sin.npz", _reshape_array("hyper", lambda h: -h), 2, "gp_sin.npz"),
-        ("models/gp_sin.npz", _reshape_array("y_mean", lambda m: np.array(np.nan)), 2,
-         "gp_sin.npz: y_mean must be finite"),
-        ("models/gp_sin.npz", _reshape_array("std_mean", lambda m: np.append(np.nan, m[1:])), 2,
-         "gp_sin.npz: standardizer means must be finite"),
-        # a model directory trained with a kernel per GP
-        ("models/gp_cos.npz", _reshape_array("hyper", lambda h: 1.5 * h), 2, "retrain"),
-        ("models/heading_model.json", _write("{"), 2, "bad model manifest"),
-        ("models/heading_model.json", _write('{"feature_dim": 10}'), 2, "bad model manifest"),
-        ("models/heading_model.json", _write('{"files": {"sin": 1, "cos": 2}}'), 2, "bad model manifest"),
+        ("models/heading_model.npz", Path.unlink, 2, "heading_model.npz"),
+        ("models/heading_model.npz", lambda p: p.write_bytes(p.read_bytes()[:200]), 2, "heading_model.npz"),
+        ("models/heading_model.npz", _to_directory, 2, "models/heading_model.npz"),
+        ("models/heading_model.npz", _drop_hyper, 2, "heading_model.npz"),
+        ("models/heading_model.npz", _reshape_array("hyper", lambda h: h[:2]), 2, "heading_model.npz"),
+        ("models/heading_model.npz", _reshape_array("hyper", lambda h: np.append(h, 1.0)), 2, "heading_model.npz"),
+        ("models/heading_model.npz", _reshape_array("hyper", lambda h: h[None, :]), 2, "heading_model.npz"),
+        ("models/heading_model.npz", _reshape_array("hyper", lambda h: np.array(["f", "l", "n"])), 2,
+         "heading_model.npz"),
+        ("models/heading_model.npz", _reshape_array("y_mean", lambda m: np.array([m, m])), 2, "heading_model.npz"),
+        ("models/heading_model.npz", _reshape_array("x", np.ravel), 2, "heading_model.npz"),
+        ("models/heading_model.npz", _reshape_array("std_mean", lambda m: m[:3]), 2, "heading_model.npz"),
+        ("models/heading_model.npz", _reshape_array("hyper", lambda h: -h), 2, "heading_model.npz"),
+        ("models/heading_model.npz", _reshape_array("y_mean", lambda m: np.full_like(m, np.nan)), 2,
+         "heading_model.npz: y_mean must be finite"),
+        ("models/heading_model.npz", _reshape_array("std_mean", lambda m: np.append(np.nan, m[1:])), 2,
+         "heading_model.npz: standardizer means must be finite"),
+        ("models/heading_model.npz", _flag_strong_encryption, 2, "heading_model.npz: strong encryption"),
+        ("models/heading_model.npz", _unclose_npy_header, 2, "heading_model.npz: ('EOF in multi-line statement'"),
+        # one output where the sin and cos outputs belong
+        ("models/heading_model.npz", _one_output_model, 2, "heading_model.npz: y has shape (120,), not (2, n)"),
+        # a model directory trained with a kernel per GP, in the two-archive layout
+        ("models/heading_model.npz", _two_archives_own_kernels, 2, "models/heading_model.npz"),
         ("cfg.json", _write("[1, 2]"), 1, "JSON objects"),
         ("cfg.json", _write('{"run": "fast"}'), 1, "JSON objects"),
         ("cfg.json", lambda p: p.write_bytes(b'{"run": "\xff"}'), 1, "cfg.json: "),
@@ -1012,13 +1062,14 @@ def _reshape_array(key, edit):
     ids=[
         "truncated-csv", "empty-dataset", "dataset-is-directory", "missing-metadata",
         "corrupt-metadata", "metadata-not-object",
+        # the gp-sin-* ids name the model archive, which was gp_sin.npz
         "noise-not-object", "missing-gp-sin", "truncated-gp-sin", "gp-sin-is-directory",
         "gp-sin-without-hyper",
         "gp-sin-two-hyper", "gp-sin-four-hyper", "gp-sin-2d-hyper", "gp-sin-text-hyper",
         "gp-sin-vector-y-mean", "gp-sin-1d-x", "gp-sin-short-std-mean", "gp-sin-negative-hyper",
-        "gp-sin-nan-y-mean", "gp-sin-nan-std-mean", "gp-cos-own-kernel",
-        "corrupt-manifest", "manifest-without-files",
-        "manifest-files-not-names", "config-not-object", "config-section-not-object",
+        "gp-sin-nan-y-mean", "gp-sin-nan-std-mean", "model-encryption-flag",
+        "model-unclosed-npy-header", "model-one-output", "gp-cos-own-kernel",
+        "config-not-object", "config-section-not-object",
         "config-not-utf-8", "config-is-directory",
     ],
 )
