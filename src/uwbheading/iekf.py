@@ -8,13 +8,12 @@ the state is a wrapped angle. The linearized Jacobians are constants
 (A = 1, C = 1, M = -1), so the covariance is a scalar. The Joseph-form
 update keeps it strictly positive.
 
-The arithmetic is written once, on plain floats, in `_predict` and
-`_correct` (whose angle-free part is `_gain`). The online API
-(`predict`/`correct` on a validated `FilterState`) and the batch pass
-`filter_runs` (many runs over the same epochs, validated only at its
-inputs) both use it, so they agree bit for bit. Ungated, `filter_runs`
-computes the covariance once for all runs and inlines the kernels' angle
-steps in its per-run loop.
+The online API (`predict`/`correct` on a validated `FilterState`) and the
+batch pass `filter_runs` (many runs over the same epochs, validated only at
+its inputs) share the correction's angle-free part, `_gain`, and do the
+same float arithmetic in the same order, so they agree bit for bit. The
+covariance does not depend on the angle, so `filter_runs` computes it once
+for all runs, then each run's angle.
 """
 
 from __future__ import annotations
@@ -83,16 +82,6 @@ class InnovationStats:
     mahalanobis: float  # innovation^2 / innovation_var
 
 
-# The kernels return the new angle unwrapped: the holder of the state wraps
-# it exactly once (FilterState on construction, filter_runs in its loop).
-
-
-def _predict(theta: float, cov: float, increment: float, process_var: float):
-    """Propagate by `increment` (rate * dt) and grow the covariance by
-    `process_var` (psd * dt)."""
-    return theta + increment, cov + process_var
-
-
 def _gain(cov: float, meas_var: float):
     """The correction's gain, innovation variance S and updated covariance
     (Joseph form) for a measurement of variance meas_var. None of them
@@ -102,18 +91,10 @@ def _gain(cov: float, meas_var: float):
     return gain, s_var, (1.0 - gain) ** 2 * cov + gain**2 * meas_var
 
 
-def _correct(theta: float, cov: float, y: float, meas_var: float):
-    """Fuse heading y with variance meas_var; returns the updated angle and
-    covariance, the innovation z and its variance S."""
-    z = so2.wrap_float(theta - y)
-    gain, s_var, cov = _gain(cov, meas_var)
-    return theta - gain * z, cov, z, s_var
-
-
 def predict(state: FilterState, gyro: GyroSample, noise: ProcessNoise) -> FilterState:
     """Propagate with the measured rate; exact for piecewise-constant rate."""
-    theta, cov = _predict(state.angle, state.cov, gyro.rate * gyro.dt, noise.psd * gyro.dt)
-    return FilterState(angle=theta, cov=cov)
+    return FilterState(angle=state.angle + gyro.rate * gyro.dt,
+                       cov=state.cov + noise.psd * gyro.dt)
 
 
 def correct(
@@ -121,30 +102,26 @@ def correct(
 ) -> tuple[FilterState, InnovationStats]:
     """Fuse one SO(2) heading measurement; returns the updated state and
     innovation statistics (Joseph-form covariance update)."""
-    theta, cov, z, s_var = _correct(state.angle, state.cov, meas.angle, meas.var_theta)
+    z = so2.wrap_float(state.angle - meas.angle)
+    gain, s_var, cov = _gain(state.cov, meas.var_theta)
     stats = InnovationStats(innovation=z, innovation_var=s_var, mahalanobis=z * z / s_var)
-    return FilterState(angle=theta, cov=cov), stats
+    return FilterState(angle=state.angle - gain * z, cov=cov), stats
 
 
-def filter_runs(start_angles, init_cov, increments, process_vars, measurements,
-                gate_bound=math.inf):
+def filter_runs(start_angles, init_cov, increments, process_vars, measurements):
     """Filter every start angle in `start_angles`, each with covariance
     `init_cov`, over the same n epochs.
 
     `increments[k]` and `process_vars[k]` (n - 1 floats each) are rate * dt
     and psd * dt of the step from epoch k to k + 1. `measurements[k]` is an
-    (angle, variance) pair or None for no correction. A correction whose
-    Mahalanobis distance exceeds `gate_bound` is not applied (math.inf: none
-    is gated); its distance is still reported. The start angles are wrapped
-    and, like `init_cov`, checked as a FilterState's; the steps are not
-    validated: a non-finite value propagates into the output.
+    (angle, variance) pair or None for no correction. The start angles are
+    wrapped and, like `init_cov`, checked as a FilterState's; the steps are
+    not validated: a non-finite value propagates into the output.
 
     Returns (angle, cov, mahalanobis) arrays of shape (len(start_angles), n);
-    mahalanobis is NaN where no correction ran. Ungated, the covariance,
-    gain and innovation variance do not depend on the angle, so every run
-    shares one covariance pass and `cov` is one read-only row broadcast to
-    every run. A gate rejects different corrections in different runs, so
-    gated runs each take the full loop.
+    mahalanobis is NaN where no correction ran. The covariance, gain and
+    innovation variance do not depend on the angle, so every run shares one
+    covariance pass and `cov` is one read-only row broadcast to every run.
     """
     if not len(increments) == len(process_vars) == max(len(measurements) - 1, 0):
         raise ValueError(
@@ -153,54 +130,36 @@ def filter_runs(start_angles, init_cov, increments, process_vars, measurements,
         )
     thetas = [FilterState(angle=a, cov=init_cov).angle for a in start_angles]
     shape = (len(thetas), len(measurements))
-    steps = list(zip([None, *increments], [None, *process_vars], measurements))
+    # the covariance pass, once: predict's and correct's covariance steps
+    cov, covs, shared = init_cov, [], []
+    for increment, process_var, meas in zip([None, *increments], [None, *process_vars],
+                                            measurements):
+        if increment is not None:
+            cov = cov + process_var
+        if meas is None:
+            shared.append((increment, None, None, None))
+        else:
+            gain, s_var, cov = _gain(cov, meas[1])
+            shared.append((increment, meas[0], gain, s_var))
+        covs.append(cov)
+    # then each run's angle: predict's and correct's angle steps, each
+    # wrapped as FilterState wraps it
+    wrap = so2.wrap_float
     angles, mahals = [], []
-    if gate_bound == math.inf:
-        # the covariance pass, once: _predict's and _gain's covariance steps
-        cov, covs, shared = init_cov, [], []
-        for increment, process_var, meas in steps:
-            if increment is not None:
-                cov = cov + process_var
-            if meas is None:
-                shared.append((increment, None, None, None))
-            else:
-                gain, s_var, cov = _gain(cov, meas[1])
-                shared.append((increment, meas[0], gain, s_var))
-            covs.append(cov)
-        # then each run's angle: _predict's and _correct's angle steps
-        wrap = so2.wrap_float
-        for theta in thetas:
-            for increment, y, gain, s_var in shared:
-                if increment is not None:
-                    theta = wrap(theta + increment)
-                if y is None:
-                    mahal = math.nan
-                else:
-                    z = wrap(theta - y)
-                    mahal = z * z / s_var
-                    theta = wrap(theta - gain * z)
-                angles.append(theta)
-                mahals.append(mahal)
-        cov = np.broadcast_to(np.array(covs, dtype=float), shape)
-        return np.array(angles).reshape(shape), cov, np.array(mahals).reshape(shape)
-    covs = []
     for theta in thetas:
-        cov = init_cov
-        for increment, process_var, meas in steps:
+        for increment, y, gain, s_var in shared:
             if increment is not None:
-                theta, cov = _predict(theta, cov, increment, process_var)
-                theta = so2.wrap_float(theta)
-            if meas is None:
+                theta = wrap(theta + increment)
+            if y is None:
                 mahal = math.nan
             else:
-                new_theta, new_cov, z, s_var = _correct(theta, cov, *meas)
+                z = wrap(theta - y)
                 mahal = z * z / s_var
-                if not mahal > gate_bound:
-                    theta, cov = so2.wrap_float(new_theta), new_cov
+                theta = wrap(theta - gain * z)
             angles.append(theta)
-            covs.append(cov)
             mahals.append(mahal)
-    return tuple(np.array(v, dtype=float).reshape(shape) for v in (angles, covs, mahals))
+    cov = np.broadcast_to(np.array(covs, dtype=float), shape)
+    return np.array(angles).reshape(shape), cov, np.array(mahals).reshape(shape)
 
 
 def mahalanobis_bound(confidence: float) -> float:

@@ -32,6 +32,7 @@ from . import gp, heading, iekf, so2, world
 ESTIMATORS = ("gp-iekf", "mag-iekf", "deadreckon")
 MAHALANOBIS_BOUND_997 = iekf.mahalanobis_bound(0.997)
 TRACE_COLUMNS = ("t", "run", "error", "three_sigma", "mahalanobis")
+STEADY_FRACTION = 0.5  # the trailing share of epochs that the steady metrics cover
 
 
 class DataError(RuntimeError):
@@ -140,8 +141,6 @@ class RunConfig:
     init_error_var: float = 1.0  # rad^2, per the 100-run Monte-Carlo protocol
     q_c: float | None = None  # rad^2/s; None -> dataset metadata gyro_psd
     seed: int = 0
-    steady_fraction: float = 0.5  # trailing window for the steady +-3sigma
-    gate: bool = False  # reject corrections above the 99.7% bound
 
     def __post_init__(self):
         _check(self, (lambda x: x in ESTIMATORS, f"one of {ESTIMATORS}"), "estimator")
@@ -150,9 +149,6 @@ class RunConfig:
         _check(self, (lambda x: x is None or _finite_number(x) and x > 0,
                       "null or a finite number > 0"), "q_c")
         _check(self, _SEED, "seed")
-        _check(self, (lambda x: _finite_number(x) and 0 < x <= 1, "a number in (0, 1]"),
-               "steady_fraction")
-        _check(self, (lambda x: isinstance(x, bool), "true or false"), "gate")
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +248,7 @@ def _measurement_pairs(measurements):
     return pairs
 
 
-def run_filter(
-    data,
-    measurements,
-    q_c: float,
-    init_theta,
-    init_var: float,
-    gate: bool = False,
-):
+def run_filter(data, measurements, q_c: float, init_theta, init_var: float):
     """Filter every start angle over the world.Dataset `data`; returns
     (error, three_sigma, mahalanobis) arrays, of shape (n,) for a scalar
     `init_theta` and (R, n) for a sequence of R start angles.
@@ -267,8 +256,8 @@ def run_filter(
     pair or None (no correction at epoch k).
 
     All runs share one float-level pass (`iekf.filter_runs`); the inputs are
-    validated here, once, instead of at every step. Ungated, every run has
-    the same three_sigma row. The error is the left-invariant group error
+    validated here, once, instead of at every step. Every run has the same
+    three_sigma row. The error is the left-invariant group error
     log(gt^-1 est), wrapped into the principal branch; Mahalanobis entries
     are NaN where no correction ran. A non-finite error or covariance raises
     NumericalError naming the first epoch where one appears.
@@ -287,7 +276,6 @@ def run_filter(
         (gyro * dt).tolist(),
         (noise.psd * dt).tolist(),
         pairs,
-        MAHALANOBIS_BOUND_997 if gate else math.inf,
     )
     with np.errstate(invalid="ignore"):
         err = so2.wrap_angle(angle - data.gt_heading)
@@ -300,24 +288,31 @@ def run_filter(
     return err, sig3, mahal
 
 
-def _noise_metadata(dataset_path, estimator) -> dict:
-    """The dataset's `noise` metadata, with gyro_psd (and mag_std for
-    mag-iekf) checked; DataError if the sidecar file is missing, unreadable,
-    not valid JSON, or not a JSON object with an object `noise`."""
+def _noise_settings(dataset_path, cfg: RunConfig):
+    """The gyro noise PSD q_c (`cfg.q_c`, or else the dataset's
+    noise.gyro_psd) and, for mag-iekf, the magnetometer variance (the
+    dataset's noise.mag_std squared; None for the other estimators).
+    DataError if the metadata sidecar is missing, unreadable, not valid JSON
+    or not a JSON object with an object `noise`, or lacks a valid value that
+    the run needs."""
     path = world.metadata_path(dataset_path)
     meta = _read(_json_file, path)
     noise = meta.get("noise", {}) if isinstance(meta, dict) else None
     if not isinstance(noise, dict):
         raise DataError(f"{path}: metadata and its noise section must be JSON objects")
-    psd = noise.get("gyro_psd")
-    if psd is not None and not (_finite_number(psd) and psd > 0):
-        raise DataError(f"{path}: gyro_psd must be finite and positive, got {psd!r}")
-    mag_std = noise.get("mag_std")  # cmd_run squares it into the magnetometer variance
-    ok = _finite_number(mag_std) and mag_std >= 0 and _finite_number(mag_std * mag_std)
-    if estimator == "mag-iekf" and not ok:
+    q_c = cfg.q_c
+    if q_c is None:
+        q_c = noise.get("gyro_psd")
+        if not (_finite_number(q_c) and q_c > 0):
+            raise DataError(f"{path}: without a q_c in the run config, noise.gyro_psd must be"
+                            f" finite and positive, got {q_c!r}")
+    if cfg.estimator != "mag-iekf":
+        return q_c, None
+    mag_std = noise.get("mag_std")
+    if not (_finite_number(mag_std) and mag_std >= 0 and _finite_number(mag_std * mag_std)):
         raise DataError(f"{path}: mag-iekf needs a noise.mag_std >= 0 whose square is finite,"
                         f" got {mag_std!r}")
-    return noise
+    return q_c, mag_std**2
 
 
 def cmd_run(dataset_path, model_dir, cfg: RunConfig, out_dir) -> dict:
@@ -330,12 +325,7 @@ def cmd_run(dataset_path, model_dir, cfg: RunConfig, out_dir) -> dict:
     data = _read(world.read_dataset, dataset_path)
     if len(data) == 0:
         raise DataError(f"empty dataset: {dataset_path}")
-    noise_meta = _noise_metadata(dataset_path, cfg.estimator)
-    q_c = cfg.q_c if cfg.q_c is not None else noise_meta.get("gyro_psd")
-    if q_c is None:
-        raise DataError("q_c not given and dataset metadata lacks gyro_psd")
-
-    mag_var = noise_meta["mag_std"] ** 2 if cfg.estimator == "mag-iekf" else None
+    q_c, mag_var = _noise_settings(dataset_path, cfg)
     if cfg.estimator == "gp-iekf" and model_dir is None:
         raise ConfigError("gp-iekf requires --models")
     pair = _read(heading.HeadingGpPair.load, model_dir) if cfg.estimator == "gp-iekf" else None
@@ -351,9 +341,7 @@ def cmd_run(dataset_path, model_dir, cfg: RunConfig, out_dir) -> dict:
     rngs = (np.random.default_rng([cfg.seed, r]) for r in range(cfg.monte_carlo_runs))
     init_std = math.sqrt(cfg.init_error_var)
     thetas0 = [so2.wrap_angle(data.gt_heading[0] + init_std * g.standard_normal()) for g in rngs]
-    errs, sigs, mahals = run_filter(
-        data, measurements, q_c, thetas0, cfg.init_error_var, gate=cfg.gate
-    )
+    errs, sigs, mahals = run_filter(data, measurements, q_c, thetas0, cfg.init_error_var)
     stamps.append(time.perf_counter())
 
     t = data.t
@@ -368,14 +356,14 @@ def cmd_run(dataset_path, model_dir, cfg: RunConfig, out_dir) -> dict:
             list(world.float_cells(t)) * len(runs),  # each t formatted once
             itertools.chain.from_iterable(itertools.repeat(str(r), n) for r in runs),
             errs,
-            # ungated, the runs share one covariance row: format it once too
-            sigs if cfg.gate else list(world.float_cells(sigs[0])) * len(runs),
+            # the runs share one covariance row: format it once too
+            list(world.float_cells(sigs[0])) * len(runs),
             mahals,
         ],
     )
     stamps.append(time.perf_counter())
 
-    steady_start = int(n * (1.0 - cfg.steady_fraction))
+    steady_start = int(n * (1.0 - STEADY_FRACTION))
     rmse_deg = float(np.degrees(np.sqrt(np.mean(errs**2, axis=1))).mean())
     rmse_steady_deg = float(
         np.degrees(np.sqrt(np.mean(errs[:, steady_start:] ** 2, axis=1))).mean()
@@ -385,7 +373,6 @@ def cmd_run(dataset_path, model_dir, cfg: RunConfig, out_dir) -> dict:
     nees_frac = (
         float(np.mean(mahals[finite] <= MAHALANOBIS_BOUND_997)) if finite.any() else math.nan
     )
-    gated = int(np.sum(mahals > MAHALANOBIS_BOUND_997)) if cfg.gate else 0
     metrics = {
         "estimator": cfg.estimator,
         "monte_carlo_runs": cfg.monte_carlo_runs,
@@ -394,7 +381,7 @@ def cmd_run(dataset_path, model_dir, cfg: RunConfig, out_dir) -> dict:
         "mean_3sigma_deg": mean_3sigma_deg,
         "nees_within_bound_frac": nees_frac,
         "mahalanobis_bound": MAHALANOBIS_BOUND_997,
-        "steady_fraction": cfg.steady_fraction,
+        "steady_fraction": STEADY_FRACTION,
         "q_c": q_c,
         "init_error_var": cfg.init_error_var,
         "seed": cfg.seed,
@@ -404,11 +391,9 @@ def cmd_run(dataset_path, model_dir, cfg: RunConfig, out_dir) -> dict:
         "degenerate_epochs": (
             sum(m is None for m in measurements) if cfg.estimator == "gp-iekf" else 0
         ),
-        # corrections not applied because of the gate, summed over runs
-        "corrections_gated": gated,
-        # corrections applied, summed over runs: a correction ran (its
-        # Mahalanobis distance is not NaN) and the gate did not reject it
-        "corrections_applied": int(np.count_nonzero(~np.isnan(mahals))) - gated,
+        # corrections applied, summed over runs: those whose Mahalanobis
+        # distance is not NaN
+        "corrections_applied": int(np.count_nonzero(~np.isnan(mahals))),
     }
     metrics.update(zip(("load_s", "predict_s", "filter_s", "write_s"), np.diff(stamps).tolist()))
     (out_dir / "metrics.json").write_text(json.dumps(metrics, indent=2) + "\n")
@@ -445,6 +430,15 @@ def _load_traces(run_dir):
         raise DataError(f"{path}: rows are not runs 0..{runs - 1} in order,"
                         f" each over the {t.size} epochs in time order")
     return est, t, err, sig, mahal
+
+
+def _mean_of_corrected(mahal):
+    """The per-epoch mean over runs of the non-NaN entries of (runs, epochs)
+    `mahal`, as np.nanmean(mahal, axis=0) computes it, but NaN without a
+    warning at an epoch that no run corrected."""
+    corrected = ~np.isnan(mahal)
+    with np.errstate(invalid="ignore"):
+        return np.where(corrected, mahal, 0.0).sum(axis=0) / corrected.sum(axis=0)
 
 
 def cmd_report(run_dirs, out_dir) -> list[Path]:
@@ -484,7 +478,7 @@ def cmd_report(run_dirs, out_dir) -> list[Path]:
             p,
             ["t"] + [f"mean_mahalanobis_{est}" for est, _ in with_mahal] + ["bound"],
             [t_cells]
-            + [np.nanmean(mh, axis=0) for _, mh in with_mahal]
+            + [_mean_of_corrected(mh) for _, mh in with_mahal]
             + [[repr(MAHALANOBIS_BOUND_997)] * t.size],
         )
         written.append(p)

@@ -321,30 +321,45 @@ def test_filter_runs_shapes_and_gate_bound():
     assert angle.shape == cov.shape == mahal.shape == (2, 3)
     assert np.isnan(mahal[:, 0]).all() and np.isfinite(mahal[:, 1:]).all()
     assert not cov.flags.writeable  # one shared row, broadcast to every run
-    gated, _, gated_mahal = iekf.filter_runs(
-        starts, 1e-2, [0.0, 0.0], [1e-6, 1e-6], meas_pairs, gate_bound=8.807
-    )
-    assert np.array_equal(gated_mahal[:, 1], mahal[:, 1])  # reported even when gated
-    assert np.abs(gated[:, 1] - angle[:, 0]).max() == 0.0  # the wild fix is not applied
-    assert np.abs(angle[:, 1] - 3.0).max() < 0.1  # ungated, it is
-    for bound in (math.inf, 8.807):
-        empty = iekf.filter_runs(starts, 1e-2, [], [], [], gate_bound=bound)
-        assert all(a.shape == (2, 0) for a in empty)
+    assert np.abs(angle[:, 1] - 3.0).max() < 0.1  # the wild fix is applied: there is no gate
+    empty = iekf.filter_runs(starts, 1e-2, [], [], [])
+    assert all(a.shape == (2, 0) for a in empty)
+    with pytest.raises(ValueError):
+        iekf.filter_runs(starts, 1e-2, [0.0], [1e-6, 1e-6], meas_pairs)
+    # the starts are checked, and wrapped, as FilterStates
+    for bad_starts, init_cov in (([0.0, math.nan], 1e-2), (starts, 0.0), (starts, math.inf)):
         with pytest.raises(ValueError):
-            iekf.filter_runs(starts, 1e-2, [0.0], [1e-6, 1e-6], meas_pairs, gate_bound=bound)
-        # the starts are checked, and wrapped, as FilterStates
-        for bad_starts, init_cov in (([0.0, math.nan], 1e-2), (starts, 0.0), (starts, math.inf)):
-            with pytest.raises(ValueError):
-                iekf.filter_runs(bad_starts, init_cov, [0.0, 0.0], [1e-6, 1e-6], meas_pairs,
-                                 gate_bound=bound)
-        wrapped, _, _ = iekf.filter_runs([3 * math.pi], 1e-2, [], [], [None], gate_bound=bound)
-        assert wrapped[0, 0] == so2.wrap_float(3 * math.pi)
+            iekf.filter_runs(bad_starts, init_cov, [0.0, 0.0], [1e-6, 1e-6], meas_pairs)
+    wrapped, _, _ = iekf.filter_runs([3 * math.pi], 1e-2, [], [], [None])
+    assert wrapped[0, 0] == so2.wrap_float(3 * math.pi)
+
+
+def online_runs(starts, init_cov, increments, process_vars, measurements):
+    """`filter_runs` as a loop of the online `predict` and `correct`, one run
+    after another. A step of dt = 1 turns each increment and process variance
+    into a GyroSample rate and a ProcessNoise PSD unchanged."""
+    out = []
+    for theta0 in starts:
+        s = state(theta0, init_cov)
+        run = []
+        for k, m in enumerate(measurements):
+            if k:
+                s = iekf.predict(s, iekf.GyroSample(rate=increments[k - 1], dt=1.0),
+                                 iekf.ProcessNoise(psd=process_vars[k - 1]))
+            mahal = math.nan
+            if m is not None:
+                s, stats = iekf.correct(s, meas(*m))
+                mahal = stats.mahalanobis
+            run.append((s.angle, s.cov, mahal))
+        out.append(run)
+    return tuple(np.array(v, dtype=float).reshape(len(starts), len(measurements))
+                 for v in zip(*(e for run in out for e in run)))
 
 
 @pytest.mark.parametrize("runs", [1, 2, 100])
 def test_filter_runs_shared_pass_matches_per_run_loop_bit_for_bit(runs):
-    """Ungated (math.inf), the runs share one covariance pass; a finite bound
-    that no distance reaches takes the per-run loop, with the same result."""
+    """The runs share one covariance pass; a loop of the online predict and
+    correct over each run gives the same bits."""
     rng = np.random.default_rng(runs)
     n = 400
     increments = (0.1 * rng.normal(0.0, 0.5, n - 1)).tolist()
@@ -360,9 +375,7 @@ def test_filter_runs_shared_pass_matches_per_run_loop_bit_for_bit(runs):
     measurements[0] = measurements[-1] = None
     starts = [math.pi, -math.pi, *rng.uniform(-10.0, 10.0, runs).tolist()][:runs]
     shared = iekf.filter_runs(starts, 0.7, increments, process_vars, measurements)
-    looped = iekf.filter_runs(
-        starts, 0.7, increments, process_vars, measurements, gate_bound=1e300
-    )
+    looped = online_runs(starts, 0.7, increments, process_vars, measurements)
     for got, want in zip(shared, looped):
         assert got.shape == want.shape == (runs, n)
         assert np.ascontiguousarray(got).tobytes() == want.tobytes()

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 import zipfile
 from pathlib import Path
 
@@ -177,22 +178,6 @@ def test_run_filter_perfect_measurements_converge_fast():
     assert np.nanmax(mahal[5:]) < pipeline.MAHALANOBIS_BOUND_997
 
 
-def test_run_filter_gate_skips_outliers():
-    recs = clean_records()
-    # one wild measurement in the middle; everything else is None
-    meas = [None] * len(recs)
-    wild = so2.wrap_angle(recs[150].gt_heading + 3.0)
-    meas[150] = heading.HeadingMeasurement(angle=wild, var_theta=1e-4)
-    gated, _, _ = pipeline.run_filter(
-        recs, meas, 1e-12, recs[0].gt_heading, 1e-2, gate=True
-    )
-    ungated, _, _ = pipeline.run_filter(
-        recs, meas, 1e-12, recs[0].gt_heading, 1e-2, gate=False
-    )
-    assert abs(gated[151]) < 0.1
-    assert abs(ungated[151]) > 1.0
-
-
 def test_run_filter_overflowing_covariance_is_numerical_error():
     recs = clean_records()
     with pytest.raises(pipeline.NumericalError, match="epoch"):
@@ -216,7 +201,7 @@ def columns(t, gyro, gt_heading):
     )
 
 
-def reference_run(records, measurements, q_c, theta0, init_var, gate):
+def reference_run(records, measurements, q_c, theta0, init_var):
     """One run through the online API, epoch by epoch."""
     noise = iekf.ProcessNoise(psd=q_c)
     state = iekf.FilterState(angle=theta0, cov=init_var)
@@ -227,10 +212,8 @@ def reference_run(records, measurements, q_c, theta0, init_var, gate):
             state = iekf.predict(state, iekf.GyroSample(rate=prev.gyro, dt=rec.t - prev.t), noise)
         d = math.nan
         if meas is not None:
-            updated, stats = iekf.correct(state, meas)
+            state, stats = iekf.correct(state, meas)
             d = stats.mahalanobis
-            if not (gate and d > pipeline.MAHALANOBIS_BOUND_997):
-                state = updated
         err.append(float(so2.wrap_angle(state.angle - rec.gt_heading)))
         sig3.append(3.0 * math.sqrt(state.cov))
         mahal.append(d)
@@ -257,33 +240,32 @@ epoch = st.tuples(
     st.lists(near_pi | st.floats(min_value=-10.0, max_value=10.0), min_size=1, max_size=4),
     st.floats(min_value=1e-8, max_value=1.0),
     st.floats(min_value=1e-6, max_value=2.0),
-    st.booleans(),
 )
 @settings(max_examples=300, deadline=None)
-def test_run_filter_matches_online_loops_bit_for_bit(epochs, starts, q_c, init_var, gate):
+def test_run_filter_matches_online_loops_bit_for_bit(epochs, starts, q_c, init_var):
     dt, rate, gt, ys, var = zip(*epochs)
     records = columns(np.cumsum(dt), rate, gt)
     measurements = [None if y is None else heading.HeadingMeasurement(y, v) for y, v in zip(ys, var)]
-    err, sig3, mahal = pipeline.run_filter(records, measurements, q_c, starts, init_var, gate)
+    err, sig3, mahal = pipeline.run_filter(records, measurements, q_c, starts, init_var)
     assert err.shape == sig3.shape == mahal.shape == (len(starts), len(records))
     for r, theta0 in enumerate(starts):
-        ref = reference_run(records, measurements, q_c, theta0, init_var, gate)
+        ref = reference_run(records, measurements, q_c, theta0, init_var)
         assert all(same_bits(got[r], want) for got, want in zip((err, sig3, mahal), ref))
-        single = pipeline.run_filter(records, measurements, q_c, theta0, init_var, gate)
+        single = pipeline.run_filter(records, measurements, q_c, theta0, init_var)
         assert all(same_bits(got, want) for got, want in zip(single, ref))
 
 
 def test_run_filter_innovation_across_pi_and_gate():
     # state just below +pi, measurement just above -pi: the innovation is
-    # small once wrapped, so the gate keeps the correction
+    # small once wrapped, well inside the 99.7% bound
     recs = columns(np.arange(3.0), np.zeros(3), np.full(3, math.pi))
     meas = [None, heading.HeadingMeasurement(-math.pi + 0.05, 1e-2), None]
-    for gate in (False, True):
-        err, _, mahal = pipeline.run_filter(recs, meas, 1e-6, [math.pi - 0.05], 1e-2, gate)
-        ref = reference_run(recs, meas, 1e-6, math.pi - 0.05, 1e-2, gate)
-        assert same_bits(err[0], ref[0]) and same_bits(mahal[0], ref[2])
-        assert mahal[0, 1] == pytest.approx(0.1**2 / (2e-2 + 1e-6), rel=1e-9)
-        assert abs(err[0, 2]) < 0.05
+    err, _, mahal = pipeline.run_filter(recs, meas, 1e-6, [math.pi - 0.05], 1e-2)
+    ref = reference_run(recs, meas, 1e-6, math.pi - 0.05, 1e-2)
+    assert same_bits(err[0], ref[0]) and same_bits(mahal[0], ref[2])
+    assert mahal[0, 1] == pytest.approx(0.1**2 / (2e-2 + 1e-6), rel=1e-9)
+    assert mahal[0, 1] < pipeline.MAHALANOBIS_BOUND_997
+    assert abs(err[0, 2]) < 0.05
 
 
 def test_run_filter_takes_pairs_and_checks_them_as_measurements():
@@ -291,11 +273,10 @@ def test_run_filter_takes_pairs_and_checks_them_as_measurements():
     pairs = [None, (0.3, 0.1), (-0.2, 0.05), (3.1, 1e-3)]
     as_measurements = [None if p is None else heading.HeadingMeasurement(*p) for p in pairs]
     mixed = [pairs[0], as_measurements[1], pairs[2], as_measurements[3]]
-    for gate in (False, True):
-        want = pipeline.run_filter(recs, as_measurements, 1e-6, [0.0, 2.0], 1.0, gate)
-        for meas in (pairs, mixed):
-            got = pipeline.run_filter(recs, meas, 1e-6, [0.0, 2.0], 1.0, gate)
-            assert all(same_bits(g, w) for g, w in zip(got, want))
+    want = pipeline.run_filter(recs, as_measurements, 1e-6, [0.0, 2.0], 1.0)
+    for meas in (pairs, mixed):
+        got = pipeline.run_filter(recs, meas, 1e-6, [0.0, 2.0], 1.0)
+        assert all(same_bits(g, w) for g, w in zip(got, want))
     for bad, message in (
         ((math.nan, 0.1), "angle must be finite"),
         ((math.inf, 0.1), "angle must be finite"),
@@ -354,33 +335,20 @@ def test_run_metrics_report_counts_and_stage_times(run_dirs):
         _, _, _, _, mahal = pipeline._load_traces(d)
         skipped = int(np.isnan(mahal[0]).sum())
         assert m["degenerate_epochs"] == (skipped if est == "gp-iekf" else 0)
-        assert m["corrections_gated"] == 0  # gate off
-        # so every non-degenerate epoch of every run is corrected
+        assert "corrections_gated" not in m
+        # every non-degenerate epoch of every run is corrected
         corrected = 0 if est == "deadreckon" else m["n_epochs"] - m["degenerate_epochs"]
         assert m["corrections_applied"] == m["monte_carlo_runs"] * corrected
         assert all(m[k] >= 0.0 for k in ("load_s", "predict_s", "filter_s", "write_s"))
 
 
-def test_run_steady_rmse_over_trailing_window(workspace, run_dirs, tmp_path):
+def test_run_steady_rmse_over_trailing_window(run_dirs):
     m = json.loads((run_dirs["gp-iekf"] / "metrics.json").read_text())
     _, t, err, _, _ = pipeline._load_traces(run_dirs["gp-iekf"])
     start = int(t.size * (1.0 - m["steady_fraction"]))
     want = np.degrees(np.sqrt(np.mean(err[:, start:] ** 2, axis=1))).mean()
     assert m["rmse_steady_deg"] == want
-    cfg = pipeline.RunConfig(estimator="gp-iekf", monte_carlo_runs=5, seed=1, steady_fraction=1.0)
-    whole = pipeline.cmd_run(workspace / "data" / "test.csv", workspace / "models", cfg, tmp_path)
-    assert whole["rmse_steady_deg"] == whole["rmse_deg"] == m["rmse_deg"]
-
-
-def test_gated_run_counts_gated_corrections(workspace, tmp_path):
-    # a gyro PSD far below the dataset's makes the filter overconfident, so
-    # the gate rejects some GP headings
-    cfg = pipeline.RunConfig(estimator="gp-iekf", monte_carlo_runs=3, seed=1, gate=True, q_c=1e-6)
-    m = pipeline.cmd_run(workspace / "data" / "test.csv", workspace / "models", cfg, tmp_path)
-    _, _, _, _, mahal = pipeline._load_traces(tmp_path)
-    assert m["corrections_gated"] == int(np.sum(mahal > pipeline.MAHALANOBIS_BOUND_997)) > 0
-    corrected = 3 * (m["n_epochs"] - m["degenerate_epochs"])
-    assert m["corrections_applied"] == corrected - m["corrections_gated"]
+    assert m["steady_fraction"] == pipeline.STEADY_FRACTION == 0.5
 
 
 def test_load_traces_matches_genfromtxt(run_dirs):
@@ -472,6 +440,32 @@ def test_traces_and_report_are_pinned(tmp_path):
             "965234f651132df8f20a1897e9b5a402194e9ac699a81375c12c24e31427db8b",
         "report/mahalanobis.csv": "e365b953953c21f5942466b6b3034e6e17ed6ba6bc16c412717cedb3f87e3ef6",
     }
+
+
+def test_report_epoch_that_no_run_corrected_is_nan_without_warning(tmp_path):
+    """An epoch whose Mahalanobis entry is blank in every run, as at a
+    degenerate gp-iekf epoch (the runs share their measurements), gets a NaN
+    mean in mahalanobis.csv, and the report raises no warning."""
+    gen = pipeline.GenerateConfig(seed=3, train_duration_s=30.0, test_duration_s=10.0,
+                                  rate_hz=5.0)
+    pipeline.cmd_generate(gen, tmp_path / "data")
+    d = tmp_path / "mag-iekf"
+    pipeline.cmd_run(tmp_path / "data" / "test.csv", None,
+                     pipeline.RunConfig(estimator="mag-iekf", monte_carlo_runs=2), d)
+    _, t, _, _, mahal = pipeline._load_traces(d)
+    k = 7
+    lines = (d / "traces.csv").read_text().splitlines()
+    for row in (1 + k, 1 + t.size + k):  # epoch k of run 0 and of run 1
+        lines[row] = lines[row].rpartition(",")[0] + ",nan"
+    (d / "traces.csv").write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pipeline.cmd_report([d], tmp_path / "report")
+    means = world.read_table(tmp_path / "report" / "mahalanobis.csv",
+                             ("t", "mean_mahalanobis_mag-iekf", "bound"))[:, 1]
+    assert np.isnan(means[k])
+    others = np.delete(np.arange(t.size), k)
+    assert same_bits(means[others], np.nanmean(mahal[:, others], axis=0))
 
 
 def _edit_row(k, edit):
@@ -825,8 +819,9 @@ def copy_dataset(workspace, tmp_path, edit_meta=None):
         ("q_c", True), ("q_c", "3e-3"), ("init_error_var", True),
         ("monte_carlo_runs", 2.5), ("monte_carlo_runs", True), ("monte_carlo_runs", 0),
         ("seed", "x"), ("seed", -1), ("seed", 1.0), ("seed", False),
-        ("steady_fraction", 2), ("steady_fraction", 0), ("steady_fraction", True),
-        ("gate", 1), ("gate", "yes"), ("estimator", ["deadreckon"]),
+        # keys that RunConfig no longer has, at values they once took
+        ("gate", False), ("steady_fraction", 0.5),
+        ("estimator", ["deadreckon"]),
     ],
 )
 def test_cli_bad_run_config_is_usage_error(workspace, tmp_path, capsys, key, value):
@@ -946,6 +941,29 @@ def test_cli_bad_metadata_is_data_error(workspace, tmp_path, capsys, estimator, 
             "--dataset", str(dataset), "--out", str(tmp_path / "r")]
     assert pipeline.main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+def test_cli_runs_a_noiseless_gyro_dataset_given_q_c(tmp_path, capsys):
+    """generate accepts gyro_psd 0 (a noiseless gyro); run filters that
+    dataset with the config's q_c, and without one exits 2 naming both."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "generate": {"gyro_psd": 0.0, "train_duration_s": 30.0, "test_duration_s": 10.0,
+                     "rate_hz": 5.0},
+        "run": {"q_c": 0.003},
+    }))
+    data = tmp_path / "data"
+    assert pipeline.main(["generate", "--config", str(cfg), "--out", str(data)]) == 0
+    assert world.read_metadata(data / "test.csv")["noise"]["gyro_psd"] == 0.0
+    run = ["run", "--estimator", "deadreckon", "--runs", "1",
+           "--dataset", str(data / "test.csv")]
+    assert pipeline.main([*run, "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+    assert json.loads((tmp_path / "r" / "metrics.json").read_text())["q_c"] == 0.003
+    capsys.readouterr()
+    assert pipeline.main([*run, "--out", str(tmp_path / "no-q_c")]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "gyro_psd" in err and "q_c" in err
+    assert not (tmp_path / "no-q_c").exists()
 
 
 def _write(text):
