@@ -103,8 +103,9 @@ class Standardizer:
     @classmethod
     def from_data(cls, x_raw: np.ndarray) -> "Standardizer":
         x_raw = np.atleast_2d(np.asarray(x_raw, dtype=float))
-        mean = x_raw.mean(axis=0)
-        scale = x_raw.std(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):  # __post_init__ refuses inf or NaN
+            mean = x_raw.mean(axis=0)
+            scale = x_raw.std(axis=0)
         scale = np.where(scale > 0, scale, 1.0)  # constant columns pass through
         return cls(mean=mean, scale=scale)
 
@@ -511,9 +512,9 @@ class GpModel:
         x = np.atleast_2d(np.asarray(x_raw, dtype=float))
         if x.ndim != 2 or x.shape[1] != self.train.d:
             raise ValueError(f"queries have shape {x.shape}, not (m, {self.train.d})")
-        xs = self.train.standardizer.apply(x)
         with _blas.one_thread():
-            d2 = _sq_dists(self.train.x, xs)
+            with np.errstate(over="ignore", invalid="ignore"):  # _sq_dists refuses NaN
+                d2 = _sq_dists(self.train.x, self.train.standardizer.apply(x))
             k_star = _se_kernel(d2, self.kernel_divisor, self.signal_var, out=d2)
             means = [k_star.T @ alpha + y_mean for alpha, y_mean in self._outputs]
             v = _solve_lower(self.chol, k_star)

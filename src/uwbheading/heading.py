@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import gp, so2
+from . import gp
+from .iekf import HeadingMeasurement  # re-exported: normalize's result
 
 __all__ = [
     "UwbFeature",
@@ -89,27 +90,6 @@ class PseudoTrig:
             raise ValueError("pseudo-trig values must be finite")
         if not (0.0 < self.var_s < math.inf and 0.0 < self.var_c < math.inf):
             raise ValueError("pseudo-trig variances must be finite and positive")
-
-
-@dataclass(frozen=True)
-class HeadingMeasurement:
-    """An SO(2) heading measurement: angle (rad) with scalar variance (rad^2)."""
-
-    angle: float
-    var_theta: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.angle):
-            raise ValueError(f"measurement angle must be finite, got {self.angle}")
-        if not 0.0 < self.var_theta < math.inf:
-            raise ValueError(
-                f"measurement variance must be finite and positive, got {self.var_theta}"
-            )
-
-    @property
-    def rot(self) -> np.ndarray:
-        """The measurement as a 2x2 rotation matrix."""
-        return so2.exp_so2(self.angle)
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,14 @@ the state is a wrapped angle. The linearized Jacobians are constants
 (A = 1, C = 1, M = -1), so the covariance is a scalar. The Joseph-form
 update keeps it strictly positive.
 
-The online API (`predict`/`correct` on a validated `FilterState`) and the
-batch pass `filter_runs` (many runs over the same epochs, validated only at
-its inputs) share the correction's angle-free part, `_gain`, and do the
-same float arithmetic in the same order, so they agree bit for bit. The
-covariance does not depend on the angle, so `filter_runs` computes it once
-for all runs, then each run's angle.
+The measurement is a `HeadingMeasurement`, whatever produced it (the GP
+pair in `heading`, or the magnetometer). The online API (`predict`/`correct`
+on a validated `FilterState`) and the batch pass `filter_runs` (many runs
+over the same epochs, validated only at its inputs, each measurement once)
+share the correction's angle-free part, `_gain`, and do the same float
+arithmetic in the same order, so they agree bit for bit. The covariance does
+not depend on the angle, so `filter_runs` computes it once for all runs,
+then each run's angle.
 """
 
 from __future__ import annotations
@@ -22,12 +24,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from . import so2
-from .heading import HeadingMeasurement
 
 __all__ = [
+    "HeadingMeasurement",
     "FilterState",
     "GyroSample",
     "ProcessNoise",
@@ -35,8 +36,32 @@ __all__ = [
     "predict",
     "correct",
     "filter_runs",
-    "mahalanobis_bound",
 ]
+
+
+def _checked(angle: float, var: float) -> tuple[float, float]:
+    """(angle, var), or ValueError if they are not a measurement's."""
+    if not math.isfinite(angle):
+        raise ValueError(f"measurement angle must be finite, got {angle}")
+    if not 0.0 < var < math.inf:
+        raise ValueError(f"measurement variance must be finite and positive, got {var}")
+    return angle, var
+
+
+@dataclass(frozen=True)
+class HeadingMeasurement:
+    """An SO(2) heading measurement: angle (rad) with scalar variance (rad^2)."""
+
+    angle: float
+    var_theta: float
+
+    def __post_init__(self):
+        _checked(self.angle, self.var_theta)
+
+    @property
+    def rot(self) -> np.ndarray:
+        """The measurement as a 2x2 rotation matrix."""
+        return so2.exp_so2(self.angle)
 
 
 @dataclass(frozen=True)
@@ -113,10 +138,12 @@ def filter_runs(start_angles, init_cov, increments, process_vars, measurements):
     `init_cov`, over the same n epochs.
 
     `increments[k]` and `process_vars[k]` (n - 1 floats each) are rate * dt
-    and psd * dt of the step from epoch k to k + 1. `measurements[k]` is an
-    (angle, variance) pair or None for no correction. The start angles are
-    wrapped and, like `init_cov`, checked as a FilterState's; the steps are
-    not validated: a non-finite value propagates into the output.
+    and psd * dt of the step from epoch k to k + 1. `measurements[k]` is a
+    HeadingMeasurement, an (angle, variance) pair or None for no correction;
+    each pair is checked once, in the covariance pass, with
+    HeadingMeasurement's ValueError. The start angles are wrapped and, like
+    `init_cov`, checked as a FilterState's; the steps are not validated: a
+    non-finite value propagates into the output.
 
     Returns (angle, cov, mahalanobis) arrays of shape (len(start_angles), n);
     mahalanobis is NaN where no correction ran. The covariance, gain and
@@ -139,8 +166,10 @@ def filter_runs(start_angles, init_cov, increments, process_vars, measurements):
         if meas is None:
             shared.append((increment, None, None, None))
         else:
-            gain, s_var, cov = _gain(cov, meas[1])
-            shared.append((increment, meas[0], gain, s_var))
+            y, var = ((meas.angle, meas.var_theta) if isinstance(meas, HeadingMeasurement)
+                      else _checked(*meas))
+            gain, s_var, cov = _gain(cov, var)
+            shared.append((increment, y, gain, s_var))
         covs.append(cov)
     # then each run's angle: predict's and correct's angle steps, each
     # wrapped as FilterState wraps it
@@ -160,15 +189,3 @@ def filter_runs(start_angles, init_cov, increments, process_vars, measurements):
             mahals.append(mahal)
     cov = np.broadcast_to(np.array(covs, dtype=float), shape)
     return np.array(angles).reshape(shape), cov, np.array(mahals).reshape(shape)
-
-
-def mahalanobis_bound(confidence: float) -> float:
-    """1-DOF chi-square quantile used as the consistency bound (e.g. 0.997 -> 8.807).
-
-    The chi-square(k) quantile is 2 * P^-1(k/2, p), with P the regularized
-    lower incomplete gamma function; this is the expression scipy.stats'
-    `chi2.ppf(p, df=1)` evaluates, so the bound is bit-identical to it
-    without importing scipy.stats."""
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
-    return float(2.0 * gammaincinv(0.5, confidence))

@@ -30,7 +30,7 @@ import numpy as np
 from . import gp, heading, iekf, so2, world
 
 ESTIMATORS = ("gp-iekf", "mag-iekf", "deadreckon")
-MAHALANOBIS_BOUND_997 = iekf.mahalanobis_bound(0.997)
+MAHALANOBIS_BOUND_997 = 8.807468393511947  # chi2.ppf(0.997, df=1), the 99.7% NIS bound
 TRACE_COLUMNS = ("t", "run", "error", "three_sigma", "mahalanobis")
 STEADY_FRACTION = 0.5  # the trailing share of epochs that the steady metrics cover
 
@@ -224,7 +224,7 @@ def _gp_summary(model: gp.GpModel) -> dict:
 
 def _measurements_for(estimator, data, pair, mag_var):
     """Per-epoch (angle, variance) pairs (None -> no correction that epoch),
-    checked by `run_filter`."""
+    checked by `iekf.filter_runs`."""
     if estimator == "deadreckon":
         return [None] * len(data)
     if estimator == "mag-iekf":
@@ -234,37 +234,23 @@ def _measurements_for(estimator, data, pair, mag_var):
     return list(map(heading.normalize_values, *(v.tolist() for v in predicted)))
 
 
-def _measurement_pairs(measurements):
-    """The (angle, variance) pair of each heading.HeadingMeasurement or pair
-    in `measurements` (None stays None). Every pair is checked, in one pass,
-    as HeadingMeasurement checks its fields, with its ValueError."""
-    pairs = [
-        (m.angle, m.var_theta) if isinstance(m, heading.HeadingMeasurement) else m
-        for m in measurements
-    ]
-    if not all(math.isfinite(y) and 0.0 < v < math.inf for y, v in filter(None, pairs)):
-        for y, v in filter(None, pairs):
-            heading.HeadingMeasurement(angle=y, var_theta=v)  # raises at the first bad pair
-    return pairs
-
-
 def run_filter(data, measurements, q_c: float, init_theta, init_var: float):
     """Filter every start angle over the world.Dataset `data`; returns
     (error, three_sigma, mahalanobis) arrays, of shape (n,) for a scalar
     `init_theta` and (R, n) for a sequence of R start angles.
-    `measurements[k]` is a heading.HeadingMeasurement, an (angle, variance)
+    `measurements[k]` is an iekf.HeadingMeasurement, an (angle, variance)
     pair or None (no correction at epoch k).
 
-    All runs share one float-level pass (`iekf.filter_runs`); the inputs are
-    validated here, once, instead of at every step. Every run has the same
-    three_sigma row. The error is the left-invariant group error
-    log(gt^-1 est), wrapped into the principal branch; Mahalanobis entries
-    are NaN where no correction ran. A non-finite error or covariance raises
-    NumericalError naming the first epoch where one appears.
+    All runs share one float-level pass (`iekf.filter_runs`), which checks
+    each measurement once; the other inputs are validated here, once,
+    instead of at every step. Every run has the same three_sigma row. The
+    error is the left-invariant group error log(gt^-1 est), wrapped into the
+    principal branch; Mahalanobis entries are NaN where no correction ran. A
+    non-finite error or covariance raises NumericalError naming the first
+    epoch where one appears.
     """
     if len(measurements) != len(data):
         raise ValueError(f"{len(measurements)} measurements for {len(data)} epochs")
-    pairs = _measurement_pairs(measurements)
     noise = iekf.ProcessNoise(psd=q_c)
     gyro = data.gyro[:-1]
     dt = np.diff(data.t)
@@ -275,7 +261,7 @@ def run_filter(data, measurements, q_c: float, init_theta, init_var: float):
         init_var,
         (gyro * dt).tolist(),
         (noise.psd * dt).tolist(),
-        pairs,
+        measurements,
     )
     with np.errstate(invalid="ignore"):
         err = so2.wrap_angle(angle - data.gt_heading)

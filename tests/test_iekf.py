@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -250,18 +251,15 @@ def chi2_1dof_quantile_bisect(p):
 
 
 def test_mahalanobis_bound_against_bisection_oracle():
-    assert iekf.mahalanobis_bound(0.997) == pytest.approx(
-        chi2_1dof_quantile_bisect(0.997), abs=1e-6
-    )
-    assert iekf.mahalanobis_bound(0.997) == pytest.approx(8.807, abs=5e-4)
-    assert iekf.mahalanobis_bound(0.5) == pytest.approx(0.455, abs=5e-4)
+    bound = pipeline.MAHALANOBIS_BOUND_997
+    assert bound == pytest.approx(chi2_1dof_quantile_bisect(0.997), abs=1e-6)
+    assert bound == pytest.approx(8.807, abs=5e-4)
 
 
-@pytest.mark.parametrize("confidence", [1e-9, 0.1, 0.5, 0.9, 0.95, 0.99, 0.997, 1 - 1e-12])
-def test_mahalanobis_bound_equals_chi2_ppf_bit_for_bit(confidence):
-    bound = iekf.mahalanobis_bound(confidence)
+def test_mahalanobis_bound_equals_chi2_ppf_bit_for_bit():
+    bound = pipeline.MAHALANOBIS_BOUND_997
     assert type(bound) is float
-    assert bound.hex() == float(chi2.ppf(confidence, df=1)).hex()
+    assert bound.hex() == float(chi2.ppf(0.997, df=1)).hex()
 
 
 def test_pipeline_gate_bound_is_pinned():
@@ -289,11 +287,19 @@ def test_package_import_does_not_load_scipy_stats():
     assert out[1] == "False"
 
 
-def test_mahalanobis_bound_monotone_and_validated():
-    bounds = [iekf.mahalanobis_bound(c) for c in (0.1, 0.5, 0.9, 0.99, 0.997)]
-    assert all(b1 > b0 for b0, b1 in zip(bounds, bounds[1:]))
-    with pytest.raises(ValueError):
-        iekf.mahalanobis_bound(1.5)
+def test_iekf_imports_only_the_standard_library_numpy_and_so2():
+    """The filter owns its measurement: it depends on no GP code and no scipy."""
+    tree = ast.parse(Path(iekf.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:  # from [.]x import ...
+            imported.add("." * node.level + node.module)
+        elif isinstance(node, ast.ImportFrom):  # from . import x
+            imported.update("." + alias.name for alias in node.names)
+    assert imported <= {"__future__", "math", "dataclasses", "numpy", ".so2"}
+    assert heading.HeadingMeasurement is iekf.HeadingMeasurement
 
 
 # --- state validation -------------------------------------------------------------------

@@ -274,6 +274,11 @@ def test_run_filter_takes_pairs_and_checks_them_as_measurements():
     as_measurements = [None if p is None else heading.HeadingMeasurement(*p) for p in pairs]
     mixed = [pairs[0], as_measurements[1], pairs[2], as_measurements[3]]
     want = pipeline.run_filter(recs, as_measurements, 1e-6, [0.0, 2.0], 1.0)
+    # iekf.filter_runs itself takes, and checks, the mix that run_filter passes on
+    dt = np.diff(recs.t)
+    steps = ((recs.gyro[:-1] * dt).tolist(), (1e-6 * dt).tolist())
+    direct = [iekf.filter_runs([0.0, 2.0], 1.0, *steps, m) for m in (mixed, as_measurements)]
+    assert all(same_bits(g, w) for g, w in zip(*direct))
     for meas in (pairs, mixed):
         got = pipeline.run_filter(recs, meas, 1e-6, [0.0, 2.0], 1.0)
         assert all(same_bits(g, w) for g, w in zip(got, want))
@@ -287,6 +292,8 @@ def test_run_filter_takes_pairs_and_checks_them_as_measurements():
     ):
         with pytest.raises(ValueError, match=message):
             pipeline.run_filter(recs, [None, (0.1, 0.1), bad, None], 1e-6, [0.0], 1.0)
+        with pytest.raises(ValueError, match=message):
+            iekf.filter_runs([0.0], 1.0, *steps, [as_measurements[1], None, bad, pairs[3]])
 
 
 # --- run / report ------------------------------------------------------------------
@@ -383,7 +390,7 @@ def test_report_outputs(run_dirs, tmp_path):
     } <= names
     mahal_lines = (tmp_path / "report" / "mahalanobis.csv").read_text().splitlines()
     assert mahal_lines[0].endswith(",bound")
-    bound = repr(iekf.mahalanobis_bound(0.997))
+    bound = repr(pipeline.MAHALANOBIS_BOUND_997)
     assert all(line.endswith("," + bound) for line in mahal_lines[1:])
     abs_header = (tmp_path / "report" / "abs_error.csv").read_text().splitlines()[0]
     assert "abs_error_gp-iekf" in abs_header and "abs_error_deadreckon" in abs_header
