@@ -15,7 +15,7 @@ over the same epochs, validated only at its inputs, each measurement once)
 share the correction's angle-free part, `_gain`, and do the same float
 arithmetic in the same order, so they agree bit for bit. The covariance does
 not depend on the angle, so `filter_runs` computes it once for all runs,
-then each run's angle.
+then each run's angle until the run joins run 0.
 """
 
 from __future__ import annotations
@@ -149,6 +149,9 @@ def filter_runs(start_angles, init_cov, increments, process_vars, measurements):
     mahalanobis is NaN where no correction ran. The covariance, gain and
     innovation variance do not depend on the angle, so every run shares one
     covariance pass and `cov` is one read-only row broadcast to every run.
+    With the gain shared, the runs converge onto one trajectory: once a run's
+    corrected angle equals run 0's at the same epoch, the run takes run 0's
+    later entries instead of filtering on.
     """
     if not len(increments) == len(process_vars) == max(len(measurements) - 1, 0):
         raise ValueError(
@@ -164,19 +167,21 @@ def filter_runs(start_angles, init_cov, increments, process_vars, measurements):
         if increment is not None:
             cov = cov + process_var
         if meas is None:
-            shared.append((increment, None, None, None))
+            shared.append((increment, None, None, None, None))
         else:
             y, var = ((meas.angle, meas.var_theta) if isinstance(meas, HeadingMeasurement)
                       else _checked(*meas))
             gain, s_var, cov = _gain(cov, var)
-            shared.append((increment, y, gain, s_var))
+            shared.append((increment, y, gain, s_var, len(covs)))  # and the epoch's index
         covs.append(cov)
     # then each run's angle: predict's and correct's angle steps, each
     # wrapped as FilterState wraps it
     wrap = so2.wrap_float
-    angles, mahals = [], []
+    n = len(shared)
+    angles, mahals = [], []  # run after run: run 0's are the first n entries
+    ref = [math.nan] * n  # the angles a run may join; NaN equals none, so run 0 joins none
     for theta in thetas:
-        for increment, y, gain, s_var in shared:
+        for increment, y, gain, s_var, k in shared:
             if increment is not None:
                 theta = wrap(theta + increment)
             if y is None:
@@ -185,7 +190,16 @@ def filter_runs(start_angles, init_cov, increments, process_vars, measurements):
                 z = wrap(theta - y)
                 mahal = z * z / s_var
                 theta = wrap(theta - gain * z)
+                if theta == ref[k]:
+                    # joined run 0: each later step is a function of the angle
+                    # and the shared step alone, so the rest of this run is
+                    # run 0's bits (wrap_float never returns -0.0, so == is
+                    # bit equality here)
+                    angles += angles[k:n]
+                    mahals += [mahal, *mahals[k + 1:n]]
+                    break
             angles.append(theta)
             mahals.append(mahal)
+        ref = angles
     cov = np.broadcast_to(np.array(covs, dtype=float), shape)
     return np.array(angles).reshape(shape), cov, np.array(mahals).reshape(shape)

@@ -380,6 +380,9 @@ def cmd_run(dataset_path, model_dir, cfg: RunConfig, out_dir) -> dict:
         # corrections applied, summed over runs: those whose Mahalanobis
         # distance is not NaN
         "corrections_applied": int(np.count_nonzero(~np.isnan(mahals))),
+        # epochs of runs 1.. from where each one's error equals run 0's, bit
+        # for bit, to the end: what filtering and the trace write share
+        "shared_run_epochs": int((n - world.row0_suffix_starts(errs)[1:]).sum()),
     }
     metrics.update(zip(("load_s", "predict_s", "filter_s", "write_s"), np.diff(stamps).tolist()))
     (out_dir / "metrics.json").write_text(json.dumps(metrics, indent=2) + "\n")
@@ -427,6 +430,12 @@ def _mean_of_corrected(mahal):
         return np.where(corrected, mahal, 0.0).sum(axis=0) / corrected.sum(axis=0)
 
 
+def _negated_cells(cells) -> list[str]:
+    """repr(-x) for each cell repr(x), by flipping the text's sign: a leading
+    "-" is dropped, else one is prepended; "nan" has no sign in repr."""
+    return [c if c == "nan" else c[1:] if c[0] == "-" else "-" + c for c in cells]
+
+
 def cmd_report(run_dirs, out_dir) -> list[Path]:
     """Aggregate run traces, one run dir per estimator, into plot-data files."""
     loaded, dir_of = [], {}
@@ -448,12 +457,12 @@ def cmd_report(run_dirs, out_dir) -> list[Path]:
     t_cells = list(world.float_cells(t))  # every file's t column, formatted once
 
     for est, _, err, sig, _ in loaded:
-        ms = sig.mean(axis=0)
+        ms_cells = list(world.float_cells(sig.mean(axis=0)))
         p = out_dir / f"error_bounds_{est}.csv"
         world.write_table(
             p,
             ["t", "mean_error", "mean_three_sigma", "minus_three_sigma"],
-            [t_cells, err.mean(axis=0), ms, -ms],
+            [t_cells, err.mean(axis=0), ms_cells, _negated_cells(ms_cells)],
         )
         written.append(p)
 

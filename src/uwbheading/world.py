@@ -372,13 +372,30 @@ def build_dataset(
 # float-table CSV files: datasets, run traces and report tables
 
 
+def row0_suffix_starts(rows) -> np.ndarray:
+    """For each row of a 2-D float array, the column from which the row
+    equals row 0 bit for bit to its end: one past its last cell that differs
+    from row 0's, or 0 if none does. A -0.0 differs from 0.0."""
+    bits = np.ascontiguousarray(rows, dtype=float).view(np.int64)
+    differs = bits != bits[:1]
+    return (differs * np.arange(1, bits.shape[1] + 1)).max(axis=1, initial=0)
+
+
 def float_cells(values):
     """The cells of a 1-D or 2-D float array in C order, each the exact
     `repr` of its value: the text that `read_table` reads back bit for bit.
-    A 2-D array is turned into Python floats one row at a time, which keeps
-    a 100-run trace write as fast as a loop over runs."""
+    A 2-D array formats row 0 once; each other row formats only the cells
+    before the suffix it shares with row 0 (`row0_suffix_starts`), as
+    Monte-Carlo runs do once they join run 0, and reuses row 0's text for
+    that suffix. A 1-D array's text is made only as it is consumed."""
     rows = np.atleast_2d(np.asarray(values, dtype=float))
-    return itertools.chain.from_iterable(map(repr, row.tolist()) for row in rows)
+    if len(rows) < 2:
+        return map(repr, rows.ravel().tolist())
+    first = list(map(repr, rows[0].tolist()))
+    return itertools.chain.from_iterable(
+        itertools.chain(map(repr, row[:start].tolist()), first[start:])
+        for row, start in zip(rows, row0_suffix_starts(rows).tolist())
+    )
 
 
 def write_table(path, header, columns) -> None:

@@ -387,3 +387,72 @@ def test_filter_runs_shared_pass_matches_per_run_loop_bit_for_bit(runs):
         assert np.ascontiguousarray(got).tobytes() == want.tobytes()
     skipped = sum(m is None for m in measurements)
     assert skipped > 2 and np.isfinite(shared[2]).sum() == runs * (n - skipped)
+
+
+def _random_steps(rng, n, var_range):
+    """n epochs of random increments, process variances and measurements whose
+    variances are 10**U(var_range); epoch 0 is not corrected."""
+    increments = (0.1 * rng.normal(0.0, 0.5, n - 1)).tolist()
+    process_vars = rng.uniform(1e-6, 1e-3, n - 1).tolist()
+    measurements = list(zip(rng.uniform(-math.pi, math.pi, n).tolist(),
+                            (10.0 ** rng.uniform(*var_range, n)).tolist()))
+    measurements[0] = None
+    return increments, process_vars, measurements
+
+
+def _tail_equal_to_run_0(a) -> np.ndarray:
+    """Per run, how many of its last epochs equal run 0's bit for bit."""
+    same = np.ascontiguousarray(a).view(np.int64) == np.ascontiguousarray(a[0]).view(np.int64)
+    return np.array([len(row) - (np.flatnonzero(~row).max(initial=-1) + 1) for row in same])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_filter_runs_that_join_run_0_match_per_run_loop_bit_for_bit(seed):
+    """With measurement variances near 1e-6 the gain is about 1, so every run
+    joins run 0 within a few corrections and takes run 0's later entries; a
+    loop of the online predict and correct over each run gives the same bits."""
+    rng = np.random.default_rng(seed)
+    n, runs = 60, 8
+    increments, process_vars, measurements = _random_steps(rng, n, (-6.5, -5.5))
+    starts = rng.uniform(-math.pi, math.pi, runs).tolist()
+    shared = iekf.filter_runs(starts, 0.7, increments, process_vars, measurements)
+    looped = online_runs(starts, 0.7, increments, process_vars, measurements)
+    for got, want in zip(shared, looped):
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+    joined = _tail_equal_to_run_0(shared[0])
+    assert (joined[1:] > n // 2).all()  # the runs joined, early
+    # each run's Mahalanobis value at its join epoch is its own, not run 0's
+    assert (_tail_equal_to_run_0(shared[2])[1:] == joined[1:] - 1).all()
+
+
+def test_filter_runs_that_never_join_match_per_run_loop_bit_for_bit():
+    """Without corrections no run joins another; each keeps its own angles."""
+    rng = np.random.default_rng(5)
+    n, runs = 200, 5
+    increments, process_vars, _ = _random_steps(rng, n, (-6.0, 0.0))
+    starts = rng.uniform(-math.pi, math.pi, runs).tolist()
+    shared = iekf.filter_runs(starts, 0.7, increments, process_vars, [None] * n)
+    looped = online_runs(starts, 0.7, increments, process_vars, [None] * n)
+    for got, want in zip(shared, looped):
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+    assert (_tail_equal_to_run_0(shared[0])[1:] == 0).all()
+
+
+def test_filter_runs_nan_increment_propagates_into_joined_runs():
+    """A NaN increment, which the online GyroSample rejects, turns every
+    run's angle and Mahalanobis value to NaN from its epoch on, runs that
+    joined run 0 before it included; the epochs before it equal the online
+    loop's bit for bit."""
+    rng = np.random.default_rng(6)
+    n, runs, k_nan = 80, 6, 50
+    increments, process_vars, measurements = _random_steps(rng, n, (-6.5, -5.5))
+    increments[k_nan - 1] = math.nan  # the step into epoch k_nan
+    starts = rng.uniform(-math.pi, math.pi, runs).tolist()
+    angle, cov, mahal = iekf.filter_runs(starts, 0.7, increments, process_vars, measurements)
+    before = online_runs(starts, 0.7, increments[:k_nan - 1], process_vars[:k_nan - 1],
+                         measurements[:k_nan])
+    for got, want in zip((angle, cov, mahal), before):
+        assert np.ascontiguousarray(got[:, :k_nan]).tobytes() == want.tobytes()
+    assert np.isnan(angle[:, k_nan:]).all() and np.isnan(mahal[:, k_nan:]).all()
+    assert np.isfinite(cov).all()
+    assert (angle[1:, k_nan - 1] == angle[0, k_nan - 1]).all()  # the runs joined first

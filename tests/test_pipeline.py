@@ -347,6 +347,17 @@ def test_run_metrics_report_counts_and_stage_times(run_dirs):
         corrected = 0 if est == "deadreckon" else m["n_epochs"] - m["degenerate_epochs"]
         assert m["corrections_applied"] == m["monte_carlo_runs"] * corrected
         assert all(m[k] >= 0.0 for k in ("load_s", "predict_s", "filter_s", "write_s"))
+        # runs 1.. share their error with run 0 bit for bit from the epoch
+        # they join it; dead reckoning never joins, and on this 300-epoch
+        # split the magnetometer runs do
+        _, _, err, _, _ = pipeline._load_traces(d)
+        same = [[a.hex() == b.hex() for a, b in zip(row, err[0])] for row in err[1:].tolist()]
+        shared = sum((row[::-1] + [False]).index(False) for row in same)  # trailing Trues
+        assert m["shared_run_epochs"] == shared
+        if est == "deadreckon":
+            assert shared == 0
+        elif est == "mag-iekf":
+            assert shared > 0
 
 
 def test_run_steady_rmse_over_trailing_window(run_dirs):
@@ -447,6 +458,47 @@ def test_traces_and_report_are_pinned(tmp_path):
             "965234f651132df8f20a1897e9b5a402194e9ac699a81375c12c24e31427db8b",
         "report/mahalanobis.csv": "e365b953953c21f5942466b6b3034e6e17ed6ba6bc16c412717cedb3f87e3ef6",
     }
+
+
+def test_traces_and_report_are_pinned_at_the_reference_size(tmp_path):
+    """mag-iekf and deadreckon at 100 runs over the default seed-0 test split
+    (3000 epochs), and the report over them, hash to fixed digests. Most
+    later runs join run 0 here, so traces.csv is mostly text shared with run
+    0's. The train split is cut: it does not change the test split."""
+    pipeline.cmd_generate(pipeline.GenerateConfig(seed=0, train_duration_s=1.0),
+                          tmp_path / "data")
+    dirs = [tmp_path / est for est in ("mag-iekf", "deadreckon")]
+    for d in dirs:
+        cfg = pipeline.RunConfig(estimator=d.name, monte_carlo_runs=100)
+        m = pipeline.cmd_run(tmp_path / "data" / "test.csv", None, cfg, d)
+        assert m["n_epochs"] == 3000
+    pipeline.cmd_report(dirs, tmp_path / "report")
+    files = [d / "traces.csv" for d in dirs] + sorted((tmp_path / "report").iterdir())
+    digests = {
+        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in files
+    }
+    assert digests == {
+        "mag-iekf/traces.csv": "a7a1f459a0d20f0a51fb52ebb0ae6c188622136ed11177b123da9913fa645e68",
+        "deadreckon/traces.csv": "f8896cdbffff1a1e5242a8330b219b54e1ce8bbdd0a9612e7980c48db7e83ff0",
+        "report/abs_error.csv": "afaf07c83cb0712ee7bf28f943026fa608a1a1d779de9ffd3d7303585d84e1f0",
+        "report/error_bounds_deadreckon.csv":
+            "340fdcde8de765a5e2acdb833057376b3ff52dc40871d10e8360268f34823261",
+        "report/error_bounds_mag-iekf.csv":
+            "8480aa9ef1f64124bc8f5760c598822382e0f02cd413feb683a3dcee3e7f9f29",
+        "report/mahalanobis.csv": "f672e963ca41bbf527bf1cca46d2b5eae494066611f9fe55808eefd960fbd8e4",
+    }
+
+
+def test_negated_cells_equal_repr_of_negation():
+    """Flipping the sign of repr(x)'s text gives repr(-x): over random bit
+    patterns (every exponent, subnormals and NaN payloads included), signed
+    zeros, infinities and NaN."""
+    bits = np.random.default_rng(0).integers(-(2**63), 2**63 - 1, 20000, dtype=np.int64)
+    values = [*bits.view(np.float64).tolist(), 0.0, -0.0, math.inf, -math.inf, math.nan,
+              -math.nan, 5e-324, -5e-324, 1e16, 1.7976931348623157e308]
+    cells = [repr(x) for x in values]
+    assert pipeline._negated_cells(cells) == [repr(-x) for x in values]
 
 
 def test_report_epoch_that_no_run_corrected_is_nan_without_warning(tmp_path):

@@ -638,3 +638,45 @@ def test_isotropic_pattern_removes_heading_information():
     # heading error is at chance level
     rmse_deg = math.degrees(float(np.sqrt(np.mean(np.square(errs))))) if errs else 180.0
     assert rmse_deg > 45.0
+
+
+def _repr_cells(a) -> list[str]:
+    """float_cells' reference: one repr per cell, in C order."""
+    return [repr(x) for x in np.asarray(a, dtype=float).ravel().tolist()]
+
+
+def test_float_cells_reuse_row_0_text_only_for_equal_bits():
+    """A 2-D array's rows take row 0's text for the suffix they share with it
+    bit for bit, and give one repr per cell all the same."""
+    row0 = [0.5, -1.25, 3.0, 1e-310, 0.0, math.nan, math.nan]
+    rows = np.array([
+        row0,
+        [9.0, 8.0, 3.0, 1e-310, 0.0, math.nan, math.nan],  # shares a suffix, NaNs too
+        row0,  # equal to row 0
+        [0.5, -1.25, 3.0, 1e-310, 0.0, math.nan, 7.0],  # never equal: its last cell differs
+        [0.5, -1.25, 3.0, 1e-310, -0.0, math.nan, math.nan],  # -0.0 beside row 0's 0.0
+        [math.nan] * 5 + [math.nan, math.nan],  # a NaN suffix
+    ])
+    assert world.row0_suffix_starts(rows).tolist() == [0, 2, 0, 7, 5, 5]
+    assert list(world.float_cells(rows)) == _repr_cells(rows)
+    assert "-0.0" in list(world.float_cells(rows))[4 * 7:5 * 7]
+
+
+@pytest.mark.parametrize("shape", [(1, 6), (6,), (3, 0), (0, 4)])
+def test_float_cells_of_one_row_or_no_cells(shape):
+    a = np.random.default_rng(1).normal(size=shape)
+    assert list(world.float_cells(a)) == _repr_cells(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(2, 5), cols=st.integers(1, 6), data=st.data())
+def test_float_cells_equal_one_repr_per_cell(rows, cols, data):
+    """Rows drawn from a few values, so that suffixes equal to row 0's are
+    common, whatever the signs of zero and NaN."""
+    values = st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nan, -math.nan, math.inf, 5e-324])
+    a = np.array(data.draw(st.lists(values, min_size=rows * cols, max_size=rows * cols)))
+    a = a.reshape(rows, cols)
+    assert list(world.float_cells(a)) == _repr_cells(a)
+    same = a.view(np.int64) == a[0].view(np.int64)
+    for r, start in enumerate(world.row0_suffix_starts(a).tolist()):
+        assert same[r, start:].all() and (start == 0 or not same[r, start - 1])
