@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import tokenize
 import zipfile
 from dataclasses import dataclass, field, replace
 
@@ -40,7 +39,7 @@ import numpy as np
 from scipy.linalg import cho_solve, lapack
 from scipy.optimize import minimize
 
-from . import _blas
+from . import _blas, world
 
 __all__ = [
     "SeKernelParams",
@@ -404,6 +403,13 @@ def fit(train: TrainingSet, search: HyperparamSearchConfig | None = None) -> "Gp
     return replace(GpModel.from_params(used, params, y_mean=y_mean), **counts)
 
 
+def _archive_array(z: zipfile.ZipFile, key: str) -> np.ndarray:
+    """The array `key` of an .npz archive, read by `world.read_npy`."""
+    info = z.getinfo(f"{key}.npy")
+    with z.open(info) as member:
+        return world.read_npy(member, info.file_size)
+
+
 @dataclass(frozen=True)
 class GpModel:
     """Trained GP with one or more outputs on one kernel: immutable after
@@ -541,14 +547,14 @@ class GpModel:
     def load(cls, path) -> "GpModel":
         """ValueError naming `path` if it is not an archive as `save` writes."""
         try:
-            with np.load(path) as z:
+            with zipfile.ZipFile(path) as z:
                 x, y, mean, scale, y_mean, hyper = (
-                    z[k] for k in ("x", "y", "std_mean", "std_scale", "y_mean", "hyper")
+                    _archive_array(z, k)
+                    for k in ("x", "y", "std_mean", "std_scale", "y_mean", "hyper")
                 )
         # zipfile raises NotImplementedError for a flipped flag bit that
-        # asks for encryption, and numpy's .npy header parser TokenError
-        except (zipfile.BadZipFile, KeyError, EOFError, ValueError, NotImplementedError,
-                tokenize.TokenError) as exc:
+        # asks for encryption
+        except (zipfile.BadZipFile, KeyError, EOFError, ValueError, NotImplementedError) as exc:
             raise ValueError(f"bad model archive {path}: {exc}") from exc
         try:
             if not (

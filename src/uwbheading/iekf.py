@@ -175,31 +175,41 @@ def filter_runs(start_angles, init_cov, increments, process_vars, measurements):
             shared.append((increment, y, gain, s_var, len(covs)))  # and the epoch's index
         covs.append(cov)
     # then each run's angle: predict's and correct's angle steps, each
-    # wrapped as FilterState wraps it
-    wrap = so2.wrap_float
-    n = len(shared)
-    angles, mahals = [], []  # run after run: run 0's are the first n entries
-    ref = [math.nan] * n  # the angles a run may join; NaN equals none, so run 0 joins none
-    for theta in thetas:
+    # wrapped as FilterState wraps it (so2.wrap_float, written out here)
+    pi, two_pi = math.pi, so2.TWO_PI
+    angles, mahals = np.empty(shape), np.empty(shape)
+    ref = [math.nan] * len(shared)  # the angles a run may join; NaN equals none
+    for r, theta in enumerate(thetas):
+        run_angles, run_mahals = [], []
         for increment, y, gain, s_var, k in shared:
             if increment is not None:
-                theta = wrap(theta + increment)
+                theta = pi - (pi - (theta + increment)) % two_pi
+                if theta == -pi:
+                    theta = pi
             if y is None:
                 mahal = math.nan
             else:
-                z = wrap(theta - y)
+                z = pi - (pi - (theta - y)) % two_pi
+                if z == -pi:
+                    z = pi
                 mahal = z * z / s_var
-                theta = wrap(theta - gain * z)
+                theta = pi - (pi - (theta - gain * z)) % two_pi
+                if theta == -pi:
+                    theta = pi
                 if theta == ref[k]:
                     # joined run 0: each later step is a function of the angle
                     # and the shared step alone, so the rest of this run is
-                    # run 0's bits (wrap_float never returns -0.0, so == is
-                    # bit equality here)
-                    angles += angles[k:n]
-                    mahals += [mahal, *mahals[k + 1:n]]
+                    # run 0's bits (the wrap never returns -0.0, so == is bit
+                    # equality here)
+                    run_mahals.append(mahal)
                     break
-            angles.append(theta)
-            mahals.append(mahal)
-        ref = angles
+            run_angles.append(theta)
+            run_mahals.append(mahal)
+        # the epochs this run filtered, then run 0's from where it joined
+        j, m = len(run_angles), len(run_mahals)
+        angles[r, :j], angles[r, j:] = run_angles, angles[0, j:]
+        mahals[r, :m], mahals[r, m:] = run_mahals, mahals[0, m:]
+        if r == 0:
+            ref = run_angles
     cov = np.broadcast_to(np.array(covs, dtype=float), shape)
-    return np.array(angles).reshape(shape), cov, np.array(mahals).reshape(shape)
+    return angles, cov, mahals

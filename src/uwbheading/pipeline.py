@@ -3,8 +3,10 @@ execution (gp-iekf / mag-iekf / deadreckon), Monte-Carlo evaluation, and
 plot-data export.
 
 `cmd_run` filters all Monte-Carlo runs in one `run_filter` call, a single
-float-level pass (`iekf.filter_runs`). Traces and report tables are written
-and read, like datasets, by `world.write_table` and `world.read_table`.
+float-level pass (`iekf.filter_runs`). Traces and report tables are written,
+like datasets, by `world.write_table`. `cmd_run` also saves the per-epoch
+means over its runs that `cmd_report` plots, as `epoch_means.npy`, so that
+the report reads those and never parses the traces back.
 
 Subcommands: generate, train, run, report. Exit codes: 0 success,
 1 usage/config error, 2 data error, 3 numerical failure. Every input file is
@@ -20,6 +22,7 @@ import itertools
 import json
 import math
 import numbers
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -32,6 +35,8 @@ from . import gp, heading, iekf, so2, world
 ESTIMATORS = ("gp-iekf", "mag-iekf", "deadreckon")
 MAHALANOBIS_BOUND_997 = 8.807468393511947  # chi2.ppf(0.997, df=1), the 99.7% NIS bound
 TRACE_COLUMNS = ("t", "run", "error", "three_sigma", "mahalanobis")
+# the rows of a run dir's epoch_means.npy: t, then per-epoch means over the runs
+EPOCH_MEANS_ROWS = ("t", "error", "abs_error", "three_sigma", "mahalanobis")
 STEADY_FRACTION = 0.5  # the trailing share of epochs that the steady metrics cover
 
 
@@ -61,6 +66,11 @@ def _read(reader, path, *args):
 
 def _json_file(path):
     return json.loads(Path(path).read_text())
+
+
+def _npy_file(path):
+    with open(path, "rb") as f:
+        return world.read_npy(f, os.fstat(f.fileno()).st_size)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +312,8 @@ def _noise_settings(dataset_path, cfg: RunConfig):
 
 
 def cmd_run(dataset_path, model_dir, cfg: RunConfig, out_dir) -> dict:
-    """Monte-Carlo filter evaluation; writes traces.csv and metrics.json.
+    """Monte-Carlo filter evaluation; writes traces.csv, epoch_means.npy (the
+    EPOCH_MEANS_ROWS as one (5, n) float64 array) and metrics.json.
 
     The runs differ only in their start angle, so one `run_filter` call
     filters them all.
@@ -347,6 +358,9 @@ def cmd_run(dataset_path, model_dir, cfg: RunConfig, out_dir) -> dict:
             mahals,
         ],
     )
+    means = [t, errs.mean(axis=0), np.abs(errs).mean(axis=0), sigs.mean(axis=0),
+             _mean_of_corrected(mahals)]
+    np.save(out_dir / "epoch_means.npy", np.array(means), allow_pickle=False)
     stamps.append(time.perf_counter())
 
     steady_start = int(n * (1.0 - STEADY_FRACTION))
@@ -402,23 +416,21 @@ def _run_estimator(run_dir) -> str:
     return est
 
 
-def _load_traces(run_dir):
-    """A run dir's estimator, epoch times and (runs, epochs) error, 3-sigma
-    and Mahalanobis columns; DataError unless traces.csv holds R runs of one
-    epoch sequence in time order, run after run, with run ids 0..R-1, as
-    `cmd_run` writes them."""
+def _load_epoch_means(run_dir):
+    """A run dir's estimator and its epoch_means.npy rows (EPOCH_MEANS_ROWS);
+    DataError unless the file holds a (5, n) float64 array with n >= 1
+    whose t row is finite and strictly increasing, as `cmd_run` writes it."""
     est = _run_estimator(run_dir)
-    path = Path(run_dir) / "traces.csv"
-    raw = _read(world.read_table, path, TRACE_COLUMNS)
-    t = np.unique(raw[:, 0])
-    runs = len(raw) // t.size if t.size else 0
-    if runs < 1 or len(raw) != runs * t.size:
-        raise DataError(f"{path}: {len(raw)} rows are not {runs} runs of {t.size} epochs")
-    times, ids, err, sig, mahal = (raw[:, k].reshape(runs, t.size) for k in range(5))
-    if not ((times == t).all() and (ids == np.arange(runs)[:, None]).all()):
-        raise DataError(f"{path}: rows are not runs 0..{runs - 1} in order,"
-                        f" each over the {t.size} epochs in time order")
-    return est, t, err, sig, mahal
+    path = Path(run_dir) / "epoch_means.npy"
+    means = _read(_npy_file, path)
+    if not (means.dtype == np.float64 and means.ndim == 2 and means.shape[0] == 5
+            and means.shape[1] >= 1):
+        raise DataError(f"{path}: holds {means.dtype} of shape {means.shape}, not float64"
+                        f" of shape (5, n) with n >= 1 for the rows {EPOCH_MEANS_ROWS}")
+    t = means[0]
+    if not (np.isfinite(t).all() and (np.diff(t) > 0).all()):
+        raise DataError(f"{path}: its t row is not finite and strictly increasing")
+    return est, means
 
 
 def _mean_of_corrected(mahal):
@@ -437,16 +449,19 @@ def _negated_cells(cells) -> list[str]:
 
 
 def cmd_report(run_dirs, out_dir) -> list[Path]:
-    """Aggregate run traces, one run dir per estimator, into plot-data files."""
+    """Aggregate the per-epoch means of run dirs, one run dir per estimator,
+    into plot-data files. Reads each run dir's metrics.json and
+    epoch_means.npy, not its traces."""
     loaded, dir_of = [], {}
     for d in run_dirs:
-        loaded.append(_load_traces(d))
+        loaded.append(_load_epoch_means(d))
         est = loaded[-1][0]
         if est in dir_of:
             raise DataError(f"{dir_of[est]} and {d} both hold {est} runs")
         dir_of[est] = d
-    t = loaded[0][1]
-    mismatched = [str(d) for d, run in zip(run_dirs, loaded) if not np.array_equal(run[1], t)]
+    t = loaded[0][1][0]
+    mismatched = [str(d) for d, (_, means) in zip(run_dirs, loaded)
+                  if not np.array_equal(means[0], t)]
     if mismatched:
         raise DataError(
             f"runs do not share the time base of {run_dirs[0]}: {', '.join(mismatched)}"
@@ -456,33 +471,31 @@ def cmd_report(run_dirs, out_dir) -> list[Path]:
     written = []
     t_cells = list(world.float_cells(t))  # every file's t column, formatted once
 
-    for est, _, err, sig, _ in loaded:
-        ms_cells = list(world.float_cells(sig.mean(axis=0)))
+    for est, (_, err, _, sig, _) in loaded:
+        ms_cells = list(world.float_cells(sig))
         p = out_dir / f"error_bounds_{est}.csv"
         world.write_table(
             p,
             ["t", "mean_error", "mean_three_sigma", "minus_three_sigma"],
-            [t_cells, err.mean(axis=0), ms_cells, _negated_cells(ms_cells)],
+            [t_cells, err, ms_cells, _negated_cells(ms_cells)],
         )
         written.append(p)
 
-    with_mahal = [(est, mh) for est, _, _, _, mh in loaded if np.isfinite(mh).any()]
+    with_mahal = [(est, means[4]) for est, means in loaded if np.isfinite(means[4]).any()]
     if with_mahal:
         p = out_dir / "mahalanobis.csv"
         world.write_table(
             p,
             ["t"] + [f"mean_mahalanobis_{est}" for est, _ in with_mahal] + ["bound"],
-            [t_cells]
-            + [_mean_of_corrected(mh) for _, mh in with_mahal]
-            + [[repr(MAHALANOBIS_BOUND_997)] * t.size],
+            [t_cells] + [mh for _, mh in with_mahal] + [[repr(MAHALANOBIS_BOUND_997)] * t.size],
         )
         written.append(p)
 
     p = out_dir / "abs_error.csv"
     world.write_table(
         p,
-        ["t"] + [f"abs_error_{est}" for est, *_ in loaded],
-        [t_cells] + [np.abs(err).mean(axis=0) for _, _, err, _, _ in loaded],
+        ["t"] + [f"abs_error_{est}" for est, _ in loaded],
+        [t_cells] + [means[2] for _, means in loaded],
     )
     written.append(p)
     return written
@@ -556,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--out", required=True)
 
-    p_rep = sub.add_parser("report", help="aggregate run traces into plot data")
+    p_rep = sub.add_parser("report", help="aggregate runs' per-epoch means into plot data")
     p_rep.add_argument("--runs-dirs", nargs="+", required=True,
                        help="one or more cmd-run output directories")
     p_rep.add_argument("--out", required=True)

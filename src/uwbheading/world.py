@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import tokenize
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -429,6 +430,43 @@ def read_table(path, header) -> np.ndarray:
         return np.array(body.replace(b"\n", b",").split(b","), dtype=float).reshape(-1, width)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# .npy arrays: a model archive's members and a run's per-epoch means
+
+_NPY_HEADER_READERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
+
+
+def read_npy(fp, size: int) -> np.ndarray:
+    """The array in `fp`, an .npy stream of `size` bytes (a file, or a
+    member of an .npz archive), as np.load reads it with allow_pickle=False.
+    ValueError for a bad magic string or header, an array of Python objects,
+    or a header whose shape and dtype do not account for exactly the bytes
+    that follow it; that is checked before anything is allocated."""
+    version = np.lib.format.read_magic(fp)
+    if version not in _NPY_HEADER_READERS:
+        raise ValueError(f"unsupported .npy format version {version}")
+    try:
+        shape, fortran_order, dtype = _NPY_HEADER_READERS[version](fp)
+    except tokenize.TokenError as exc:  # from numpy's parse of an unclosed header
+        raise ValueError(exc) from exc
+    if dtype.hasobject:
+        raise ValueError(f"an array of {dtype}, which holds Python objects, is not read")
+    if any(length < 0 for length in shape):
+        raise ValueError(f"the header's shape {shape} has a negative length")
+    nbytes, present = math.prod(shape) * dtype.itemsize, size - fp.tell()
+    if nbytes != present:
+        raise ValueError(f"the header's shape {shape} of {dtype} needs {nbytes} bytes of"
+                         f" data, but {present} follow it")
+    data = bytearray(nbytes)
+    if fp.readinto(data) != nbytes:
+        raise ValueError(f"the array data end before its {nbytes} bytes")
+    array = np.frombuffer(data, dtype=dtype)
+    return array.reshape(shape[::-1]).T if fortran_order else array.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -315,6 +316,19 @@ def run_dirs(workspace):
     return out
 
 
+def _load_traces(run_dir):
+    """A run dir's estimator, epoch times and (runs, epochs) error, 3-sigma
+    and Mahalanobis columns, parsed back from its traces.csv, which must hold
+    runs 0..R-1 in order, each over the epochs in time order."""
+    est = json.loads((Path(run_dir) / "metrics.json").read_text())["estimator"]
+    raw = world.read_table(Path(run_dir) / "traces.csv", pipeline.TRACE_COLUMNS)
+    t = np.unique(raw[:, 0])
+    runs = len(raw) // t.size
+    times, ids, err, sig, mahal = (raw[:, k].reshape(runs, t.size) for k in range(5))
+    assert (times == t).all() and (ids == np.arange(runs)[:, None]).all()
+    return est, t, err, sig, mahal
+
+
 def test_run_outputs_and_ordering(run_dirs):
     metrics = {
         est: json.loads((d / "metrics.json").read_text())
@@ -329,7 +343,7 @@ def test_run_outputs_and_ordering(run_dirs):
 
 
 def test_run_traces_shape(run_dirs):
-    est, t, err, sig, mahal = pipeline._load_traces(run_dirs["gp-iekf"])
+    est, t, err, sig, mahal = _load_traces(run_dirs["gp-iekf"])
     assert est == "gp-iekf"
     assert err.shape == (5, t.size)
     assert np.all(sig > 0)
@@ -339,7 +353,7 @@ def test_run_traces_shape(run_dirs):
 def test_run_metrics_report_counts_and_stage_times(run_dirs):
     for est, d in run_dirs.items():
         m = json.loads((d / "metrics.json").read_text())
-        _, _, _, _, mahal = pipeline._load_traces(d)
+        _, _, _, _, mahal = _load_traces(d)
         skipped = int(np.isnan(mahal[0]).sum())
         assert m["degenerate_epochs"] == (skipped if est == "gp-iekf" else 0)
         assert "corrections_gated" not in m
@@ -350,7 +364,7 @@ def test_run_metrics_report_counts_and_stage_times(run_dirs):
         # runs 1.. share their error with run 0 bit for bit from the epoch
         # they join it; dead reckoning never joins, and on this 300-epoch
         # split the magnetometer runs do
-        _, _, err, _, _ = pipeline._load_traces(d)
+        _, _, err, _, _ = _load_traces(d)
         same = [[a.hex() == b.hex() for a, b in zip(row, err[0])] for row in err[1:].tolist()]
         shared = sum((row[::-1] + [False]).index(False) for row in same)  # trailing Trues
         assert m["shared_run_epochs"] == shared
@@ -362,7 +376,7 @@ def test_run_metrics_report_counts_and_stage_times(run_dirs):
 
 def test_run_steady_rmse_over_trailing_window(run_dirs):
     m = json.loads((run_dirs["gp-iekf"] / "metrics.json").read_text())
-    _, t, err, _, _ = pipeline._load_traces(run_dirs["gp-iekf"])
+    _, t, err, _, _ = _load_traces(run_dirs["gp-iekf"])
     start = int(t.size * (1.0 - m["steady_fraction"]))
     want = np.degrees(np.sqrt(np.mean(err[:, start:] ** 2, axis=1))).mean()
     assert m["rmse_steady_deg"] == want
@@ -372,13 +386,13 @@ def test_run_steady_rmse_over_trailing_window(run_dirs):
 def test_load_traces_matches_genfromtxt(run_dirs):
     for d in run_dirs.values():
         raw = np.atleast_2d(np.genfromtxt(d / "traces.csv", delimiter=",", skip_header=1))
-        _, t, err, sig, mahal = pipeline._load_traces(d)
+        _, t, err, sig, mahal = _load_traces(d)
         runs = err.shape[0]
         assert same_bits(t, np.unique(raw[:, 0]))
         for col, got in zip((2, 3, 4), (err, sig, mahal)):
             assert same_bits(got, raw[:, col].reshape(runs, t.size))
     # deadreckon never corrects: every Mahalanobis entry is NaN
-    assert np.isnan(pipeline._load_traces(run_dirs["deadreckon"])[4]).all()
+    assert np.isnan(_load_traces(run_dirs["deadreckon"])[4]).all()
 
 
 def test_run_is_seed_deterministic(workspace, run_dirs):
@@ -501,83 +515,111 @@ def test_negated_cells_equal_repr_of_negation():
     assert pipeline._negated_cells(cells) == [repr(-x) for x in values]
 
 
-def test_report_epoch_that_no_run_corrected_is_nan_without_warning(tmp_path):
-    """An epoch whose Mahalanobis entry is blank in every run, as at a
-    degenerate gp-iekf epoch (the runs share their measurements), gets a NaN
-    mean in mahalanobis.csv, and the report raises no warning."""
+def test_report_epoch_that_no_run_corrected_is_nan_without_warning(tmp_path, monkeypatch):
+    """An epoch that no run corrected, as a degenerate gp-iekf epoch (the runs
+    share their measurements), gets a NaN mean in epoch_means.npy and
+    mahalanobis.csv, and neither run nor report raises a warning."""
     gen = pipeline.GenerateConfig(seed=3, train_duration_s=30.0, test_duration_s=10.0,
                                   rate_hz=5.0)
     pipeline.cmd_generate(gen, tmp_path / "data")
-    d = tmp_path / "mag-iekf"
-    pipeline.cmd_run(tmp_path / "data" / "test.csv", None,
-                     pipeline.RunConfig(estimator="mag-iekf", monte_carlo_runs=2), d)
-    _, t, _, _, mahal = pipeline._load_traces(d)
     k = 7
-    lines = (d / "traces.csv").read_text().splitlines()
-    for row in (1 + k, 1 + t.size + k):  # epoch k of run 0 and of run 1
-        lines[row] = lines[row].rpartition(",")[0] + ",nan"
-    (d / "traces.csv").write_text("\n".join(lines) + "\n")
+    measurements_for = pipeline._measurements_for
+
+    def without_epoch_k(*args):
+        measurements = measurements_for(*args)
+        measurements[k] = None
+        return measurements
+
+    monkeypatch.setattr(pipeline, "_measurements_for", without_epoch_k)
+    d = tmp_path / "mag-iekf"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        pipeline.cmd_run(tmp_path / "data" / "test.csv", None,
+                         pipeline.RunConfig(estimator="mag-iekf", monte_carlo_runs=2), d)
         pipeline.cmd_report([d], tmp_path / "report")
+    _, t, _, _, mahal = _load_traces(d)
+    assert np.isnan(mahal[:, k]).all() and not np.isnan(np.delete(mahal, k, axis=1)).any()
     means = world.read_table(tmp_path / "report" / "mahalanobis.csv",
                              ("t", "mean_mahalanobis_mag-iekf", "bound"))[:, 1]
     assert np.isnan(means[k])
     others = np.delete(np.arange(t.size), k)
     assert same_bits(means[others], np.nanmean(mahal[:, others], axis=0))
+    assert np.array_equal(np.load(d / "epoch_means.npy")[4], means, equal_nan=True)
 
 
-def _edit_row(k, edit):
-    """A traces.csv edit that applies `edit` to the cells of data row k."""
-    def apply(text):
-        lines = text.splitlines()
-        lines[k + 1] = ",".join(edit(lines[k + 1].split(",")))
-        return "\n".join(lines) + "\n"
+def _npy_rewritten(data: bytes, header_edit=dict, data_edit=bytes) -> bytes:
+    """The .npy file `data` with its header's dict (descr, fortran_order,
+    shape) and its array's bytes rewritten by the two edits."""
+    array = np.load(io.BytesIO(data))
+    out = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        out, header_edit(np.lib.format.header_data_from_array_1_0(array))
+    )
+    return out.getvalue() + data_edit(array.tobytes())
+
+
+def _npy_edit(header_edit=dict, data_edit=bytes):
+    """An edit of the .npy file at a path by `_npy_rewritten`."""
+    return lambda path: path.write_bytes(_npy_rewritten(path.read_bytes(), header_edit, data_edit))
+
+
+def _npy_resaved(edit):
+    """An edit that saves `edit` of the array in the .npy file at a path."""
+    def apply(path):
+        np.save(path, edit(np.load(path)))
 
     return apply
 
 
-def _epoch_major(text):
-    # the same rows, each epoch's runs together
-    head, *rows = text.splitlines()
-    return "\n".join([head, *sorted(rows, key=lambda row: float(row.split(",")[0]))]) + "\n"
-
-
-def _short_then_long(text):
-    # row 1 loses its last cell to row 2: the total cell count is unchanged
-    lines = text.splitlines()
-    head, _, last = lines[1].rpartition(",")
-    lines[1], lines[2] = head, lines[2] + "," + last
-    return "\n".join(lines) + "\n"
-
-
+# each epoch_means.npy edit is the binary kind of a traces.csv fault: a bad
+# header, a row too short, cells that fill the wrong rows, a cell that is not
+# a number, an empty cell, epoch-major rows and a key column out of order
 @pytest.mark.parametrize(
     "target, edit, message",
     [
-        ("traces.csv", lambda text: text.replace("t,run,", "t,runs,", 1), "bad header"),
-        ("traces.csv", _edit_row(3, lambda cells: cells[:-1]), "line 5: bad row width"),
-        ("traces.csv", _short_then_long, "line 2: bad row width"),
-        ("traces.csv", _edit_row(2, lambda cells: cells[:2] + ["abc"] + cells[3:]), "abc"),
-        ("traces.csv", _edit_row(0, lambda cells: cells[:4] + [""]), "convert"),
-        ("traces.csv", _epoch_major, "rows are not runs 0..4 in order"),
-        ("traces.csv", lambda text: re.sub(r"^([^,\n]+),\d+,", r"\1,7,", text, flags=re.M),
-         "rows are not runs 0..4 in order"),
-        ("metrics.json", lambda text: "{", "not valid JSON"),
-        ("metrics.json", lambda text: "[]", "got None"),
-        ("metrics.json", lambda text: "{}", "got None"),
-        ("metrics.json", lambda text: '{"estimator": "../ekf"}', "got '../ekf'"),
-        ("metrics.json", lambda text: '{"estimator": ["mag-iekf"]}', "got ['mag-iekf']"),
+        ("epoch_means.npy",
+         _npy_edit(lambda h: {("descx" if k == "descr" else k): v for k, v in h.items()}),
+         "Header does not contain the correct keys"),
+        ("epoch_means.npy", _npy_edit(data_edit=lambda b: b[:-8]),
+         "needs 12000 bytes of data, but 11992 follow it"),
+        ("epoch_means.npy", _npy_edit(lambda h: {**h, "shape": (math.prod(h["shape"]),)}),
+         "float64 of shape (1500,), not float64 of shape (5, n)"),
+        ("epoch_means.npy", _npy_resaved(lambda a: np.full(a.shape, "abc")),
+         "<U3 of shape (5, 300), not float64"),
+        ("epoch_means.npy", _npy_resaved(lambda a: a[:, :0]), "of shape (5, 0), not"),
+        ("epoch_means.npy", _npy_resaved(lambda a: a.T), "of shape (300, 5), not"),
+        ("epoch_means.npy", _npy_resaved(lambda a: np.vstack([np.full_like(a[0], 7.0), a[1:]])),
+         "t row is not finite and strictly increasing"),
+        ("epoch_means.npy",
+         lambda p: np.save(p, np.array([None] * 5, dtype=object), allow_pickle=True),
+         "which holds Python objects, is not read"),
+        # a header that claims 16 TB: refused before anything is allocated
+        ("epoch_means.npy", _npy_edit(lambda h: {**h, "shape": (200000000000, 10)}),
+         "needs 16000000000000 bytes of data, but 12000 follow it"),
+        # a run dir written before run saved its means must be re-run: report
+        # does not fall back on the traces
+        ("epoch_means.npy", Path.unlink, "No such file"),
+        ("metrics.json", lambda p: p.write_text("{"), "not valid JSON"),
+        ("metrics.json", lambda p: p.write_text("[]"), "got None"),
+        ("metrics.json", lambda p: p.write_text("{}"), "got None"),
+        ("metrics.json", lambda p: p.write_text('{"estimator": "../ekf"}'), "got '../ekf'"),
+        ("metrics.json", lambda p: p.write_text('{"estimator": ["mag-iekf"]}'),
+         "got ['mag-iekf']"),
     ],
     ids=["wrong-header", "short-row", "short-then-long-row", "bad-token", "empty-cell",
-         "epoch-major-rows", "run-ids-all-7",
+         "epoch-major-rows", "run-ids-all-7", "pickled-objects", "huge-shape-header",
+         "missing-epoch-means",
          "metrics-not-json", "metrics-not-object", "metrics-without-estimator",
          "metrics-unknown-estimator", "metrics-estimator-not-string"],
 )
 def test_cli_report_rejects_malformed_traces(run_dirs, tmp_path, capsys, target, edit, message):
+    """A run dir's report inputs, its metrics.json and epoch_means.npy (the
+    per-epoch means of its traces), each malformed: report exits 2 naming
+    the file and writes nothing."""
     d = tmp_path / "run"
     shutil.copytree(run_dirs["mag-iekf"], d)
     path = d / target
-    path.write_text(edit(path.read_text()))
+    edit(path)
     out = tmp_path / "report"
     assert pipeline.main(["report", "--runs-dirs", str(d), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -585,7 +627,7 @@ def test_cli_report_rejects_malformed_traces(run_dirs, tmp_path, capsys, target,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("target", ["metrics.json", "traces.csv"])
+@pytest.mark.parametrize("target", ["metrics.json", "epoch_means.npy"])
 def test_cli_report_input_is_directory(run_dirs, tmp_path, capsys, target):
     d = tmp_path / "run"
     shutil.copytree(run_dirs["mag-iekf"], d)
@@ -597,6 +639,53 @@ def test_cli_report_input_is_directory(run_dirs, tmp_path, capsys, target):
     assert not out.exists()
 
 
+def test_report_reads_no_traces(run_dirs, tmp_path):
+    """The report is the same, byte for byte, after every traces.csv is gone."""
+    dirs = []
+    for est, d in run_dirs.items():
+        dirs.append(tmp_path / est)
+        shutil.copytree(d, dirs[-1])
+        (dirs[-1] / "traces.csv").unlink()
+    pipeline.cmd_report(list(run_dirs.values()), tmp_path / "with")
+    pipeline.cmd_report(dirs, tmp_path / "without")
+    names = sorted(p.name for p in (tmp_path / "with").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "without").iterdir())
+    for name in names:
+        assert (tmp_path / "with" / name).read_bytes() == (tmp_path / "without" / name).read_bytes()
+
+
+@pytest.mark.parametrize("runs", [1, 2, 100])
+def test_epoch_means_are_the_means_of_the_parsed_traces(workspace, tmp_path, runs):
+    """epoch_means.npy holds, bit for bit, t and the per-epoch means over the
+    runs of traces.csv parsed back (error, |error|, 3-sigma, and the
+    Mahalanobis mean of the runs that corrected)."""
+    for est in pipeline.ESTIMATORS:
+        d = tmp_path / est
+        cfg = pipeline.RunConfig(estimator=est, monte_carlo_runs=runs, seed=2)
+        pipeline.cmd_run(workspace / "data" / "test.csv",
+                         workspace / "models" if est == "gp-iekf" else None, cfg, d)
+        _, t, err, sig, mahal = _load_traces(d)
+        assert err.shape == (runs, t.size)
+        means = np.load(d / "epoch_means.npy", allow_pickle=False)
+        assert means.dtype == np.float64 and means.shape == (len(pipeline.EPOCH_MEANS_ROWS), t.size)
+        want = [t, err.mean(axis=0), np.abs(err).mean(axis=0), sig.mean(axis=0),
+                pipeline._mean_of_corrected(mahal)]
+        assert all(same_bits(got, row) for got, row in zip(means, want))
+
+
+def test_run_reads_crlf_dataset(workspace, run_dirs, tmp_path):
+    """A dataset with CRLF line ends gives the same traces and means as with LF."""
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("test.csv", "test.meta.json"):
+        shutil.copy(workspace / "data" / name, data / name)
+    (data / "test.csv").write_bytes((data / "test.csv").read_bytes().replace(b"\n", b"\r\n"))
+    cfg = pipeline.RunConfig(estimator="mag-iekf", monte_carlo_runs=5, seed=1)
+    pipeline.cmd_run(data / "test.csv", None, cfg, tmp_path / "run")
+    for name in ("traces.csv", "epoch_means.npy"):
+        assert (tmp_path / "run" / name).read_bytes() == (run_dirs["mag-iekf"] / name).read_bytes()
+
+
 def test_cli_report_rejects_two_runs_of_one_estimator(run_dirs, tmp_path, capsys):
     dirs = [str(run_dirs["deadreckon"]), str(run_dirs["mag-iekf"]), str(tmp_path / "again")]
     shutil.copytree(run_dirs["mag-iekf"], dirs[2])
@@ -605,17 +694,6 @@ def test_cli_report_rejects_two_runs_of_one_estimator(run_dirs, tmp_path, capsys
     err = capsys.readouterr().err
     assert "data error" in err and "mag-iekf" in err and dirs[1] in err and dirs[2] in err
     assert not out.exists()
-
-
-def test_report_reads_crlf_traces(run_dirs, tmp_path):
-    d = tmp_path / "run"
-    shutil.copytree(run_dirs["mag-iekf"], d)
-    path = d / "traces.csv"
-    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-    pipeline.cmd_report([d], tmp_path / "crlf")
-    pipeline.cmd_report([run_dirs["mag-iekf"]], tmp_path / "lf")
-    for p in (tmp_path / "lf").iterdir():
-        assert (tmp_path / "crlf" / p.name).read_bytes() == p.read_bytes()
 
 
 # --- shuffled-feature ablation -------------------------------------------------------
@@ -1072,6 +1150,20 @@ def _unclose_npy_header(path):
             z.writestr(name, data)
 
 
+def _npz_member_edit(member, header_edit):
+    """An edit of the .npz archive at a path that rewrites the header of its
+    `member` by `_npy_rewritten`, with the archive's CRCs kept valid."""
+    def apply(path):
+        with zipfile.ZipFile(path) as z:
+            members = {name: z.read(name) for name in z.namelist()}
+        members[member] = _npy_rewritten(members[member], header_edit)
+        with zipfile.ZipFile(path, "w") as z:
+            for name, data in members.items():
+                z.writestr(name, data)
+
+    return apply
+
+
 def _one_output_model(path):
     rng = np.random.default_rng(0)
     x = rng.normal(size=(120, 10))
@@ -1127,6 +1219,9 @@ def _two_archives_own_kernels(path):
          "heading_model.npz: standardizer means must be finite"),
         ("models/heading_model.npz", _flag_strong_encryption, 2, "heading_model.npz: strong encryption"),
         ("models/heading_model.npz", _unclose_npy_header, 2, "heading_model.npz: ('EOF in multi-line statement'"),
+        # a header that claims 16 TB: refused before anything is allocated
+        ("models/heading_model.npz", _npz_member_edit("x.npy", lambda h: {**h, "shape": (200000000000, 10)}),
+         2, "heading_model.npz: the header's shape (200000000000, 10) of float64 needs 16000000000000 bytes"),
         # one output where the sin and cos outputs belong
         ("models/heading_model.npz", _one_output_model, 2, "heading_model.npz: y has shape (120,), not (2, n)"),
         # a model directory trained with a kernel per GP, in the two-archive layout
@@ -1145,7 +1240,7 @@ def _two_archives_own_kernels(path):
         "gp-sin-two-hyper", "gp-sin-four-hyper", "gp-sin-2d-hyper", "gp-sin-text-hyper",
         "gp-sin-vector-y-mean", "gp-sin-1d-x", "gp-sin-short-std-mean", "gp-sin-negative-hyper",
         "gp-sin-nan-y-mean", "gp-sin-nan-std-mean", "model-encryption-flag",
-        "model-unclosed-npy-header", "model-one-output", "gp-cos-own-kernel",
+        "model-unclosed-npy-header", "model-huge-shape-header", "model-one-output", "gp-cos-own-kernel",
         "config-not-object", "config-section-not-object",
         "config-not-utf-8", "config-is-directory",
     ],

@@ -1,6 +1,9 @@
 import hashlib
+import io
 import math
+import re
 import tempfile
+import zipfile
 from pathlib import Path
 from typing import NamedTuple
 
@@ -680,3 +683,65 @@ def test_float_cells_equal_one_repr_per_cell(rows, cols, data):
     same = a.view(np.int64) == a[0].view(np.int64)
     for r, start in enumerate(world.row0_suffix_starts(a).tolist()):
         assert same[r, start:].all() and (start == 0 or not same[r, start - 1])
+
+
+# --- .npy reader -----------------------------------------------------------------
+
+
+def _read_npy(data: bytes):
+    return world.read_npy(io.BytesIO(data), len(data))
+
+
+def _npy(array, **header) -> bytes:
+    """`array` as np.save writes it, with the header's fields overridden."""
+    out = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        out, {**np.lib.format.header_data_from_array_1_0(array), **header}
+    )
+    return out.getvalue() + array.tobytes(order="A")
+
+
+@pytest.mark.parametrize("array", [
+    np.arange(12.0).reshape(3, 4),
+    np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+    np.arange(6, dtype=">f8"),
+    np.array([[True, False]]),
+    np.array(3.5),
+    np.empty((0, 5)),
+    np.array([math.nan, -0.0, math.inf, 5e-324]),
+], ids=["c-order", "fortran-order", "big-endian", "bool", "0-d", "no-rows", "special-floats"])
+def test_read_npy_equals_np_load(tmp_path, array):
+    """read_npy returns what np.load returns, dtype, shape and bits, for a
+    file and for a member of an .npz archive."""
+    np.save(tmp_path / "a.npy", array)
+    np.savez(tmp_path / "a.npz", a=array)
+    want = np.load(tmp_path / "a.npy")
+    with open(tmp_path / "a.npy", "rb") as f:
+        got = [world.read_npy(f, (tmp_path / "a.npy").stat().st_size)]
+    with zipfile.ZipFile(tmp_path / "a.npz") as z, z.open("a.npy") as member:
+        got.append(world.read_npy(member, z.getinfo("a.npy").file_size))
+    for a in got:
+        assert a.dtype == want.dtype and a.shape == want.shape
+        assert a.tobytes(order="A") == want.tobytes(order="A")
+        assert a.flags.writeable
+
+
+def test_read_npy_checks_the_header_against_the_bytes_present():
+    """A header whose shape and dtype do not account for the bytes after it
+    is refused before any array is allocated, as are an array of Python
+    objects and bad magic; a 16 TB shape must not become a MemoryError."""
+    a = np.arange(20.0).reshape(2, 10)
+    assert _read_npy(_npy(a)).tolist() == a.tolist()
+    for data, message in (
+        (_npy(a, shape=(200000000000, 10)), "needs 16000000000000 bytes of data, but 160"),
+        (_npy(a, shape=(3, 10)), "needs 240 bytes of data, but 160"),
+        (_npy(a, shape=(-2, -10)), "shape (-2, -10) has a negative length"),
+        (_npy(a, descr="<f4"), "needs 80 bytes of data, but 160"),
+        (_npy(a)[:-1], "needs 160 bytes of data, but 159"),
+        (_npy(a) + b"\0", "needs 160 bytes of data, but 161"),
+        (_npy(np.array([None, {}], dtype=object)), "holds Python objects"),
+        (b"\x93NUMPX" + _npy(a)[6:], "magic"),
+        (_npy(a).replace(b"'shape': (2, 10)", b"'shape': (2, 10 "), "EOF in multi-line"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _read_npy(data)
