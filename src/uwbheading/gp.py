@@ -20,7 +20,7 @@ distances, the heuristic lengthscale and the buffers each likelihood
 evaluation computes in. Prediction has one batch path for any number of rows
 (`GpModel.predict_many`) and one online path for a single row as Python
 floats (`GpModel.predict`), equal to the bit; each takes one kernel and one
-triangular solve for all the outputs.
+product with the cached inverse of the Cholesky factor for all the outputs.
 
 Fitting, factorizing and batch prediction run on one BLAS thread (see
 `_blas`): threaded OpenBLAS workers keep spinning after a call and slow the
@@ -34,6 +34,7 @@ import math
 import numbers
 import zipfile
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve, lapack
@@ -206,11 +207,10 @@ def _se_kernel(d2: np.ndarray, divisor, signal_var, out=None) -> np.ndarray:
     return k
 
 
-def _solve_lower(chol: np.ndarray, b: np.ndarray, trans=0, overwrite=False) -> np.ndarray:
+def _solve_lower(chol: np.ndarray, b: np.ndarray, trans=0) -> np.ndarray:
     """chol^-1 b, or chol^-T b with `trans` 1, for a lower-triangular
-    Fortran-order `chol`, by LAPACK `dtrtrs`. With `overwrite` a contiguous
-    1-D `b` is solved in place."""
-    x, info = lapack.dtrtrs(chol, b, lower=1, trans=trans, overwrite_b=overwrite)
+    Fortran-order `chol`, by LAPACK `dtrtrs`."""
+    x, info = lapack.dtrtrs(chol, b, lower=1, trans=trans)
     if info != 0:
         raise np.linalg.LinAlgError(f"dtrtrs failed with info={info}")
     return x
@@ -468,6 +468,15 @@ class GpModel:
         return cls(train=train, params=params, chol=chol, alpha=alpha,
                    y_mean=y_mean, lml=lml, jitter=jitter)
 
+    @cached_property
+    @_blas.one_thread()
+    def chol_inv(self) -> np.ndarray:
+        """chol^-1 for the posterior variance, by one `dtrtri` at the first prediction."""
+        inv, info = lapack.dtrtri(self.chol, lower=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dtrtri failed with info={info}")
+        return inv
+
     def output(self, k: int) -> "GpModel":
         """Output `k` as a one-output model that shares this model's factor.
         Each call builds a new model; the predictions do not use it."""
@@ -485,8 +494,8 @@ class GpModel:
 
         For one row numpy's fixed cost per call outweighs the arithmetic, so
         the kernel row is built once; each output takes one dot with it for
-        its mean, and one triangular solve in its place and one reduction
-        give the variance.
+        its mean, and one product with `chol_inv` and one reduction give the
+        variance.
         """
         x = np.asarray(x_star_raw, dtype=float)
         if x.ndim == 2 and len(x) == 1:
@@ -504,16 +513,16 @@ class GpModel:
         # gram_matrix(train.x, xs), over d2
         k_star = _se_kernel(d2, self.kernel_divisor, self.signal_var, out=d2)
         means = [float(k_star @ alpha) + y_mean for alpha, y_mean in self._outputs]
-        _solve_lower(self.chol, k_star, overwrite=True)  # v = chol^-1 k_star, over k_star
-        k_star *= k_star
-        variance = max(self.signal_var - float(np.add.reduce(k_star)), 0.0)
+        v = np.dot(self.chol_inv, k_star)  # the gemv of `@`, with less dispatch per call
+        v *= v
+        variance = max(self.signal_var - float(np.add.reduce(v)), 0.0)
         return means if self.alpha.ndim == 2 else means[0], variance
 
     def predict_many(self, x_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance over (m, d) raw queries, for any m, as
         arrays on one BLAS thread: the means are (m,), or (p, m) with a (p, n)
         `train.y`, and the (m,) variance is every output's. The queries'
-        standardization, kernel, triangular solve and variance are computed
+        standardization, kernel, `chol_inv` product and variance are computed
         once, and each output's mean is its own dot with that kernel."""
         x = np.atleast_2d(np.asarray(x_raw, dtype=float))
         if x.ndim != 2 or x.shape[1] != self.train.d:
@@ -523,7 +532,7 @@ class GpModel:
                 d2 = _sq_dists(self.train.x, self.train.standardizer.apply(x))
             k_star = _se_kernel(d2, self.kernel_divisor, self.signal_var, out=d2)
             means = [k_star.T @ alpha + y_mean for alpha, y_mean in self._outputs]
-            v = _solve_lower(self.chol, k_star)
+            v = self.chol_inv @ k_star
         v *= v
         variance = np.maximum(self.signal_var - np.sum(v, axis=0), 0.0)
         return np.array(means) if self.alpha.ndim == 2 else means[0], variance

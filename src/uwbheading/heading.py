@@ -3,8 +3,8 @@
 One two-output GP maps the 10-dimensional feature vector (5 ranges, 5 RSS)
 to pseudo-sine and pseudo-cosine of heading: its two outputs share one
 kernel, fitted by one hyperparameter search, and each prediction takes one
-kernel and one triangular solve for both. The model is saved as one archive,
-`heading_model.npz`. Its joint output is normalized onto SO(2) and the
+kernel and one product with the model's cached inverse Cholesky factor for
+both. The model is saved as one archive, `heading_model.npz`. Its joint output is normalized onto SO(2) and the
 scalar heading variance is propagated through the normalization with a
 first-order expansion.
 """

@@ -380,6 +380,7 @@ def cmd_run(dataset_path, model_dir, cfg: RunConfig, out_dir) -> dict:
         "rmse_steady_deg": rmse_steady_deg,
         "mean_3sigma_deg": mean_3sigma_deg,
         "nees_within_bound_frac": nees_frac,
+        "three_sigma_cover": float(np.mean(np.abs(errs[:, n // 10:]) < sigs[:, n // 10:])),
         "mahalanobis_bound": MAHALANOBIS_BOUND_997,
         "steady_fraction": STEADY_FRACTION,
         "q_c": q_c,

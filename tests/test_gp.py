@@ -869,7 +869,9 @@ def test_pair_fit_and_predict_do_not_depend_on_blas_thread_count():
             _set_blas_threads(n)
             model = gp.fit(train, gp.HyperparamSearchConfig(max_points=300))
             means, variance = model.predict_many(queries)
-            results.append([model.chol, model.alpha, means, variance])
+            # the one-row pass's product runs outside _blas.one_thread()
+            rows = np.array([np.hstack(model.predict(q)) for q in queries])
+            results.append([model.chol, model.alpha, means, variance, rows])
     finally:
         for set_threads, n in zip(_blas._setters(), before):
             set_threads(n)

@@ -383,6 +383,31 @@ def test_run_steady_rmse_over_trailing_window(run_dirs):
     assert m["steady_fraction"] == pipeline.STEADY_FRACTION == 0.5
 
 
+def test_run_three_sigma_cover_equals_offline_count(workspace, run_dirs):
+    """metrics.json's three_sigma_cover is the share of run-epochs from epoch
+    n // 10 on with |error| < 3 sigma, counted as criterion 4 counts it: one
+    run_filter call per run, from cmd_run's start angles."""
+    m = json.loads((run_dirs["gp-iekf"] / "metrics.json").read_text())
+    records = world.read_dataset(workspace / "data" / "test.csv")
+    pair = heading.HeadingGpPair.load(workspace / "models")
+    meas = pipeline._measurements_for("gp-iekf", records, pair, None)
+    n = len(records)
+    post = slice(n // 10, None)
+    covered, total = 0, 0
+    for r in range(m["monte_carlo_runs"]):
+        rng = np.random.default_rng([m["seed"], r])
+        std = math.sqrt(m["init_error_var"])
+        theta0 = so2.wrap_angle(records.gt_heading[0] + std * rng.standard_normal())
+        e, s3, _ = pipeline.run_filter(records, meas, m["q_c"], theta0, m["init_error_var"])
+        covered += int(np.sum(np.abs(e[post]) < s3[post]))
+        total += e[post].size
+    assert total == m["monte_carlo_runs"] * (n - n // 10)
+    assert 0.0 < m["three_sigma_cover"] < 1.0
+    assert m["three_sigma_cover"] == covered / total
+    for d in run_dirs.values():
+        assert 0.0 <= json.loads((d / "metrics.json").read_text())["three_sigma_cover"] <= 1.0
+
+
 def test_load_traces_matches_genfromtxt(run_dirs):
     for d in run_dirs.values():
         raw = np.atleast_2d(np.genfromtxt(d / "traces.csv", delimiter=",", skip_header=1))
