@@ -31,7 +31,6 @@ on the CPU count.
 from __future__ import annotations
 
 import math
-import numbers
 import zipfile
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -78,10 +77,8 @@ class SeKernelParams:
     sigma_n: float  # observation-noise std, output units
 
     def __post_init__(self):
-        for name in ("sigma_f", "sigma_l", "sigma_n"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be strictly positive, got {v}")
+        world.check(world.POSITIVE, **vars(self))
+        for name, v in list(vars(self).items()):
             object.__setattr__(self, name, float(v))  # a Python float, bit for bit
 
 
@@ -162,9 +159,7 @@ class HyperparamSearchConfig:
     max_points: int = 1000  # stride-subsample cap on training rows
 
     def __post_init__(self):
-        m = self.max_points
-        if not (isinstance(m, numbers.Integral) and not isinstance(m, bool) and m >= 2):
-            raise ValueError(f"max_points must be an integer >= 2, got {m!r}")
+        world.check(world.integer_from(2), max_points=self.max_points)
 
 
 def kernel_eval(x: np.ndarray, x_prime: np.ndarray, params: SeKernelParams) -> float:

@@ -21,7 +21,6 @@ import dataclasses
 import itertools
 import json
 import math
-import numbers
 import os
 import sys
 import time
@@ -38,6 +37,8 @@ TRACE_COLUMNS = ("t", "run", "error", "three_sigma", "mahalanobis")
 # the rows of a run dir's epoch_means.npy: t, then per-epoch means over the runs
 EPOCH_MEANS_ROWS = ("t", "error", "abs_error", "three_sigma", "mahalanobis")
 STEADY_FRACTION = 0.5  # the trailing share of epochs that the steady metrics cover
+# the GenerateConfig fields that are world.SensorNoiseConfig's
+_NOISE_FIELDS = ("range_std", "rss_std", "gyro_psd", "mag_std", "rss_quantum")
 
 
 class DataError(RuntimeError):
@@ -77,68 +78,36 @@ def _npy_file(path):
 # configs
 
 
-def _finite_number(x) -> bool:
-    """A real number that is finite as a float (an int beyond the float range
-    is not); bools are not numbers here."""
-    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
-            and abs(x) <= sys.float_info.max)
-
-
-def _integer(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-def _check(cfg, rule, *names) -> None:
-    """ValueError for the first named field of `cfg` whose value fails
-    `rule`, a (test, description of the valid values) pair."""
-    test, valid = rule
-    for name in names:
-        value = getattr(cfg, name)
-        if not test(value):
-            raise ValueError(f"{name} must be {valid}, got {value!r}")
-
-
-_POSITIVE = (lambda x: _finite_number(x) and x > 0, "a finite number > 0")
-_NON_NEGATIVE = (lambda x: _finite_number(x) and x >= 0, "a finite number >= 0")
-_SEED = (lambda x: _integer(x) and x >= 0, "an integer >= 0")
-
-
 @dataclass
 class GenerateConfig:
-    """The CLI's settable generate values. The arena, anchors, antenna
-    pattern and path loss are `world`'s defaults; library callers pass
-    their own to `world.build_dataset`."""
+    """The CLI's settable generate values. The noise fields, their defaults
+    and their checks are `world.SensorNoiseConfig`'s. The arena, anchors,
+    antenna pattern and path loss are `world`'s defaults; library callers
+    pass their own to `world.build_dataset`."""
 
     rate_hz: float = 10.0
     train_duration_s: float = 1800.0
     test_duration_s: float = 300.0
     seed: int = 0
-    range_std: float = 0.10
-    rss_std: float = 0.5
-    gyro_psd: float = 3e-3
-    mag_std: float = 0.05
-    rss_quantum: float = 1.0
+    range_std: float = world.SensorNoiseConfig.range_std
+    rss_std: float = world.SensorNoiseConfig.rss_std
+    gyro_psd: float = world.SensorNoiseConfig.gyro_psd
+    mag_std: float = world.SensorNoiseConfig.mag_std
+    rss_quantum: float = world.SensorNoiseConfig.rss_quantum
 
     def __post_init__(self):
-        _check(self, _POSITIVE, "rate_hz", "train_duration_s", "test_duration_s", "rss_quantum")
-        _check(self, _NON_NEGATIVE, "range_std", "rss_std", "gyro_psd", "mag_std")
-        _check(self, _SEED, "seed")
+        world.check(world.POSITIVE, rate_hz=self.rate_hz, train_duration_s=self.train_duration_s,
+                    test_duration_s=self.test_duration_s)
+        self.noise(self.seed)  # checks the noise fields and the seed
         # train fits on at least 2 rows and run filters at least 1 epoch
         for name, least in (("train_duration_s", 2), ("test_duration_s", 1)):
             epochs = getattr(self, name) * self.rate_hz
-            if not (math.isfinite(epochs) and round(epochs) >= least):
+            if not (world.finite_number(epochs) and round(epochs) >= least):
                 raise ValueError(f"{name} * rate_hz must round to a finite count of at least"
                                  f" {least} epochs, got {epochs!r}")
 
     def noise(self, seed: int) -> world.SensorNoiseConfig:
-        return world.SensorNoiseConfig(
-            range_std=self.range_std,
-            rss_std=self.rss_std,
-            gyro_psd=self.gyro_psd,
-            mag_std=self.mag_std,
-            rss_quantum=self.rss_quantum,
-            seed=seed,
-        )
+        return world.SensorNoiseConfig(**{n: getattr(self, n) for n in _NOISE_FIELDS}, seed=seed)
 
 
 TrainConfig = gp.HyperparamSearchConfig
@@ -153,12 +122,12 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check(self, (lambda x: x in ESTIMATORS, f"one of {ESTIMATORS}"), "estimator")
-        _check(self, (lambda x: _integer(x) and x >= 1, "an integer >= 1"), "monte_carlo_runs")
-        _check(self, _POSITIVE, "init_error_var")
-        _check(self, (lambda x: x is None or _finite_number(x) and x > 0,
-                      "null or a finite number > 0"), "q_c")
-        _check(self, _SEED, "seed")
+        world.check((lambda x: x in ESTIMATORS, f"one of {ESTIMATORS}"), estimator=self.estimator)
+        world.check(world.integer_from(1), monte_carlo_runs=self.monte_carlo_runs)
+        world.check(world.POSITIVE, init_error_var=self.init_error_var)
+        world.check((lambda x: x is None or world.finite_number(x) and x > 0,
+                     "null or a finite number > 0"), q_c=self.q_c)
+        world.check(world.SEED, seed=self.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +268,14 @@ def _noise_settings(dataset_path, cfg: RunConfig):
     q_c = cfg.q_c
     if q_c is None:
         q_c = noise.get("gyro_psd")
-        if not (_finite_number(q_c) and q_c > 0):
+        if not (world.finite_number(q_c) and q_c > 0):
             raise DataError(f"{path}: without a q_c in the run config, noise.gyro_psd must be"
                             f" finite and positive, got {q_c!r}")
     if cfg.estimator != "mag-iekf":
         return q_c, None
     mag_std = noise.get("mag_std")
-    if not (_finite_number(mag_std) and mag_std >= 0 and _finite_number(mag_std * mag_std)):
+    if not (world.finite_number(mag_std) and mag_std >= 0
+            and world.finite_number(mag_std * mag_std)):
         raise DataError(f"{path}: mag-iekf needs a noise.mag_std >= 0 whose square is finite,"
                         f" got {mag_std!r}")
     return q_c, mag_std**2

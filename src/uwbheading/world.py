@@ -16,6 +16,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
+import sys
 import tokenize
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -56,6 +58,35 @@ DATASET_COLUMNS = (
 )
 
 
+def finite_number(x) -> bool:
+    """A real number that is finite as a float (an int beyond the float range
+    is not); bools are not numbers here."""
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
+
+
+def integer_from(least: int):
+    """The rule of an integer >= `least` that is a `finite_number`."""
+    return (lambda x: isinstance(x, numbers.Integral) and finite_number(x) and x >= least,
+            f"a finite integer >= {least}")
+
+
+def check(rule, **values) -> None:
+    """ValueError naming the first of `values` that fails `rule`, a (test,
+    description of the valid values) pair. The settings types here and in
+    `gp` and `pipeline` check their fields with these rules."""
+    test, valid = rule
+    for name, value in values.items():
+        if not test(value):
+            raise ValueError(f"{name} must be {valid}, got {value!r}")
+
+
+FINITE = (finite_number, "a finite number")
+POSITIVE = (lambda x: finite_number(x) and x > 0, "a finite number > 0")
+NON_NEGATIVE = (lambda x: finite_number(x) and x >= 0, "a finite number >= 0")
+SEED = integer_from(0)
+
+
 @dataclass(frozen=True)
 class Rectangle:
     xmin: float
@@ -64,6 +95,7 @@ class Rectangle:
     ymax: float
 
     def __post_init__(self):
+        check(FINITE, **vars(self))
         if not (self.xmax > self.xmin and self.ymax > self.ymin):
             raise ValueError("degenerate area")
 
@@ -130,8 +162,7 @@ class AntennaPattern:
     phi1: float = 0.0
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.g0, self.a2, self.phi2, self.a1, self.phi1)):
-            raise ValueError("antenna pattern g0, a2, phi2, a1 and phi1 must be finite")
+        check(FINITE, **vars(self))
 
     def gain(self, phi) -> np.ndarray:
         """Gain at relative bearing(s) phi; 2*pi periodic."""
@@ -152,10 +183,8 @@ class PathLossModel:
     gamma: float = 1.8
 
     def __post_init__(self):
-        if not (math.isfinite(self.p0) and math.isfinite(self.gamma)):
-            raise ValueError("path loss p0 and gamma must be finite")
-        if not (math.isfinite(self.d0) and self.d0 > 0):
-            raise ValueError("path loss reference distance d0 must be finite and positive")
+        check(FINITE, p0=self.p0, gamma=self.gamma)
+        check(POSITIVE, d0=self.d0)
 
     def loss(self, distance) -> np.ndarray:
         d = np.maximum(np.asarray(distance, dtype=float), RANGE_FLOOR_M)
@@ -177,18 +206,14 @@ class SensorNoiseConfig:
     mag_disturbance_bias: float = 0.5  # rad
 
     def __post_init__(self):
-        stds = (self.range_std, self.rss_std, self.mag_std, self.gyro_psd)
-        if not all(math.isfinite(v) and v >= 0 for v in stds):
-            raise ValueError("noise standard deviations and gyro PSD must be finite and >= 0")
-        if not (math.isfinite(self.rss_quantum) and self.rss_quantum > 0):
-            raise ValueError("rss quantum must be finite and positive")
-        c = self.mag_disturbance_center
-        if c is not None and not (np.shape(c) == (2,) and np.all(np.isfinite(c))):
-            raise ValueError("magnetic disturbance center must be None or a finite 2-vector")
-        if not (math.isfinite(self.mag_disturbance_radius) and self.mag_disturbance_radius >= 0):
-            raise ValueError("magnetic disturbance radius must be finite and >= 0")
-        if not math.isfinite(self.mag_disturbance_bias):
-            raise ValueError("magnetic disturbance bias must be finite")
+        check(NON_NEGATIVE, range_std=self.range_std, rss_std=self.rss_std, gyro_psd=self.gyro_psd,
+              mag_std=self.mag_std, mag_disturbance_radius=self.mag_disturbance_radius)
+        check(POSITIVE, rss_quantum=self.rss_quantum)
+        check(SEED, seed=self.seed)
+        check((lambda c: c is None or np.shape(np.array(c, dtype=object)) == (2,)
+               and all(map(finite_number, c)),
+               "None or a finite 2-vector"), mag_disturbance_center=self.mag_disturbance_center)
+        check(FINITE, mag_disturbance_bias=self.mag_disturbance_bias)
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,8 +284,10 @@ def generate_trajectory(
 ) -> Trajectory:
     """Sample a smooth-random ground-truth trajectory confined to ``area``:
     a drifting heading and a quasi-random position sweep."""
-    if not (duration > 0 and rate_hz > 0 and duration * rate_hz < math.inf):
-        raise ValueError("duration and rate must be positive, with a finite product")
+    check(POSITIVE, duration=duration, rate_hz=rate_hz)
+    check(SEED, seed=seed)
+    if not finite_number(duration * rate_hz):
+        raise ValueError(f"duration * rate_hz must be finite, got {duration * rate_hz!r}")
     rng = np.random.default_rng(seed)
     n = int(round(duration * rate_hz))
     t = np.arange(n) / rate_hz
@@ -534,14 +561,7 @@ def world_metadata(
     return {
         "area": [area.xmin, area.xmax, area.ymin, area.ymax],
         "anchors": [{"id": a.id, "position": a.position.tolist()} for a in anchors],
-        "pattern": {
-            "g0": pattern.g0,
-            "a2": pattern.a2,
-            "phi2": pattern.phi2,
-            "a1": pattern.a1,
-            "phi1": pattern.phi1,
-            "table": None,
-        },
+        "pattern": {**asdict(pattern), "table": None},
         "path_loss": asdict(path_loss),
         "noise": asdict(cfg),
         "seed": seed,

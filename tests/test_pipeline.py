@@ -57,6 +57,55 @@ def test_run_config_validation():
             pipeline.RunConfig(init_error_var=bad)
 
 
+# a call that sets one field of a settings type or function to a value, and
+# the field's name
+SETTINGS_FIELDS = [
+    pytest.param(lambda v: world.SensorNoiseConfig(range_std=v), "range_std",
+                 id="noise.range_std"),
+    pytest.param(lambda v: world.SensorNoiseConfig(rss_quantum=v), "rss_quantum",
+                 id="noise.rss_quantum"),
+    pytest.param(lambda v: world.SensorNoiseConfig(seed=v), "seed", id="noise.seed"),
+    pytest.param(lambda v: world.SensorNoiseConfig(mag_disturbance_center=(v, 0.0)),
+                 "mag_disturbance_center", id="noise.disturbance_center"),
+    pytest.param(lambda v: world.PathLossModel(p0=v), "p0", id="path_loss.p0"),
+    pytest.param(lambda v: world.PathLossModel(d0=v), "d0", id="path_loss.d0"),
+    pytest.param(lambda v: world.AntennaPattern(g0=v), "g0", id="pattern.g0"),
+    pytest.param(lambda v: world.Rectangle(0.0, v, 0.0, 1.0), "xmax", id="area.xmax"),
+    pytest.param(lambda v: gp.SeKernelParams(v, 1.0, 1.0), "sigma_f", id="kernel.sigma_f"),
+    pytest.param(lambda v: gp.HyperparamSearchConfig(max_points=v), "max_points",
+                 id="search.max_points"),
+    pytest.param(lambda v: pipeline.GenerateConfig(range_std=v), "range_std",
+                 id="generate.range_std"),
+    pytest.param(lambda v: pipeline.GenerateConfig(rate_hz=v), "rate_hz", id="generate.rate_hz"),
+    pytest.param(lambda v: pipeline.GenerateConfig(seed=v), "seed", id="generate.seed"),
+    pytest.param(lambda v: world.generate_trajectory(world.DEFAULT_AREA, v, 10.0), "duration",
+                 id="trajectory.duration"),
+    pytest.param(lambda v: world.generate_trajectory(world.DEFAULT_AREA, 10.0, v), "rate_hz",
+                 id="trajectory.rate_hz"),
+    pytest.param(lambda v: world.generate_trajectory(world.DEFAULT_AREA, 10.0, 10.0, v), "seed",
+                 id="trajectory.seed"),
+]
+
+
+@pytest.mark.parametrize("build, name", SETTINGS_FIELDS)
+@pytest.mark.parametrize(
+    "value", [True, 10**400, "1", math.nan, math.inf],
+    ids=["bool", "400-digit-int", "numeric-string", "nan", "inf"],
+)
+def test_settings_reject_a_non_number_naming_the_field(build, name, value):
+    """Every settings type checks its fields by world's value rules: a bool,
+    an int beyond the float range, a string, NaN or inf is a ValueError that
+    names the field, not an OverflowError, a TypeError or an accepted value."""
+    with pytest.raises(ValueError, match=rf"^{name} must be "):
+        build(value)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2_000_003])
+def test_generate_noise_is_world_noise_by_default(seed):
+    """GenerateConfig's noise defaults are SensorNoiseConfig's, not a copy."""
+    assert pipeline.GenerateConfig().noise(seed) == world.SensorNoiseConfig(seed=seed)
+
+
 def test_config_file_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"run": {"estimator": "deadreckon", "typo_key": 1}}))
@@ -1004,7 +1053,7 @@ def test_cli_bad_run_config_is_usage_error(workspace, tmp_path, capsys, key, val
         ("rate_hz", -1), ("rate_hz", 0), ("rate_hz", math.inf), ("rate_hz", True),
         ("train_duration_s", 0), ("test_duration_s", "300"),
         ("range_std", -0.1), ("rss_std", math.nan), ("gyro_psd", True), ("mag_std", "0.05"),
-        ("rss_quantum", 0),
+        ("rss_quantum", 0), ("range_std", 10**400), ("rss_quantum", "1"),
         # epoch counts that generate cannot make, or train (< 2) or run (< 1) cannot use
         ("rate_hz", 1e308), ("train_duration_s", 0.1), ("test_duration_s", 0.04),
     ],
