@@ -167,18 +167,20 @@ def kernel_eval(x: np.ndarray, x_prime: np.ndarray, params: SeKernelParams) -> f
     return float(gram_matrix(np.ravel(x), np.ravel(x_prime), params)[0, 0])
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(len(a), len(b)) squared distances between the rows of `a` and `b`."""
+def _sq_dists(a: np.ndarray, b: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    """(len(a), len(b)) squared distances between the rows of `a` and `b`,
+    sum(a**2) + sum(b**2) - 2 (a @ b.T), clamped at 0 by `_clamp_distances`.
+    Computed into `out`, with the sum of the squared norms in `scratch`, when
+    the caller gives these two (len(a), len(b)) arrays; else into two new
+    ones."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    d2 = (
-        np.sum(a**2, axis=1)[:, None]
-        + np.sum(b**2, axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    return _clamp_distances(d2)
+    d2 = np.matmul(a, b.T, out=out)
+    d2 *= 2.0
+    norms = np.add(np.sum(a**2, axis=1)[:, None], np.sum(b**2, axis=1)[None, :], out=scratch)
+    return _clamp_distances(np.subtract(norms, d2, out=d2))
 
 
 def _clamp_distances(d2: np.ndarray) -> np.ndarray:
@@ -405,6 +407,18 @@ def _archive_array(z: zipfile.ZipFile, key: str) -> np.ndarray:
         return world.read_npy(member, info.file_size)
 
 
+def _query_block(n: int) -> int:
+    """Columns per block of `GpModel.predict_many` over a model of n training
+    rows: the largest of n, 256 and 2^20 / n^2 (a block's product with the
+    (n, n) `chol_inv` then has at least 2^20 multiply-adds), rounded up to a
+    multiple of 8. On the OpenBLAS x86-64 (AVX-512) kernels it was chosen on,
+    blocks of this width, with the last block taking the remainder, gave the
+    bits of one product over all the queries for every n from 2 to 1000 and
+    every m tried; narrower blocks, or a last block of one or two columns,
+    run other kernels, and changed the last bit of some means and variances."""
+    return -(-max(n, 256, -(-(1 << 20) // (n * n))) // 8) * 8
+
+
 @dataclass(frozen=True)
 class GpModel:
     """Trained GP with one or more outputs on one kernel: immutable after
@@ -516,21 +530,41 @@ class GpModel:
     def predict_many(self, x_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and variance over (m, d) raw queries, for any m, as
         arrays on one BLAS thread: the means are (m,), or (p, m) with a (p, n)
-        `train.y`, and the (m,) variance is every output's. The queries'
-        standardization, kernel, `chol_inv` product and variance are computed
-        once, and each output's mean is its own dot with that kernel."""
+        `train.y`, and the (m,) variance is every output's.
+
+        The queries run in blocks of `_query_block(n)` columns, n = `train.n`,
+        the last block taking the remainder. Each block's standardization,
+        distances, kernel, `chol_inv` product and variance are computed once
+        for all outputs, in two (n, width) buffers made once for every block,
+        and each output's mean is its own dot with the kernel. The working set
+        grows with the model, about n^2 floats for n >= 256 as `chol` and
+        `chol_inv` do, not with n m, and the bits are those of one pass over
+        all the queries (see `_query_block`)."""
         x = np.atleast_2d(np.asarray(x_raw, dtype=float))
         if x.ndim != 2 or x.shape[1] != self.train.d:
             raise ValueError(f"queries have shape {x.shape}, not (m, {self.train.d})")
+        n, m = self.train.n, len(x)
+        block = _query_block(n)
+        bounds = [block * k for k in range(max(m // block, 1))] + [m]
+        width = m - bounds[-2]  # the last block is the widest
+        kernel, product = np.empty(n * width), np.empty(n * width)
+        means, variance = np.empty((len(self._outputs), m)), np.empty(m)
         with _blas.one_thread():
-            with np.errstate(over="ignore", invalid="ignore"):  # _sq_dists refuses NaN
-                d2 = _sq_dists(self.train.x, self.train.standardizer.apply(x))
-            k_star = _se_kernel(d2, self.kernel_divisor, self.signal_var, out=d2)
-            means = [k_star.T @ alpha + y_mean for alpha, y_mean in self._outputs]
-            v = self.chol_inv @ k_star
-        v *= v
-        variance = np.maximum(self.signal_var - np.sum(v, axis=0), 0.0)
-        return np.array(means) if self.alpha.ndim == 2 else means[0], variance
+            for lo, hi in zip(bounds, bounds[1:]):
+                k = kernel[: n * (hi - lo)].reshape(n, hi - lo)
+                v = product[: n * (hi - lo)].reshape(n, hi - lo)
+                with np.errstate(over="ignore", invalid="ignore"):  # _sq_dists refuses NaN
+                    xs = self.train.standardizer.apply(x[lo:hi])
+                    _sq_dists(self.train.x, xs, out=k, scratch=v)
+                _se_kernel(k, self.kernel_divisor, self.signal_var, out=k)
+                for mean, (alpha, y_mean) in zip(means, self._outputs):
+                    np.add(np.matmul(k.T, alpha, out=mean[lo:hi]), y_mean, out=mean[lo:hi])
+                np.matmul(self.chol_inv, k, out=v)
+                v *= v
+                np.sum(v, axis=0, out=variance[lo:hi])
+        np.subtract(self.signal_var, variance, out=variance)
+        np.maximum(variance, 0.0, out=variance)
+        return means if self.alpha.ndim == 2 else means[0], variance
 
     def save(self, path) -> None:
         """Serialize to an .npz archive; the factorization and LML are

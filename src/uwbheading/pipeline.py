@@ -316,15 +316,19 @@ def cmd_run(dataset_path, model_dir, cfg: RunConfig, out_dir) -> dict:
     runs = range(cfg.monte_carlo_runs)
     out_dir = Path(out_dir)  # made only now, so that bad input leaves no directory
     out_dir.mkdir(parents=True, exist_ok=True)
+
+    def each_run(cells):  # one list of n cells, repeated lazily for every run
+        return itertools.chain.from_iterable(itertools.repeat(cells, len(runs)))
+
     world.write_table(
         out_dir / "traces.csv",
         TRACE_COLUMNS,
         [
-            list(world.float_cells(t)) * len(runs),  # each t formatted once
+            each_run(list(world.float_cells(t))),  # each t formatted once
             itertools.chain.from_iterable(itertools.repeat(str(r), n) for r in runs),
             errs,
             # the runs share one covariance row: format it once too
-            list(world.float_cells(sigs[0])) * len(runs),
+            each_run(list(world.float_cells(sigs[0]))),
             mahals,
         ],
     )

@@ -13,6 +13,7 @@ whose std (or PSD) is zero draws nothing and leaves its columns out.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
@@ -101,6 +102,7 @@ class Rectangle:
 
     @classmethod
     def centered(cls, width: float, height: float) -> "Rectangle":
+        check(POSITIVE, width=width, height=height)
         return cls(-width / 2, width / 2, -height / 2, height / 2)
 
     @property
@@ -127,6 +129,7 @@ class Anchor:
     position: np.ndarray  # (2,) meters
 
     def __post_init__(self):
+        check(SEED, id=self.id)
         p = np.asarray(self.position, dtype=float).ravel()
         if p.shape != (2,) or not np.all(np.isfinite(p)):
             raise ValueError("anchor position must be a finite 2-vector")
@@ -399,6 +402,10 @@ def build_dataset(
 # ---------------------------------------------------------------------------
 # float-table CSV files: datasets, run traces and report tables
 
+_ROW_BLOCK = 512  # rows that write_table formats and writes at a time
+_SCAN_BYTES = 1 << 16  # bytes that read_table reads at a time
+_EDGE_BYTES = 256  # bytes read at a time over the whitespace at a table file's ends
+
 
 def row0_suffix_starts(rows) -> np.ndarray:
     """For each row of a 2-D float array, the column from which the row
@@ -415,10 +422,14 @@ def float_cells(values):
     A 2-D array formats row 0 once; each other row formats only the cells
     before the suffix it shares with row 0 (`row0_suffix_starts`), as
     Monte-Carlo runs do once they join run 0, and reuses row 0's text for
-    that suffix. A 1-D array's text is made only as it is consumed."""
+    that suffix. A 1-D array's text is made only as it is consumed,
+    `_ROW_BLOCK` cells at a time."""
     rows = np.atleast_2d(np.asarray(values, dtype=float))
     if len(rows) < 2:
-        return map(repr, rows.ravel().tolist())
+        cells = rows.ravel()
+        return itertools.chain.from_iterable(
+            map(repr, cells[i:i + _ROW_BLOCK].tolist()) for i in range(0, cells.size, _ROW_BLOCK)
+        )
     first = list(map(repr, rows[0].tolist()))
     return itertools.chain.from_iterable(
         itertools.chain(map(repr, row[:start].tolist()), first[start:])
@@ -427,36 +438,90 @@ def float_cells(values):
 
 
 def write_table(path, header, columns) -> None:
-    """Write equal-length `columns` under `header` as CSV, one row per index.
-    A numpy array column is written by `float_cells`; any other column is an
-    iterable of cells already in text (a repeated or integer column)."""
+    """Write equal-length `columns` under `header` as CSV, one row per index,
+    streamed to the file `_ROW_BLOCK` rows at a time, so that the text of one
+    block is in memory at once. A numpy array column is written by
+    `float_cells`; any other column is an iterable of cells already in text
+    (a repeated or integer column). Columns of different lengths raise
+    ValueError, and like any other failure leave no file at `path`."""
     cells = [float_cells(c) if isinstance(c, np.ndarray) else c for c in columns]
-    lines = [",".join(header), *map(",".join, zip(*cells, strict=True))]
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = zip(*cells, strict=True)
+    f = open(path, "w")
+    try:
+        with f:
+            f.write(",".join(header) + "\n")
+            while lines := list(map(",".join, itertools.islice(rows, _ROW_BLOCK))):
+                f.write("\n".join(lines))
+                f.write("\n")
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
+
+
+def _content_span(f) -> tuple[int, int]:
+    """The [start, end) bytes of the binary file `f` that `bytes.strip()`
+    keeps."""
+    end = f.seek(0, io.SEEK_END)
+    while end > 0:  # back over the trailing whitespace
+        step = min(_EDGE_BYTES, end)
+        f.seek(end - step)
+        kept = len(f.read(step).rstrip())
+        end -= step - kept
+        if kept:
+            break
+    start = f.seek(0)
+    while start < end:  # on over the leading whitespace
+        chunk = f.read(min(_EDGE_BYTES, end - start))
+        kept = len(chunk.lstrip())
+        start += len(chunk) - kept
+        if kept:
+            break
+    return start, end
 
 
 def read_table(path, header) -> np.ndarray:
     """A `write_table` CSV as an (n, len(header)) float array; a wrong
     header, a row of the wrong width or a cell that is not a number raises
-    ValueError naming the file. Parsed as bytes, not decoded: numpy converts
-    a bytes cell with float(), as a str one. CRLF line ends read as LF."""
+    ValueError naming the file. A row of the wrong width anywhere is reported
+    before a bad cell, and each is the file's first.
+
+    The file is read as `bytes.strip()` leaves it, in blocks of
+    `_SCAN_BYTES`; the whole rows of each block are checked and parsed into
+    an array, and the blocks' arrays are joined at the end. Parsed as bytes,
+    not decoded: numpy converts a bytes cell with float(), as a str one. CRLF
+    line ends read as LF."""
     path, width = Path(path), len(header)
-    head, _, body = path.read_bytes().strip().partition(b"\n")
-    if head.rstrip(b"\r") != ",".join(header).encode():
-        raise ValueError(f"bad header in {path}: expected {','.join(header)}")
-    if not body:
-        return np.empty((0, width))
-    # commas per line, counted over the bytes rather than in a loop over rows
-    buf = np.frombuffer(body, dtype=np.uint8)
-    ends = np.append(np.flatnonzero(buf == ord("\n")), buf.size)
-    commas = np.diff(np.searchsorted(np.flatnonzero(buf == ord(",")), ends), prepend=0)
-    if (commas != width - 1).any():
-        k = int(np.argmax(commas != width - 1))
-        raise ValueError(f"{path} line {k + 2}: bad row width, {commas[k] + 1} cells")
-    try:
-        return np.array(body.replace(b"\n", b",").split(b","), dtype=float).reshape(-1, width)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    parts, rows, rest, bad_cell = [np.empty((0, width))], 0, b"", None
+    with open(path, "rb") as f:
+        start, end = _content_span(f)
+        f.seek(start)
+        head = f.readline()[: end - start]  # the whole content if it has no "\n"
+        if head.rstrip(b"\n").rstrip(b"\r") != ",".join(header).encode():
+            raise ValueError(f"bad header in {path}: expected {','.join(header)}")
+        for at in range(start + len(head), end, _SCAN_BYTES):
+            block = rest + f.read(min(_SCAN_BYTES, end - at))
+            buf = np.frombuffer(block, dtype=np.uint8)
+            ends = np.flatnonzero(buf == ord("\n"))
+            cut = ends[-1] + 1 if ends.size else 0
+            if at + _SCAN_BYTES >= end:  # the last line, which has no "\n"
+                ends, cut = np.append(ends, len(block)), len(block)
+            rest = block[cut:]  # a line that goes on in the next block
+            # commas per line, counted over the bytes rather than in a loop over rows
+            commas = np.diff(np.searchsorted(np.flatnonzero(buf == ord(",")), ends), prepend=0)
+            if (commas != width - 1).any():
+                k = int(np.argmax(commas != width - 1))
+                raise ValueError(f"{path} line {rows + k + 2}: bad row width, {commas[k] + 1} cells")
+            rows += ends.size
+            if bad_cell is None:  # after one, only the widths are checked
+                cells = block.replace(b"\n", b",").split(b",")
+                del cells[width * ends.size:]  # the carried line, or the cell after "\n"
+                try:
+                    parts.append(np.array(cells, dtype=float).reshape(-1, width))
+                except ValueError as exc:
+                    bad_cell = exc
+    if bad_cell is not None:
+        raise ValueError(f"{path}: {bad_cell}") from bad_cell
+    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------

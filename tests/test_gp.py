@@ -228,6 +228,42 @@ def test_predict_rejects_overflowing_query():
             model.predict_many(np.full((rows, 3), 1.7e308))
     with pytest.raises(ValueError, match="too large"):
         model.predict(np.full(3, 1.7e308))
+    # on 256 training rows, 2 * 256 + 1 queries are two blocks of columns; the
+    # one overflowing row is in the first block, then in the last one
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(256, 3))
+    model = gp.GpModel.from_params(identity_train(x, np.sin(x[:, 0])), gp.SeKernelParams(1.0, 1.0, 0.1))
+    assert gp._query_block(256) == 256
+    for row in (0, -1):
+        queries = np.zeros((2 * 256 + 1, 3))
+        queries[row] = 1.7e308
+        with pytest.raises(ValueError, match="too large"):
+            model.predict_many(queries)
+
+
+def test_predict_many_working_set_grows_with_n_squared_not_n_m():
+    """The traced peak of a batch prediction over m = 20 n queries stays
+    within a small multiple of n^2 + m floats: the queries run in blocks of
+    n = 256 columns through buffers made once, not as (n, m) arrays."""
+    rng = np.random.default_rng(21)
+    n = 256
+    m = 20 * n
+    x = rng.normal(size=(n, 3))
+    model = gp.GpModel.from_params(
+        identity_train(x, np.array([np.sin(x[:, 0]), np.cos(x[:, 1])])),
+        gp.SeKernelParams(1.0, 1.0, 0.1), y_mean=[0.0, 0.0],
+    )
+    queries = rng.normal(size=(m, 3))
+    model.predict_many(queries[:2])  # warm-up: the cached inverse factor
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        means, variance = model.predict_many(queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert means.shape == (2, m) and variance.shape == (m,)
+    assert peak <= 4 * (n * n + m) * 8
 
 
 # --- fit ----------------------------------------------------------------------

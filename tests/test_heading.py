@@ -421,6 +421,17 @@ def test_inverse_factor_variance_matches_triangular_solve_on_bench_world(bench_p
         assert (np.abs(got - want) <= 1e-12 * want).all()
 
 
+def jittered_model(rng):
+    """A two-output model whose factorization needed jitter: 60 training
+    rows, 20 of them duplicates, and sigma_n far below the jitter."""
+    x = rng.normal(size=(40, 4))
+    x = np.vstack([x, x[:20]])
+    train = gp.TrainingSet.from_raw(x, np.array([np.sin(x[:, 0]), np.cos(x[:, 0])]))
+    model = gp.GpModel.from_params(train, gp.SeKernelParams(1.0, 1.0, 1e-9), y_mean=[0.0, 0.0])
+    assert model.jitter > 0.0
+    return model, x
+
+
 def test_inverse_factor_variance_matches_triangular_solve_with_jitter():
     """On a model whose factorization needed jitter (duplicate training rows,
     sigma_n far below the jitter), the variance from the inverse factor is
@@ -429,11 +440,7 @@ def test_inverse_factor_variance_matches_triangular_solve_with_jitter():
     jitter, 1e-10 sigma_f^2, where both formulas subtract two numbers near
     sigma_f^2: there they agree within 1e-14 sigma_f^2 (1.2e-15 measured)."""
     rng = np.random.default_rng(3)
-    x = rng.normal(size=(40, 4))
-    x = np.vstack([x, x[:20]])
-    train = gp.TrainingSet.from_raw(x, np.array([np.sin(x[:, 0]), np.cos(x[:, 0])]))
-    model = gp.GpModel.from_params(train, gp.SeKernelParams(1.0, 1.0, 1e-9), y_mean=[0.0, 0.0])
-    assert model.jitter > 0.0
+    model, x = jittered_model(rng)
     queries = rng.normal(size=(1000, 4))
     want = solve_variance(model, queries)
     one_row = np.array([model.predict(q)[1] for q in queries])
@@ -441,6 +448,46 @@ def test_inverse_factor_variance_matches_triangular_solve_with_jitter():
         assert (np.abs(got - want) <= 1e-12 * want).all()
     got, want = model.predict_many(x)[1], solve_variance(model, x)
     assert np.abs(got - want).max() <= 1e-14 * model.params.sigma_f**2
+
+
+def assert_batch_is_reference_bits(model, queries):
+    """`predict_many` over `queries` equals `reference_posterior`, which
+    makes one call of each product over all of them, byte for byte, for
+    every output of `model`."""
+    means, variance = model.predict_many(queries)
+    for k, mean in enumerate(np.atleast_2d(means)):
+        want_mean, want_variance = reference_posterior(model.output(k), queries, floor=0.0)
+        assert mean.tobytes() == want_mean.tobytes()
+        assert variance.tobytes() == want_variance.tobytes()
+
+
+def block_edge_sizes(n):
+    """Query counts at the edges of predict_many's blocks over n training
+    rows: around n, and around one, two and three blocks of columns."""
+    w = gp._query_block(n)
+    return (1, n - 1, n, n + 1, 2 * n + 1, w - 1, w, w + 1, 2 * w - 1, 2 * w, 2 * w + 1, 3 * w + 7)
+
+
+def test_batch_block_edges_match_reference_bits_on_bench_world(bench_pair):
+    """At query counts around the blocks of the benchmark-scale model
+    (n = 200, blocks of 256 columns), on that world's test rows, the batch
+    path gives the bits of the reference's one call over all the rows."""
+    pair, test = bench_pair
+    n = pair.model.train.n
+    assert n == 200 and gp._query_block(n) == 256
+    assert len(test.features) > max(block_edge_sizes(n))
+    for m in block_edge_sizes(n):
+        assert_batch_is_reference_bits(pair.model, test.features[:m])
+
+
+def test_batch_block_edges_match_reference_bits_with_jitter():
+    """As above, on the jittered model (n = 60, blocks of 296 columns) at
+    fresh queries."""
+    rng = np.random.default_rng(5)
+    model, _ = jittered_model(rng)
+    assert gp._query_block(model.train.n) == 296
+    for m in block_edge_sizes(model.train.n):
+        assert_batch_is_reference_bits(model, rng.normal(size=(m, 4)))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

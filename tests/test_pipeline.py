@@ -71,6 +71,10 @@ SETTINGS_FIELDS = [
     pytest.param(lambda v: world.PathLossModel(d0=v), "d0", id="path_loss.d0"),
     pytest.param(lambda v: world.AntennaPattern(g0=v), "g0", id="pattern.g0"),
     pytest.param(lambda v: world.Rectangle(0.0, v, 0.0, 1.0), "xmax", id="area.xmax"),
+    pytest.param(lambda v: world.Rectangle.centered(v, 2.0), "width", id="area.centered_width"),
+    pytest.param(lambda v: world.Rectangle.centered(4.0, v), "height",
+                 id="area.centered_height"),
+    pytest.param(lambda v: world.Anchor(v, (0.0, 0.0)), "id", id="anchor.id"),
     pytest.param(lambda v: gp.SeKernelParams(v, 1.0, 1.0), "sigma_f", id="kernel.sigma_f"),
     pytest.param(lambda v: gp.HyperparamSearchConfig(max_points=v), "max_points",
                  id="search.max_points"),

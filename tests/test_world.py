@@ -1,8 +1,10 @@
 import hashlib
 import io
+import itertools
 import math
 import re
 import tempfile
+import tracemalloc
 import zipfile
 from pathlib import Path
 from typing import NamedTuple
@@ -519,6 +521,106 @@ def test_write_of_read_dataset_is_byte_identical(tmp_path):
     again = tmp_path / "again.csv"
     world.write_dataset(again, world.read_dataset(path))
     assert again.read_bytes() == path.read_bytes()
+
+
+def one_string_table(header, columns) -> str:
+    """write_table's reference: every line in one string, one repr per float
+    cell, from columns that are float arrays or lists of text cells."""
+    cells = [list(map(repr, c.ravel().tolist())) if isinstance(c, np.ndarray) else c
+             for c in columns]
+    return "".join(",".join(row) + "\n" for row in [header, *zip(*cells)])
+
+
+@pytest.mark.parametrize("rows", [0, 1, world._ROW_BLOCK - 1, world._ROW_BLOCK,
+                                  world._ROW_BLOCK + 1])
+def test_write_table_equals_one_string_reference(tmp_path, rows):
+    rng = np.random.default_rng(rows)
+    columns = [np.arange(rows) / 7.0, [str(k) for k in range(rows)], rng.normal(size=rows)]
+    world.write_table(tmp_path / "t.csv", ["t", "k", "x"], columns)
+    assert (tmp_path / "t.csv").read_text() == one_string_table(["t", "k", "x"], columns)
+
+
+def test_write_table_of_joined_runs_equals_one_string_reference(tmp_path):
+    """A 2-D column of runs that join run 0 (the suffix whose text is reused)
+    at different epochs, with NaN cells, over more than two blocks of rows."""
+    rng = np.random.default_rng(2)
+    runs, n = 3, world._ROW_BLOCK - 100
+    base = rng.normal(size=n)
+    base[::7] = math.nan
+    errs = np.array([base] * runs)
+    errs[1, :150] = rng.normal(size=150)
+    errs[2, : n - 1] = rng.normal(size=n - 1)
+    t_cells = list(world.float_cells(np.arange(n) / 10.0))
+    header = ["t", "run", "error"]
+    world.write_table(tmp_path / "t.csv", header,
+                      [itertools.chain.from_iterable(itertools.repeat(t_cells, runs)),
+                       [str(r) for r in range(runs) for _ in range(n)], errs])
+    want = one_string_table(header, [t_cells * runs, [str(r) for r in range(runs) for _ in range(n)],
+                                     errs])
+    assert (tmp_path / "t.csv").read_text() == want
+    assert "nan" in want
+
+
+def test_write_table_short_column_leaves_no_file(tmp_path):
+    """Columns of different lengths are a ValueError, found after whole
+    blocks were written, and no partial file is left."""
+    path = tmp_path / "short.csv"
+    rows = 2 * world._ROW_BLOCK + 5
+    with pytest.raises(ValueError, match="shorter"):
+        world.write_table(path, ["a", "b"], [np.zeros(rows), np.zeros(rows - 1)])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_table_working_set_is_one_block(tmp_path):
+    """A 50k-row, five-column table is written with a traced peak below
+    1 MiB: its text is made and written a block of rows at a time."""
+    rows = 50_000
+    rng = np.random.default_rng(3)
+    t, err, sig, mahal = np.arange(rows) / 10.0, rng.normal(size=rows), rng.uniform(size=rows), \
+        rng.uniform(size=rows)
+    runs = [str(k // 1000) for k in range(rows)]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        world.write_table(tmp_path / "t.csv", ["t", "run", "error", "three_sigma", "mahalanobis"],
+                          [t, runs, err, sig, mahal])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len((tmp_path / "t.csv").read_text().splitlines()) == rows + 1
+    assert peak < 1 << 20
+
+
+def test_read_table_errors_in_a_later_block_keep_message_and_line(tmp_path, monkeypatch):
+    """A bad width or a bad cell in the third block that read_table reads
+    gives the message and line number that a whole-file parse gives; a bad
+    width is reported before a bad cell in an earlier block; a CRLF line
+    there reads as LF. Blocks of 4 KiB keep the file small."""
+    monkeypatch.setattr(world, "_SCAN_BYTES", 1 << 12)
+    path = tmp_path / "t.csv"
+    rows_per_block = world._SCAN_BYTES // 16  # each line below is 16 bytes
+    later = 2 * rows_per_block + 5
+    good = [b"%06d,1.5,-2.25" % k for k in range(3 * rows_per_block)]
+
+    def read_with(**changed):
+        lines = list(good)
+        for k, line in changed.items():
+            lines[int(k[1:])] = line
+        path.write_bytes(b"a,b,c\n" + b"\n".join(lines) + b"\n")
+        return world.read_table(path, ["a", "b", "c"])
+
+    expected = read_with()
+    assert expected.shape == (len(good), 3)
+    for changed, message in (
+        ({f"r{later}": b"1,2"}, f"{path} line {later + 2}: bad row width, 2 cells"),
+        ({f"r{later}": b"1,abc,2"}, f"{path}: could not convert string to float: b'abc'"),
+        ({"r3": b"1,abc,2", f"r{later}": b"1,2,3,4"},
+         f"{path} line {later + 2}: bad row width, 4 cells"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_with(**changed)
+    crlf = read_with(**{f"r{later}": good[later] + b"\r"})
+    assert crlf.tobytes() == expected.tobytes()
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
