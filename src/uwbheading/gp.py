@@ -401,10 +401,14 @@ def fit(train: TrainingSet, search: HyperparamSearchConfig | None = None) -> "Gp
 
 
 def _archive_array(z: zipfile.ZipFile, key: str) -> np.ndarray:
-    """The array `key` of an .npz archive, read by `world.read_npy`."""
+    """The array `key` of an .npz archive, read by `world.read_npy`;
+    ValueError unless it is float64, as `GpModel.save` writes it."""
     info = z.getinfo(f"{key}.npy")
     with z.open(info) as member:
-        return world.read_npy(member, info.file_size)
+        array = world.read_npy(member, info.file_size)
+    if array.dtype != np.float64:
+        raise ValueError(f"{key} holds {array.dtype}, not float64")
+    return array
 
 
 def _query_block(n: int) -> int:
@@ -609,7 +613,7 @@ class GpModel:
                     " and () or (p,)"
                 )
             train = TrainingSet(x=x, y=y, standardizer=Standardizer(mean=mean, scale=scale))
-            params, y_mean = SeKernelParams(*hyper.astype(float)), y_mean.astype(float)
+            params = SeKernelParams(*hyper)
             if not np.all(np.isfinite(y_mean)):
                 raise ValueError(f"y_mean must be finite, got {y_mean}")
         except ValueError as exc:

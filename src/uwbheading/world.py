@@ -13,7 +13,6 @@ whose std (or PSD) is zero draws nothing and leaves its columns out.
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import math
@@ -402,9 +401,7 @@ def build_dataset(
 # ---------------------------------------------------------------------------
 # float-table CSV files: datasets, run traces and report tables
 
-_ROW_BLOCK = 512  # rows that write_table formats and writes at a time
-_SCAN_BYTES = 1 << 16  # bytes that read_table reads at a time
-_EDGE_BYTES = 256  # bytes read at a time over the whitespace at a table file's ends
+_ROW_BLOCK = 512  # rows that write_table writes and read_table parses at a time
 
 
 def row0_suffix_starts(rows) -> np.ndarray:
@@ -458,70 +455,39 @@ def write_table(path, header, columns) -> None:
         raise
 
 
-def _content_span(f) -> tuple[int, int]:
-    """The [start, end) bytes of the binary file `f` that `bytes.strip()`
-    keeps."""
-    end = f.seek(0, io.SEEK_END)
-    while end > 0:  # back over the trailing whitespace
-        step = min(_EDGE_BYTES, end)
-        f.seek(end - step)
-        kept = len(f.read(step).rstrip())
-        end -= step - kept
-        if kept:
-            break
-    start = f.seek(0)
-    while start < end:  # on over the leading whitespace
-        chunk = f.read(min(_EDGE_BYTES, end - start))
-        kept = len(chunk.lstrip())
-        start += len(chunk) - kept
-        if kept:
-            break
-    return start, end
-
-
 def read_table(path, header) -> np.ndarray:
     """A `write_table` CSV as an (n, len(header)) float array; a wrong
     header, a row of the wrong width or a cell that is not a number raises
-    ValueError naming the file. A row of the wrong width anywhere is reported
-    before a bad cell, and each is the file's first.
+    ValueError naming the file. Every row's width is checked before any cell
+    is parsed, so a row of the wrong width anywhere is reported before a bad
+    cell, and each is the file's first.
 
-    The file is read as `bytes.strip()` leaves it, in blocks of
-    `_SCAN_BYTES`; the whole rows of each block are checked and parsed into
-    an array, and the blocks' arrays are joined at the end. Parsed as bytes,
-    not decoded: numpy converts a bytes cell with float(), as a str one. CRLF
+    The file is read once, as `bytes.strip()` leaves it, and its cells are
+    parsed `_ROW_BLOCK` rows at a time into the result. Parsed as bytes, not
+    decoded: numpy converts a bytes cell with float(), as a str one. CRLF
     line ends read as LF."""
     path, width = Path(path), len(header)
-    parts, rows, rest, bad_cell = [np.empty((0, width))], 0, b"", None
-    with open(path, "rb") as f:
-        start, end = _content_span(f)
-        f.seek(start)
-        head = f.readline()[: end - start]  # the whole content if it has no "\n"
-        if head.rstrip(b"\n").rstrip(b"\r") != ",".join(header).encode():
-            raise ValueError(f"bad header in {path}: expected {','.join(header)}")
-        for at in range(start + len(head), end, _SCAN_BYTES):
-            block = rest + f.read(min(_SCAN_BYTES, end - at))
-            buf = np.frombuffer(block, dtype=np.uint8)
-            ends = np.flatnonzero(buf == ord("\n"))
-            cut = ends[-1] + 1 if ends.size else 0
-            if at + _SCAN_BYTES >= end:  # the last line, which has no "\n"
-                ends, cut = np.append(ends, len(block)), len(block)
-            rest = block[cut:]  # a line that goes on in the next block
-            # commas per line, counted over the bytes rather than in a loop over rows
-            commas = np.diff(np.searchsorted(np.flatnonzero(buf == ord(",")), ends), prepend=0)
-            if (commas != width - 1).any():
-                k = int(np.argmax(commas != width - 1))
-                raise ValueError(f"{path} line {rows + k + 2}: bad row width, {commas[k] + 1} cells")
-            rows += ends.size
-            if bad_cell is None:  # after one, only the widths are checked
-                cells = block.replace(b"\n", b",").split(b",")
-                del cells[width * ends.size:]  # the carried line, or the cell after "\n"
-                try:
-                    parts.append(np.array(cells, dtype=float).reshape(-1, width))
-                except ValueError as exc:
-                    bad_cell = exc
-    if bad_cell is not None:
-        raise ValueError(f"{path}: {bad_cell}") from bad_cell
-    return np.concatenate(parts)
+    head, _, body = path.read_bytes().strip().partition(b"\n")
+    if head.rstrip(b"\r") != ",".join(header).encode():
+        raise ValueError(f"bad header in {path}: expected {','.join(header)}")
+    # commas per line, counted over the bytes rather than in a loop over rows
+    buf = np.frombuffer(body, dtype=np.uint8)
+    ends = np.append(np.flatnonzero(buf == ord("\n")), buf.size) if body else np.empty(0, int)
+    commas = np.diff(np.searchsorted(np.flatnonzero(buf == ord(",")), ends), prepend=0)
+    if (commas != width - 1).any():
+        k = int(np.argmax(commas != width - 1))
+        raise ValueError(f"{path} line {k + 2}: bad row width, {commas[k] + 1} cells")
+    out, at = np.empty((ends.size, width)), 0
+    for i in range(0, ends.size, _ROW_BLOCK):
+        end = int(ends[min(i + _ROW_BLOCK, ends.size) - 1])
+        try:
+            out[i:i + _ROW_BLOCK] = np.array(
+                body[at:end].replace(b"\n", b",").split(b","), dtype=float
+            ).reshape(-1, width)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        at = end + 1
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1296,6 +1296,14 @@ def _two_archives_own_kernels(path):
         ("models/heading_model.npz", _reshape_array("std_mean", lambda m: np.append(np.nan, m[1:])), 2,
          "heading_model.npz: standardizer means must be finite"),
         ("models/heading_model.npz", _flag_strong_encryption, 2, "heading_model.npz: strong encryption"),
+        # members of a dtype other than the float64 that save writes, none of them refused by a cast
+        ("models/heading_model.npz", _reshape_array("x", lambda x: x.astype(complex)), 2,
+         "heading_model.npz: x holds complex128, not float64"),
+        ("models/heading_model.npz",
+         _reshape_array("hyper", lambda h: (h * 1e9).astype(np.int64).astype("datetime64[ns]")), 2,
+         "heading_model.npz: hyper holds datetime64[ns], not float64"),
+        ("models/heading_model.npz", _reshape_array("y", lambda y: y > 0), 2,
+         "heading_model.npz: y holds bool, not float64"),
         ("models/heading_model.npz", _unclose_npy_header, 2, "heading_model.npz: ('EOF in multi-line statement'"),
         # a header that claims 16 TB: refused before anything is allocated
         ("models/heading_model.npz", _npz_member_edit("x.npy", lambda h: {**h, "shape": (200000000000, 10)}),
@@ -1318,6 +1326,7 @@ def _two_archives_own_kernels(path):
         "gp-sin-two-hyper", "gp-sin-four-hyper", "gp-sin-2d-hyper", "gp-sin-text-hyper",
         "gp-sin-vector-y-mean", "gp-sin-1d-x", "gp-sin-short-std-mean", "gp-sin-negative-hyper",
         "gp-sin-nan-y-mean", "gp-sin-nan-std-mean", "model-encryption-flag",
+        "model-complex-x", "model-datetime-hyper", "model-bool-y",
         "model-unclosed-npy-header", "model-huge-shape-header", "model-one-output", "gp-cos-own-kernel",
         "config-not-object", "config-section-not-object",
         "config-not-utf-8", "config-is-directory",
@@ -1336,3 +1345,66 @@ def test_cli_malformed_input_exit_code(workspace, tmp_path, capsys, target, edit
     assert pipeline.main(argv) == code
     assert message in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+def _fuzzed_datasets(data: bytes) -> list[bytes]:
+    """Forty seeded mutations of a dataset file's bytes: byte flips (six of
+    the low bit, which mostly keep a digit a digit, six of random bits),
+    truncations, the tokens nan, 1e999, NUL and 400 digits in a cell, CRLF
+    line ends, and whitespace before, after and inside the table."""
+    rng = np.random.default_rng(30)
+
+    def at():
+        return int(rng.integers(len(data)))
+
+    def with_cell(token):
+        lines = data.split(b"\n")
+        k = int(rng.integers(1, len(lines) - 1))
+        cells = lines[k].split(b",")
+        cells[int(rng.integers(len(cells)))] = token
+        lines[k] = b",".join(cells)
+        return b"\n".join(lines)
+
+    flips = [data[:k] + bytes([data[k] ^ bit]) + data[k + 1:]
+             for k, bit in ((at(), 1 if j < 6 else int(rng.integers(1, 256))) for j in range(12))]
+    cuts = [data[:at()] for _ in range(6)]
+    cells = [with_cell(token) for token in (b"nan", b"1e999", b"\x00", b"9" * 400) for _ in range(4)]
+    k = data.index(b"\n", at())
+    return [*flips, *cuts, *cells, data.replace(b"\n", b"\r\n"), data[:k] + b"\r" + data[k:],
+            b" \t\n" + data, data + b"\n \t\n", data[:k + 1] + b"  " + data[k + 1:],
+            with_cell(b" 1.5 ")]
+
+
+def _per_line_parse(data: bytes, header) -> np.ndarray | None:
+    """The table in `data` as one float() per cell of each line reads it, or
+    None if its header, a row's width or a cell is not a table's."""
+    head, *lines = data.strip().split(b"\n")
+    rows = [line.split(b",") for line in lines]
+    if head.rstrip(b"\r") != ",".join(header).encode() or any(len(r) != len(header) for r in rows):
+        return None
+    try:
+        return np.array([[float(c) for c in r] for r in rows]).reshape(-1, len(header))
+    except ValueError:
+        return None
+
+
+def test_cli_run_on_fuzzed_dataset_exits_0_or_2(workspace, tmp_path):
+    """Every mutation of the test split makes `run` exit 0 or 2 without
+    raising; read_table refuses each file that a per-line float() parse
+    refuses, reads each other one as it does, and `run` exits 0 only on
+    those."""
+    path = tmp_path / "test.csv"
+    shutil.copy(workspace / "data" / "test.meta.json", tmp_path / "test.meta.json")
+    codes = []
+    for k, data in enumerate(_fuzzed_datasets((workspace / "data" / "test.csv").read_bytes())):
+        path.write_bytes(data)
+        codes.append(pipeline.main(["run", "--estimator", "deadreckon", "--runs", "1",
+                                    "--dataset", str(path), "--out", str(tmp_path / f"r{k}")]))
+        want = _per_line_parse(data, world.DATASET_COLUMNS)
+        if want is None:
+            with pytest.raises(ValueError):
+                world.read_table(path, world.DATASET_COLUMNS)
+        else:
+            assert world.read_table(path, world.DATASET_COLUMNS).tobytes() == want.tobytes()
+        assert codes[-1] == 2 or (codes[-1] == 0 and want is not None), k
+    assert len(codes) == 40 and {0, 2} <= set(codes)

@@ -531,13 +531,26 @@ def one_string_table(header, columns) -> str:
     return "".join(",".join(row) + "\n" for row in [header, *zip(*cells)])
 
 
+def per_cell_parse(path, width) -> np.ndarray:
+    """read_table's reference: the file as `bytes.strip()` leaves it, one
+    float() per cell of each line after the header."""
+    lines = path.read_bytes().strip().split(b"\n")[1:]
+    return np.array([[float(c) for c in line.split(b",")] for line in lines]).reshape(-1, width)
+
+
 @pytest.mark.parametrize("rows", [0, 1, world._ROW_BLOCK - 1, world._ROW_BLOCK,
-                                  world._ROW_BLOCK + 1])
+                                  world._ROW_BLOCK + 1, 2 * world._ROW_BLOCK,
+                                  2 * world._ROW_BLOCK + 1])
 def test_write_table_equals_one_string_reference(tmp_path, rows):
+    """The written text equals the one-string reference, and read_table reads
+    it back as a per-cell float() parse does, bit for bit."""
     rng = np.random.default_rng(rows)
     columns = [np.arange(rows) / 7.0, [str(k) for k in range(rows)], rng.normal(size=rows)]
     world.write_table(tmp_path / "t.csv", ["t", "k", "x"], columns)
     assert (tmp_path / "t.csv").read_text() == one_string_table(["t", "k", "x"], columns)
+    table = world.read_table(tmp_path / "t.csv", ["t", "k", "x"])
+    assert table.shape == (rows, 3)
+    assert table.tobytes() == per_cell_parse(tmp_path / "t.csv", 3).tobytes()
 
 
 def test_write_table_of_joined_runs_equals_one_string_reference(tmp_path):
@@ -591,16 +604,35 @@ def test_write_table_working_set_is_one_block(tmp_path):
     assert peak < 1 << 20
 
 
-def test_read_table_errors_in_a_later_block_keep_message_and_line(tmp_path, monkeypatch):
-    """A bad width or a bad cell in the third block that read_table reads
-    gives the message and line number that a whole-file parse gives; a bad
-    width is reported before a bad cell in an earlier block; a CRLF line
-    there reads as LF. Blocks of 4 KiB keep the file small."""
-    monkeypatch.setattr(world, "_SCAN_BYTES", 1 << 12)
+def test_read_table_working_set_is_under_three_times_the_file(tmp_path):
+    """A 50k-row, five-column table is read with a traced peak below three
+    times its bytes: the file is held once and its cells are parsed a block
+    of rows at a time, not all in one list (about five times the file)."""
+    rows = 50_000
+    rng = np.random.default_rng(4)
+    header = ["t", "run", "error", "three_sigma", "mahalanobis"]
+    world.write_table(tmp_path / "t.csv", header,
+                      [np.arange(rows) / 10.0, [str(k // 1000) for k in range(rows)],
+                       rng.normal(size=rows), rng.uniform(size=rows), rng.uniform(size=rows)])
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        table = world.read_table(tmp_path / "t.csv", header)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (rows, 5)
+    assert peak < 3 * (tmp_path / "t.csv").stat().st_size
+
+
+def test_read_table_errors_in_a_later_block_keep_message_and_line(tmp_path):
+    """A bad width or a bad cell in the third block of `_ROW_BLOCK` rows that
+    read_table parses gives the message and line number that a whole-file
+    parse gives; a bad width there is reported before a bad cell in the
+    second block; a CRLF line there reads as LF."""
     path = tmp_path / "t.csv"
-    rows_per_block = world._SCAN_BYTES // 16  # each line below is 16 bytes
-    later = 2 * rows_per_block + 5
-    good = [b"%06d,1.5,-2.25" % k for k in range(3 * rows_per_block)]
+    earlier, later = world._ROW_BLOCK + 3, 2 * world._ROW_BLOCK + 5
+    good = [b"%06d,1.5,-2.25" % k for k in range(3 * world._ROW_BLOCK)]
 
     def read_with(**changed):
         lines = list(good)
@@ -614,7 +646,7 @@ def test_read_table_errors_in_a_later_block_keep_message_and_line(tmp_path, monk
     for changed, message in (
         ({f"r{later}": b"1,2"}, f"{path} line {later + 2}: bad row width, 2 cells"),
         ({f"r{later}": b"1,abc,2"}, f"{path}: could not convert string to float: b'abc'"),
-        ({"r3": b"1,abc,2", f"r{later}": b"1,2,3,4"},
+        ({f"r{earlier}": b"1,abc,2", f"r{later}": b"1,2,3,4"},
          f"{path} line {later + 2}: bad row width, 4 cells"),
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
