@@ -77,7 +77,10 @@ class SeKernelParams:
     sigma_n: float  # observation-noise std, output units
 
     def __post_init__(self):
-        world.check(world.POSITIVE, **vars(self))
+        # the kernel squares each value as a Python float and divides by sigma_l^2
+        world.check((lambda x: world.finite_number(x) and x > 0
+                     and 0 < float(x) * float(x) < math.inf,
+                     "a finite number > 0 whose square is finite and > 0"), **vars(self))
         for name, v in list(vars(self).items()):
             object.__setattr__(self, name, float(v))  # a Python float, bit for bit
 
@@ -177,10 +180,12 @@ def _sq_dists(a: np.ndarray, b: np.ndarray, out=None, scratch=None) -> np.ndarra
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    d2 = np.matmul(a, b.T, out=out)
-    d2 *= 2.0
-    norms = np.add(np.sum(a**2, axis=1)[:, None], np.sum(b**2, axis=1)[None, :], out=scratch)
-    return _clamp_distances(np.subtract(norms, d2, out=d2))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow: see _clamp_distances
+        d2 = np.matmul(a, b.T, out=out)
+        d2 *= 2.0
+        norms = np.add(np.sum(a**2, axis=1)[:, None], np.sum(b**2, axis=1)[None, :], out=scratch)
+        np.subtract(norms, d2, out=d2)
+    return _clamp_distances(d2)
 
 
 def _clamp_distances(d2: np.ndarray) -> np.ndarray:
@@ -197,7 +202,8 @@ def _clamp_distances(d2: np.ndarray) -> np.ndarray:
 def _se_kernel(d2: np.ndarray, divisor, signal_var, out=None) -> np.ndarray:
     """The SE kernel signal_var * exp(d2 / divisor) of squared distances `d2`,
     where `divisor` is -2 sigma_l^2 and `signal_var` is sigma_f^2, computed
-    into `out` (which may be `d2`) when given."""
+    into `out` (which may be `d2`) when given. An exponent that overflows to
+    -inf gives the limit 0, under np.errstate(over="ignore") in the caller."""
     k = np.divide(d2, divisor, out=out)
     np.exp(k, out=k)
     k *= signal_var
@@ -214,17 +220,21 @@ def _solve_lower(chol: np.ndarray, b: np.ndarray, trans=0) -> np.ndarray:
 
 
 def gram_matrix(a: np.ndarray, b: np.ndarray, params: SeKernelParams) -> np.ndarray:
-    return _se_kernel(_sq_dists(a, b), -2.0 * params.sigma_l**2, params.sigma_f**2)
+    with np.errstate(over="ignore"):  # see _se_kernel
+        return _se_kernel(_sq_dists(a, b), -2.0 * params.sigma_l**2, params.sigma_f**2)
 
 
 def _chol_with_jitter(k_noisy: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor, in a new Fortran-order array with a zero upper
     triangle, and the diagonal jitter added to obtain it, escalating the
     jitter on failure. `k_noisy` is left as it is; ValueError if it holds
-    inf or NaN.
+    inf or NaN, or if its diagonal's mean, the jitter's scale, overflows.
     """
-    base = float(np.mean(np.diag(k_noisy)))
     np.asarray_chkfinite(k_noisy)
+    with np.errstate(over="ignore"):
+        base = float(np.mean(np.diag(k_noisy)))
+    if base == math.inf:
+        raise ValueError("the covariance matrix is too large: its diagonal's mean overflows")
     jitter = 0.0
     while True:
         shifted = k_noisy if jitter == 0.0 else k_noisy + jitter * np.eye(k_noisy.shape[0])
@@ -472,10 +482,11 @@ class GpModel:
         halves = [_solve_lower(chol, y) for y in np.atleast_2d(yc)]
         alpha = np.array([_solve_lower(chol, half, trans=1) for half in halves])
         log_det = np.sum(np.log(np.diag(chol)))  # half the log determinant
-        lml = np.array([
-            -0.5 * np.dot(half, half) - log_det - 0.5 * train.n * math.log(2.0 * math.pi)
-            for half in halves
-        ])
+        with np.errstate(over="ignore"):  # an output too large to square has LML -inf
+            lml = np.array([
+                -0.5 * np.dot(half, half) - log_det - 0.5 * train.n * math.log(2.0 * math.pi)
+                for half in halves
+            ])
         if train.y.ndim == 1:
             alpha, y_mean, lml = alpha[0], float(y_mean), float(lml[0])
         return cls(train=train, params=params, chol=chol, alpha=alpha,
@@ -557,10 +568,10 @@ class GpModel:
             for lo, hi in zip(bounds, bounds[1:]):
                 k = kernel[: n * (hi - lo)].reshape(n, hi - lo)
                 v = product[: n * (hi - lo)].reshape(n, hi - lo)
-                with np.errstate(over="ignore", invalid="ignore"):  # _sq_dists refuses NaN
+                with np.errstate(over="ignore", invalid="ignore"):  # see _sq_dists, _se_kernel
                     xs = self.train.standardizer.apply(x[lo:hi])
                     _sq_dists(self.train.x, xs, out=k, scratch=v)
-                _se_kernel(k, self.kernel_divisor, self.signal_var, out=k)
+                    _se_kernel(k, self.kernel_divisor, self.signal_var, out=k)
                 for mean, (alpha, y_mean) in zip(means, self._outputs):
                     np.add(np.matmul(k.T, alpha, out=mean[lo:hi]), y_mean, out=mean[lo:hi])
                 np.matmul(self.chol_inv, k, out=v)

@@ -5,7 +5,7 @@ to pseudo-sine and pseudo-cosine of heading: its two outputs share one
 kernel, fitted by one hyperparameter search, and each prediction takes one
 kernel and one product with the model's cached inverse Cholesky factor for
 both. The model is saved as one archive, `heading_model.npz`. Its joint
-output is normalized onto SO(2) and the scalar heading variance is
+output is normalized onto SO(2), and the outputs' one posterior variance is
 propagated through the normalization with a first-order expansion.
 """
 
@@ -78,18 +78,17 @@ class UwbFeature:
 
 @dataclass(frozen=True)
 class PseudoTrig:
-    """Unconstrained GP predictions of sin/cos heading with their variances."""
+    """Unconstrained GP predictions of sin/cos heading and their one shared variance."""
 
     s: float
     c: float
-    var_s: float
-    var_c: float
+    var: float
 
     def __post_init__(self):
         if not (math.isfinite(self.s) and math.isfinite(self.c)):
             raise ValueError("pseudo-trig values must be finite")
-        if not (0.0 < self.var_s < math.inf and 0.0 < self.var_c < math.inf):
-            raise ValueError("pseudo-trig variances must be finite and positive")
+        if not 0.0 < self.var < math.inf:
+            raise ValueError("pseudo-trig variance must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -154,47 +153,39 @@ def predict_pseudo_trig(pair: HeadingGpPair, feature: UwbFeature) -> PseudoTrig:
     """`predict_pseudo_trig_arrays` at one feature, by the model's one-row
     `predict`."""
     (s, c), v = pair.model.predict(feature.as_vector())
-    v = max(v, VAR_FLOOR)
-    return PseudoTrig(s=s, c=c, var_s=v, var_c=v)
+    return PseudoTrig(s=s, c=c, var=max(v, VAR_FLOOR))
 
 
 def predict_pseudo_trig_arrays(pair: HeadingGpPair, vectors: np.ndarray):
     """Batch pseudo-trig prediction over (m, 10) raw feature vectors as
-    (s, c, var_s, var_c) arrays, variances floored at VAR_FLOOR. The two
-    outputs share one variance, so var_s and var_c are one array."""
+    (s, c, var) arrays, the variance floored at VAR_FLOOR."""
     (s, c), v = pair.model.predict_many(vectors)
-    v = np.maximum(v, VAR_FLOOR)
-    return s, c, v, v
+    return s, c, np.maximum(v, VAR_FLOOR)
 
 
-def predict_pseudo_trig_many(
-    pair: HeadingGpPair, vectors: np.ndarray
-) -> list[PseudoTrig]:
+def predict_pseudo_trig_many(pair: HeadingGpPair, vectors: np.ndarray) -> list[PseudoTrig]:
     """Batch pseudo-trig prediction over (m, 10) raw feature vectors."""
-    s, c, vs, vc = predict_pseudo_trig_arrays(pair, vectors)
-    return [
-        PseudoTrig(s=float(si), c=float(ci), var_s=float(vi), var_c=float(wi))
-        for si, ci, vi, wi in zip(s, c, vs, vc)
-    ]
+    arrays = predict_pseudo_trig_arrays(pair, vectors)
+    return [PseudoTrig(*row) for row in zip(*(a.tolist() for a in arrays))]
 
 
-def normalize_values(s: float, c: float, var_s: float, var_c: float):
+def normalize_values(s: float, c: float, var: float):
     """`normalize` on plain floats: (angle, variance) of one pseudo-trig
     pair, or None if its radius is below NORM_EPS."""
     norm = math.hypot(s, c)
     if norm < NORM_EPS:
         return None
-    var = (c * c * var_s + s * s * var_c) / norm**4
-    return math.atan2(s, c), max(var, VAR_FLOOR)
+    return math.atan2(s, c), max(var / (norm * norm), VAR_FLOOR)
 
 
 def normalize(pt: PseudoTrig) -> HeadingMeasurement:
     """Project pseudo-trig onto SO(2) and propagate the variance.
 
     The heading is atan2(s, c). Its variance is the first-order push-forward
-    of (var_s, var_c) through atan2, whose gradient is (c, -s) / r^2.
+    of the isotropic variance var through atan2, whose gradient is
+    (c, -s) / r^2: var (c^2 + s^2) / r^4 = var / r^2.
     """
-    projected = normalize_values(pt.s, pt.c, pt.var_s, pt.var_c)
+    projected = normalize_values(pt.s, pt.c, pt.var)
     if projected is None:
         raise DegeneratePredictionError(
             f"pseudo-trig radius {math.hypot(pt.s, pt.c):.3e} below {NORM_EPS};"

@@ -161,7 +161,7 @@ def cmd_generate(cfg: GenerateConfig, out_dir) -> dict:
 
 def cmd_train(dataset_path, cfg: TrainConfig, out_dir) -> heading.HeadingGpPair:
     """Train the two-output sin/cos GP and serialize it with a training
-    summary."""
+    summary: its one hyperparameter search, and each output's LML."""
     out_dir = Path(out_dir)
     stamps = [time.perf_counter()]  # stage boundaries: read, fit, save
     data = _read(world.read_dataset, dataset_path)
@@ -175,30 +175,19 @@ def cmd_train(dataset_path, cfg: TrainConfig, out_dir) -> heading.HeadingGpPair:
     stamps.append(time.perf_counter())
     pair.save(out_dir)
     stamps.append(time.perf_counter())
+    model = pair.model
     summary = {
         "n_records": len(data),
-        "n_used": int(pair.model.train.n),
+        "n_used": int(model.train.n),
         "max_points": cfg.max_points,
         "capped": len(data) > cfg.max_points,
         **dict(zip(("read_s", "fit_s", "save_s"), np.diff(stamps).tolist())),
-        "sin": _gp_summary(pair.gp_sin),
-        "cos": _gp_summary(pair.gp_cos),
+        **vars(model.params),
+        **{k: getattr(model, k) for k in ("lml_evals", "jittered_evals", "converged", "jitter")},
+        "log_marginal_likelihood": dict(zip(("sin", "cos"), model.lml.tolist())),
     }
     (out_dir / "training_summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     return pair
-
-
-def _gp_summary(model: gp.GpModel) -> dict:
-    return {
-        "sigma_f": model.params.sigma_f,
-        "sigma_l": model.params.sigma_l,
-        "sigma_n": model.params.sigma_n,
-        "log_marginal_likelihood": model.lml,
-        "lml_evals": model.lml_evals,
-        "jittered_evals": model.jittered_evals,
-        "converged": model.converged,
-        "jitter": model.jitter,
-    }
 
 
 def _measurements_for(estimator, data, pair, mag_var):
@@ -403,7 +392,7 @@ def _load_epoch_means(run_dir):
         raise DataError(f"{path}: holds {means.dtype} of shape {means.shape}, not float64"
                         f" of shape (5, n) with n >= 1 for the rows {EPOCH_MEANS_ROWS}")
     t = means[0]
-    if not (np.isfinite(t).all() and (np.diff(t) > 0).all()):
+    if not (np.isfinite(t).all() and (t[1:] > t[:-1]).all()):
         raise DataError(f"{path}: its t row is not finite and strictly increasing")
     return est, means
 
@@ -569,11 +558,8 @@ def main(argv=None) -> int:
                 print(f"{split}: {p}")
         elif args.command == "train":
             cfg = _build(TrainConfig, _config_section(args.config, "train"), {})
-            pair = cmd_train(args.dataset, cfg, args.out)
-            print(
-                f"trained: sin lml={pair.gp_sin.lml:.2f} cos lml={pair.gp_cos.lml:.2f}"
-                f" -> {args.out}"
-            )
+            lml = cmd_train(args.dataset, cfg, args.out).model.lml
+            print(f"trained: sin lml={lml[0]:.2f} cos lml={lml[1]:.2f} -> {args.out}")
         elif args.command == "run":
             cfg = _build(
                 RunConfig, _config_section(args.config, "run"),

@@ -510,7 +510,7 @@ def read_npy(fp, size: int) -> np.ndarray:
         raise ValueError(f"unsupported .npy format version {version}")
     try:
         shape, fortran_order, dtype = _NPY_HEADER_READERS[version](fp)
-    except tokenize.TokenError as exc:  # from numpy's parse of an unclosed header
+    except (tokenize.TokenError, TypeError, SyntaxError) as exc:  # from numpy's header parse
         raise ValueError(exc) from exc
     if dtype.hasobject:
         raise ValueError(f"an array of {dtype}, which holds Python objects, is not read")

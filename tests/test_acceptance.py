@@ -131,16 +131,14 @@ def test_criterion_2_gp_dense_oracle():
 def test_criterion_3_variance_propagation():
     start = time.perf_counter()
     rng = np.random.default_rng(2)
-    r_s = r_c = 0.0025
+    var = 0.0025
     worst_rel = 0.0
     for k in range(8):
         theta = -math.pi + (2 * math.pi) * (k + 0.5) / 8
-        pt = heading.PseudoTrig(
-            s=math.sin(theta), c=math.cos(theta), var_s=r_s, var_c=r_c
-        )
+        pt = heading.PseudoTrig(s=math.sin(theta), c=math.cos(theta), var=var)
         analytic = heading.normalize(pt).var_theta
-        s_draw = pt.s + math.sqrt(r_s) * rng.standard_normal(100_000)
-        c_draw = pt.c + math.sqrt(r_c) * rng.standard_normal(100_000)
+        s_draw = pt.s + math.sqrt(var) * rng.standard_normal(100_000)
+        c_draw = pt.c + math.sqrt(var) * rng.standard_normal(100_000)
         sampled = so2.wrap_angle(np.arctan2(s_draw, c_draw) - theta)
         worst_rel = max(worst_rel, abs(float(np.var(sampled)) - analytic) / analytic)
     elapsed = time.perf_counter() - start

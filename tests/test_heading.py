@@ -11,48 +11,59 @@ from uwbheading import _blas, gp, heading, pipeline, so2, world
 SMALL_SEARCH = gp.HyperparamSearchConfig(max_points=300)
 
 
-def unit_circle_trig(theta, r_s=0.0025, r_c=0.0025):
-    return heading.PseudoTrig(
-        s=math.sin(theta), c=math.cos(theta), var_s=r_s, var_c=r_c
-    )
+def unit_circle_trig(theta, var=0.0025):
+    return heading.PseudoTrig(s=math.sin(theta), c=math.cos(theta), var=var)
 
 
 # --- normalize ---------------------------------------------------------------
 
 
 def test_normalize_identity_point():
-    m = heading.normalize(heading.PseudoTrig(s=0.0, c=1.0, var_s=0.04, var_c=0.09))
+    m = heading.normalize(heading.PseudoTrig(s=0.0, c=1.0, var=0.04))
     assert np.allclose(m.rot, np.eye(2), atol=1e-15)
     assert m.var_theta == pytest.approx(0.04, rel=1e-12)
 
 
 def test_normalize_quarter_turn_swaps_roles():
-    m = heading.normalize(heading.PseudoTrig(s=1.0, c=0.0, var_s=0.77, var_c=0.09))
+    # at a quarter turn the tangent of the circle is the c axis; the one
+    # variance is both outputs', so the heading takes it as it is at r = 1
+    m = heading.normalize(heading.PseudoTrig(s=1.0, c=0.0, var=0.09))
     assert np.allclose(m.rot, so2.exp_so2(math.pi / 2), atol=1e-15)
     assert m.var_theta == pytest.approx(0.09, rel=1e-12)
 
 
 def test_normalize_radial_scale_shrinks_variance():
-    base = heading.normalize(heading.PseudoTrig(s=1.0, c=0.0, var_s=0.3, var_c=0.09))
-    scaled = heading.normalize(heading.PseudoTrig(s=2.0, c=0.0, var_s=0.3, var_c=0.09))
+    base = heading.normalize(heading.PseudoTrig(s=1.0, c=0.0, var=0.09))
+    scaled = heading.normalize(heading.PseudoTrig(s=2.0, c=0.0, var=0.09))
     assert np.allclose(scaled.rot, base.rot, atol=1e-15)
     assert scaled.var_theta == pytest.approx(base.var_theta / 4.0, rel=1e-12)
 
 
 def test_normalize_angle_is_atan2():
     for s, c in [(0.4, 1.2), (-0.9, 0.2), (2.0, -3.0), (-0.1, -0.1)]:
-        m = heading.normalize(heading.PseudoTrig(s=s, c=c, var_s=0.01, var_c=0.01))
+        m = heading.normalize(heading.PseudoTrig(s=s, c=c, var=0.01))
         assert so2.log_so2(m.rot) == pytest.approx(math.atan2(s, c), abs=1e-12)
 
 
 def test_normalize_rejects_degenerate_disc():
     with pytest.raises(heading.DegeneratePredictionError):
-        heading.normalize(heading.PseudoTrig(s=1e-4, c=1e-4, var_s=0.01, var_c=0.01))
+        heading.normalize(heading.PseudoTrig(s=1e-4, c=1e-4, var=0.01))
 
 
 def test_normalize_variance_floor():
-    m = heading.normalize(heading.PseudoTrig(s=0.0, c=1.0, var_s=1e-12, var_c=1e-12))
+    m = heading.normalize(heading.PseudoTrig(s=0.0, c=1.0, var=1e-12))
     assert m.var_theta == heading.VAR_FLOOR
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.0, -2.5, math.pi])
+def test_normalize_huge_radius_floors_the_variance(theta):
+    """At radius 1e100 the radius squared is 1e200 and its fourth power
+    overflows a float: the variance var / r^2 underflows to the floor, with
+    no OverflowError, and the angle is still atan2."""
+    s, c = 1e100 * math.sin(theta), 1e100 * math.cos(theta)
+    m = heading.normalize(heading.PseudoTrig(s=s, c=c, var=0.01))
+    assert m.angle == math.atan2(s, c) and m.var_theta == heading.VAR_FLOOR
+    assert heading.normalize_values(s, c, 0.01) == (m.angle, heading.VAR_FLOOR)
 
 
 @given(
@@ -64,22 +75,22 @@ def test_normalize_variance_floor():
 def test_normalize_scale_invariance_and_validity(s, c, a):
     if math.hypot(s, c) < 10 * heading.NORM_EPS:
         return
-    m1 = heading.normalize(heading.PseudoTrig(s=s, c=c, var_s=0.01, var_c=0.02))
-    m2 = heading.normalize(heading.PseudoTrig(s=a * s, c=a * c, var_s=0.01, var_c=0.02))
+    m1 = heading.normalize(heading.PseudoTrig(s=s, c=c, var=0.02))
+    m2 = heading.normalize(heading.PseudoTrig(s=a * s, c=a * c, var=0.02))
     assert so2.is_rotation(m1.rot, tol=1e-12)
     assert np.abs(m1.rot - m2.rot).max() < 1e-9
 
 
-def normalize_or_none(s, c, var_s, var_c):
+def normalize_or_none(s, c, var):
     try:
-        return heading.normalize(heading.PseudoTrig(s=s, c=c, var_s=var_s, var_c=var_c))
+        return heading.normalize(heading.PseudoTrig(s=s, c=c, var=var))
     except heading.DegeneratePredictionError:
         return None
 
 
-def assert_normalize_values_matches(s, c, var_s, var_c):
+def assert_normalize_values_matches(s, c, var):
     """normalize_values equals normalize bit for bit, None where it raises."""
-    for args in zip(s, c, var_s, var_c):
+    for args in zip(s, c, var):
         m = normalize_or_none(*args)
         got = heading.normalize_values(*args)
         if m is None:
@@ -100,7 +111,6 @@ EDGE_RADII = [
             st.sampled_from(EDGE_RADII) | st.floats(min_value=0.0, max_value=10.0),
             st.floats(min_value=-math.pi, max_value=math.pi),
             st.floats(min_value=heading.VAR_FLOOR, max_value=10.0),
-            st.floats(min_value=heading.VAR_FLOOR, max_value=10.0),
         ),
         min_size=1,
         max_size=20,
@@ -108,11 +118,9 @@ EDGE_RADII = [
 )
 @settings(max_examples=200)
 def test_normalize_values_matches_normalize(rows):
-    s = [r * math.sin(th) for r, th, _, _ in rows]
-    c = [r * math.cos(th) for r, th, _, _ in rows]
-    assert_normalize_values_matches(
-        s, c, [v for *_, v, _ in rows], [v for *_, v in rows]
-    )
+    s = [r * math.sin(th) for r, th, _ in rows]
+    c = [r * math.cos(th) for r, th, _ in rows]
+    assert_normalize_values_matches(s, c, [v for *_, v in rows])
 
 
 def test_normalize_values_degenerate_at_norm_eps():
@@ -120,9 +128,9 @@ def test_normalize_values_degenerate_at_norm_eps():
     eps = heading.NORM_EPS
     c = [math.nextafter(eps, 0.0), eps, math.nextafter(eps, 1.0), 0.0, -eps]
     s = [0.0] * len(c)
-    degenerate = [heading.normalize_values(0.0, ci, 0.01, 0.02) is None for ci in c]
+    degenerate = [heading.normalize_values(0.0, ci, 0.02) is None for ci in c]
     assert degenerate == [True, False, False, True, False]
-    assert_normalize_values_matches(s, c, [0.01] * 5, [0.02] * 5)
+    assert_normalize_values_matches(s, c, [0.02] * 5)
 
 
 def test_gp_measurements_match_normalize():
@@ -143,19 +151,20 @@ def test_gp_measurements_match_normalize():
     assert len(got) == len(many)
     assert got[-1] is None and sum(m is not None for m in got) >= 60
     for m, pt in zip(got, many):
-        ref = normalize_or_none(pt.s, pt.c, pt.var_s, pt.var_c)
+        ref = normalize_or_none(pt.s, pt.c, pt.var)
         if ref is None:
             assert m is None
         else:
             assert all(type(v) is float for v in m)  # Python floats, as the filter takes them
             assert np.array(m).tobytes() == np.array([ref.angle, ref.var_theta]).tobytes()
-    s, _, _, vc = heading.predict_pseudo_trig_arrays(pair, queries)
-    assert [pt.s for pt in many] == s.tolist() and [pt.var_c for pt in many] == vc.tolist()
+    s, _, v = heading.predict_pseudo_trig_arrays(pair, queries)
+    assert [pt.s for pt in many] == s.tolist() and [pt.var for pt in many] == v.tolist()
 
 
 def matrix_normalize(pt):
     """Reference: variance from the perturbation matrices D and E of the
-    scaled rotation, angle from the projected matrix."""
+    scaled rotation under the (s, c) covariance var I, angle from the
+    projected matrix."""
     eye, omega = np.eye(2), np.array([[0.0, -1.0], [1.0, 0.0]])
     s, c = pt.s, pt.c
     norm = math.hypot(s, c)
@@ -169,7 +178,7 @@ def matrix_normalize(pt):
 
     jac_c = skew(-(y.T @ d_mat))
     jac_s = skew(-(y.T @ e_mat))
-    var = jac_c**2 * pt.var_c + jac_s**2 * pt.var_s
+    var = jac_c**2 * pt.var + jac_s**2 * pt.var
     return so2.log_so2(so2.project_to_so2(y)), max(var, heading.VAR_FLOOR)
 
 
@@ -177,13 +186,10 @@ def matrix_normalize(pt):
     st.floats(min_value=heading.NORM_EPS, max_value=100.0),
     st.floats(min_value=-math.pi, max_value=math.pi),
     st.floats(min_value=1e-10, max_value=10.0),
-    st.floats(min_value=1e-10, max_value=10.0),
 )
 @settings(max_examples=300)
-def test_normalize_matches_matrix_reference(radius, theta, var_s, var_c):
-    pt = heading.PseudoTrig(
-        s=radius * math.sin(theta), c=radius * math.cos(theta), var_s=var_s, var_c=var_c
-    )
+def test_normalize_matches_matrix_reference(radius, theta, var):
+    pt = heading.PseudoTrig(s=radius * math.sin(theta), c=radius * math.cos(theta), var=var)
     if math.hypot(pt.s, pt.c) < heading.NORM_EPS:
         return
     angle, var = matrix_normalize(pt)
@@ -200,9 +206,7 @@ def test_normalize_radial_perturbation_insensitive():
         m = heading.normalize(unit_circle_trig(theta))
         eps = 1e-7
         m2 = heading.normalize(
-            heading.PseudoTrig(
-                s=s * (1 + eps), c=c * (1 + eps), var_s=0.0025, var_c=0.0025
-            )
+            heading.PseudoTrig(s=s * (1 + eps), c=c * (1 + eps), var=0.0025)
         )
         d = so2.wrap_angle(so2.log_so2(m2.rot) - so2.log_so2(m.rot))
         assert abs(d) < 1e-12
@@ -214,8 +218,8 @@ def test_normalize_variance_matches_monte_carlo():
     for theta in (0.0, math.pi / 3, -2.0, 2.9):
         pt = unit_circle_trig(theta)
         m = heading.normalize(pt)
-        s_draw = pt.s + math.sqrt(pt.var_s) * rng.standard_normal(20000)
-        c_draw = pt.c + math.sqrt(pt.var_c) * rng.standard_normal(20000)
+        s_draw = pt.s + math.sqrt(pt.var) * rng.standard_normal(20000)
+        c_draw = pt.c + math.sqrt(pt.var) * rng.standard_normal(20000)
         sampled = so2.wrap_angle(np.arctan2(s_draw, c_draw) - theta)
         assert np.var(sampled) == pytest.approx(m.var_theta, rel=0.15)
 
@@ -253,11 +257,9 @@ def test_measurement_requires_rotation_and_positive_variance():
 
 
 @pytest.mark.parametrize("var", [0.0, -1.0, math.inf, math.nan])
-@pytest.mark.parametrize("field", ["var_s", "var_c"])
-def test_pseudo_trig_variances_must_be_finite_and_positive(field, var):
-    values = {"s": 0.0, "c": 1.0, "var_s": 0.01, "var_c": 0.01, field: var}
-    with pytest.raises(ValueError, match="variances must be finite and positive"):
-        heading.PseudoTrig(**values)
+def test_pseudo_trig_variances_must_be_finite_and_positive(var):
+    with pytest.raises(ValueError, match="variance must be finite and positive"):
+        heading.PseudoTrig(s=0.0, c=1.0, var=var)
 
 
 # --- training ------------------------------------------------------------------
@@ -310,7 +312,7 @@ def test_predict_prior_reversion_far_from_training():
     pt = heading.predict_pseudo_trig(pair, far)
     assert pt.s == pytest.approx(np.mean(np.sin(gts)), abs=1e-6)
     assert pt.c == pytest.approx(np.mean(np.cos(gts)), abs=1e-6)
-    assert pt.var_s >= 0.5 * pair.gp_sin.params.sigma_f**2
+    assert pt.var >= 0.5 * pair.gp_sin.params.sigma_f**2
 
 
 def test_predict_is_deterministic():
@@ -329,8 +331,7 @@ def test_variance_floor_on_predictions():
     pt = heading.predict_pseudo_trig(
         pair, heading.UwbFeature(ranges=feats[0, :5], rss=feats[0, 5:])
     )
-    assert pt.var_s >= heading.VAR_FLOOR
-    assert pt.var_c >= heading.VAR_FLOOR
+    assert pt.var >= heading.VAR_FLOOR
 
 
 def reference_posterior(model, x_raw, floor=heading.VAR_FLOOR):
@@ -358,11 +359,12 @@ def test_shared_distance_prediction_matches_reference_bits():
         (s, vs), (c, vc) = (reference_posterior(m, rows) for m in (pair.gp_sin, pair.gp_cos))
         return np.array([s, c, vs, vc])
 
-    got = np.array(heading.predict_pseudo_trig_arrays(pair, queries))
-    assert got.tobytes() == reference(queries).tobytes()
+    # the one variance is each GP's own, bit for bit
+    s, c, v = heading.predict_pseudo_trig_arrays(pair, queries)
+    assert np.array([s, c, v, v]).tobytes() == reference(queries).tobytes()
     for row in queries:
         pt = heading.predict_pseudo_trig(pair, heading.UwbFeature(ranges=row[:5], rss=row[5:]))
-        got = np.array([[pt.s], [pt.c], [pt.var_s], [pt.var_c]])
+        got = np.array([[pt.s], [pt.c], [pt.var], [pt.var]])
         assert got.tobytes() == reference(row).tobytes()
 
 
@@ -385,13 +387,13 @@ def test_one_row_prediction_matches_reference_bits_on_bench_world(bench_pair):
     assert len(test) == 1000
     for ranges, rss in zip(test.ranges, test.rss):
         pt = heading.predict_pseudo_trig(pair, heading.UwbFeature(ranges=ranges, rss=rss))
-        assert all(type(v) is float for v in (pt.s, pt.c, pt.var_s, pt.var_c))
+        assert all(type(v) is float for v in (pt.s, pt.c, pt.var))
         row = np.concatenate([ranges, rss])
         (s, vs), (c, vc) = (reference_posterior(m, row) for m in (pair.gp_sin, pair.gp_cos))
         reference = np.concatenate([s, c, vs, vc]).tobytes()
-        assert np.array([pt.s, pt.c, pt.var_s, pt.var_c]).tobytes() == reference
-        batch = heading.predict_pseudo_trig_arrays(pair, row[None])
-        assert np.concatenate(batch).tobytes() == reference
+        assert np.array([pt.s, pt.c, pt.var, pt.var]).tobytes() == reference
+        s, c, v = heading.predict_pseudo_trig_arrays(pair, row[None])
+        assert np.concatenate([s, c, v, v]).tobytes() == reference
         means, variance = pair.model.predict(row)
         for k, model in enumerate((pair.gp_sin, pair.gp_cos)):
             expected = np.concatenate(reference_posterior(model, row, floor=0.0)).tobytes()
@@ -580,4 +582,4 @@ def test_pair_serialization_round_trip(tmp_path):
         heading.predict_pseudo_trig_many(loaded, queries),
     ):
         assert orig.s == pytest.approx(back.s, abs=1e-10)
-        assert orig.var_s == pytest.approx(back.var_s, abs=1e-10)
+        assert orig.var == pytest.approx(back.var, abs=1e-10)

@@ -76,6 +76,8 @@ SETTINGS_FIELDS = [
                  id="area.centered_height"),
     pytest.param(lambda v: world.Anchor(v, (0.0, 0.0)), "id", id="anchor.id"),
     pytest.param(lambda v: gp.SeKernelParams(v, 1.0, 1.0), "sigma_f", id="kernel.sigma_f"),
+    pytest.param(lambda v: gp.SeKernelParams(1.0, v, 1.0), "sigma_l", id="kernel.sigma_l"),
+    pytest.param(lambda v: gp.SeKernelParams(1.0, 1.0, v), "sigma_n", id="kernel.sigma_n"),
     pytest.param(lambda v: gp.HyperparamSearchConfig(max_points=v), "max_points",
                  id="search.max_points"),
     pytest.param(lambda v: pipeline.GenerateConfig(range_std=v), "range_std",
@@ -91,15 +93,24 @@ SETTINGS_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("build, name", SETTINGS_FIELDS)
-@pytest.mark.parametrize(
-    "value", [True, 10**400, "1", math.nan, math.inf],
-    ids=["bool", "400-digit-int", "numeric-string", "nan", "inf"],
-)
+NON_NUMBERS = [(True, "bool"), (10**400, "400-digit-int"), ("1", "numeric-string"),
+               (math.nan, "nan"), (math.inf, "inf")]
+
+
+@pytest.mark.parametrize("build, name, value", [
+    *(pytest.param(*field.values, value, id=f"{value_id}-{field.id}")
+      for value, value_id in NON_NUMBERS for field in SETTINGS_FIELDS),
+    # the kernel squares each value as a Python float, where 1e200**2 overflows
+    # and 1e-200**2 is 0, and divides by sigma_l's square
+    *(pytest.param(*field.values, value, id=f"square-{kind}-{field.id}")
+      for value, kind in ((1e200, "overflows"), (1e-200, "underflows"))
+      for field in SETTINGS_FIELDS if field.id.startswith("kernel.")),
+])
 def test_settings_reject_a_non_number_naming_the_field(build, name, value):
     """Every settings type checks its fields by world's value rules: a bool,
     an int beyond the float range, a string, NaN or inf is a ValueError that
-    names the field, not an OverflowError, a TypeError or an accepted value."""
+    names the field, not an OverflowError, a TypeError or an accepted value;
+    so is a kernel value whose square overflows or is 0."""
     with pytest.raises(ValueError, match=rf"^{name} must be "):
         build(value)
 
@@ -160,22 +171,29 @@ def test_generate_metadata_records_world(workspace):
 
 
 def test_train_writes_model_and_summary(workspace):
+    """The summary holds the one search of the pair once, at its top level,
+    and the log marginal likelihood of each output, equal to the bit to what
+    the saved model's own factorization gives."""
     summary = json.loads(
         (workspace / "models" / "training_summary.json").read_text()
     )
     assert summary["n_used"] <= SMALL_TRAIN.max_points
-    assert summary["sin"]["sigma_f"] > 0
     assert summary["fit_s"] > 0
     assert summary["read_s"] > 0 and summary["save_s"] > 0
-    for name in ("sin", "cos"):
-        gp_summary = summary[name]
-        assert math.isfinite(gp_summary["log_marginal_likelihood"])
-        assert gp_summary["lml_evals"] >= 1
-        assert 0 <= gp_summary["jittered_evals"] <= gp_summary["lml_evals"]
-        assert gp_summary["converged"] is True
-        assert gp_summary["jitter"] >= 0.0
+    assert "sin" not in summary and "cos" not in summary
+    assert all(summary[k] > 0 for k in ("sigma_f", "sigma_l", "sigma_n"))
+    assert summary["lml_evals"] >= 1
+    assert 0 <= summary["jittered_evals"] <= summary["lml_evals"]
+    assert summary["converged"] is True
+    assert summary["jitter"] >= 0.0
+    lml = summary["log_marginal_likelihood"]
+    assert set(lml) == {"sin", "cos"} and all(map(math.isfinite, lml.values()))
     pair = heading.HeadingGpPair.load(workspace / "models")
-    assert pair.gp_sin.train.d == 10
+    assert pair.model.train.d == 10
+    assert [lml["sin"], lml["cos"]] == pair.model.lml.tolist()
+    params = pair.model.params
+    assert [summary[k] for k in ("sigma_f", "sigma_l", "sigma_n")] == [
+        params.sigma_f, params.sigma_l, params.sigma_n]
 
 
 def test_train_rejects_tiny_dataset(tmp_path):
@@ -662,6 +680,9 @@ def _npy_resaved(edit):
          "needs 12000 bytes of data, but 11992 follow it"),
         ("epoch_means.npy", _npy_edit(lambda h: {**h, "shape": (math.prod(h["shape"]),)}),
          "float64 of shape (1500,), not float64 of shape (5, n)"),
+        # a descr whose parse by numpy raises a SyntaxError
+        ("epoch_means.npy", _npy_edit(lambda h: {**h, "descr": "08f8"}),
+         "leading zeros in decimal integer literals"),
         ("epoch_means.npy", _npy_resaved(lambda a: np.full(a.shape, "abc")),
          "<U3 of shape (5, 300), not float64"),
         ("epoch_means.npy", _npy_resaved(lambda a: a[:, :0]), "of shape (5, 0), not"),
@@ -684,7 +705,8 @@ def _npy_resaved(edit):
         ("metrics.json", lambda p: p.write_text('{"estimator": ["mag-iekf"]}'),
          "got ['mag-iekf']"),
     ],
-    ids=["wrong-header", "short-row", "short-then-long-row", "bad-token", "empty-cell",
+    ids=["wrong-header", "short-row", "short-then-long-row", "unparsable-descr", "bad-token",
+         "empty-cell",
          "epoch-major-rows", "run-ids-all-7", "pickled-objects", "huge-shape-header",
          "missing-epoch-means",
          "metrics-not-json", "metrics-not-object", "metrics-without-estimator",
@@ -715,6 +737,23 @@ def test_cli_report_input_is_directory(run_dirs, tmp_path, capsys, target):
     err = capsys.readouterr().err
     assert "data error" in err and str(d / target) in err
     assert not out.exists()
+
+
+def test_cli_report_takes_a_time_base_whose_gaps_overflow(run_dirs, tmp_path):
+    """A t row that is finite and strictly increasing, but whose first gap,
+    2e308, overflows a float: report checks the order without a subtraction,
+    so it exits 0 with no RuntimeWarning and writes that t row."""
+    d = tmp_path / "run"
+    shutil.copytree(run_dirs["mag-iekf"], d)
+    means = np.load(d / "epoch_means.npy")
+    n = means.shape[1]
+    means[0] = np.concatenate([[-1e308], 1e308 + 1e294 * np.arange(n - 1)])
+    assert (means[0][1:] > means[0][:-1]).all()
+    np.save(d / "epoch_means.npy", means)
+    out = tmp_path / "report"
+    assert pipeline.main(["report", "--runs-dirs", str(d), "--out", str(out)]) == 0
+    t = world.read_table(out / "abs_error.csv", ("t", "abs_error_mag-iekf"))[:, 0]
+    assert t.tobytes() == means[0].tobytes()
 
 
 def test_report_reads_no_traces(run_dirs, tmp_path):
@@ -1215,31 +1254,34 @@ def _flag_strong_encryption(path):
     path.write_bytes(bytes(data))
 
 
-def _unclose_npy_header(path):
-    """Blank the `)` that closes x.npy's shape tuple in its header, with the
-    archive's CRCs kept valid."""
-    with zipfile.ZipFile(path) as z:
+def _rezipped(archive: bytes, member, edit) -> bytes:
+    """The .npz archive `archive` with the bytes of its `member` rewritten by
+    `edit`, and its CRCs kept valid."""
+    with zipfile.ZipFile(io.BytesIO(archive)) as z:
         members = {name: z.read(name) for name in z.namelist()}
-    header = members["x.npy"]
-    at = header.index(b")", header.index(b"'shape': ("))
-    members["x.npy"] = header[:at] + b" " + header[at + 1:]
-    with zipfile.ZipFile(path, "w") as z:
+    members[member] = edit(members[member])
+    out = io.BytesIO()
+    with zipfile.ZipFile(out, "w") as z:
         for name, data in members.items():
             z.writestr(name, data)
+    return out.getvalue()
+
+
+def _npz_member_bytes(member, edit):
+    """An edit of the .npz archive at a path by `_rezipped`."""
+    return lambda path: path.write_bytes(_rezipped(path.read_bytes(), member, edit))
+
+
+def _unclosed(header):
+    """The .npy bytes `header` with the `)` that closes its shape tuple blanked."""
+    at = header.index(b")", header.index(b"'shape': ("))
+    return header[:at] + b" " + header[at + 1:]
 
 
 def _npz_member_edit(member, header_edit):
     """An edit of the .npz archive at a path that rewrites the header of its
-    `member` by `_npy_rewritten`, with the archive's CRCs kept valid."""
-    def apply(path):
-        with zipfile.ZipFile(path) as z:
-            members = {name: z.read(name) for name in z.namelist()}
-        members[member] = _npy_rewritten(members[member], header_edit)
-        with zipfile.ZipFile(path, "w") as z:
-            for name, data in members.items():
-                z.writestr(name, data)
-
-    return apply
+    `member` by `_npy_rewritten`."""
+    return _npz_member_bytes(member, lambda data: _npy_rewritten(data, header_edit))
 
 
 def _one_output_model(path):
@@ -1291,6 +1333,11 @@ def _two_archives_own_kernels(path):
         ("models/heading_model.npz", _reshape_array("x", np.ravel), 2, "heading_model.npz"),
         ("models/heading_model.npz", _reshape_array("std_mean", lambda m: m[:3]), 2, "heading_model.npz"),
         ("models/heading_model.npz", _reshape_array("hyper", lambda h: -h), 2, "heading_model.npz"),
+        # one hyperparameter 1e200, whose square, which the kernel and the noise take, overflows
+        *(("models/heading_model.npz",
+           _reshape_array("hyper", lambda h, k=k: np.where(np.arange(3) == k, 1e200, h)), 2,
+           f"heading_model.npz: {name} must be a finite number > 0 whose square is finite and > 0")
+          for k, name in enumerate(("sigma_f", "sigma_l", "sigma_n"))),
         ("models/heading_model.npz", _reshape_array("y_mean", lambda m: np.full_like(m, np.nan)), 2,
          "heading_model.npz: y_mean must be finite"),
         ("models/heading_model.npz", _reshape_array("std_mean", lambda m: np.append(np.nan, m[1:])), 2,
@@ -1304,7 +1351,11 @@ def _two_archives_own_kernels(path):
          "heading_model.npz: hyper holds datetime64[ns], not float64"),
         ("models/heading_model.npz", _reshape_array("y", lambda y: y > 0), 2,
          "heading_model.npz: y holds bool, not float64"),
-        ("models/heading_model.npz", _unclose_npy_header, 2, "heading_model.npz: ('EOF in multi-line statement'"),
+        ("models/heading_model.npz", _npz_member_bytes("x.npy", _unclosed), 2,
+         "heading_model.npz: ('EOF in multi-line statement'"),
+        # a header key that is bytes, which numpy's parse fails to sort with the others
+        ("models/heading_model.npz", _npz_member_bytes("x.npy", lambda d: d.replace(b"'descr'", b"b'desc'")),
+         2, "heading_model.npz: '<' not supported between instances of"),
         # a header that claims 16 TB: refused before anything is allocated
         ("models/heading_model.npz", _npz_member_edit("x.npy", lambda h: {**h, "shape": (200000000000, 10)}),
          2, "heading_model.npz: the header's shape (200000000000, 10) of float64 needs 16000000000000 bytes"),
@@ -1325,9 +1376,11 @@ def _two_archives_own_kernels(path):
         "gp-sin-without-hyper",
         "gp-sin-two-hyper", "gp-sin-four-hyper", "gp-sin-2d-hyper", "gp-sin-text-hyper",
         "gp-sin-vector-y-mean", "gp-sin-1d-x", "gp-sin-short-std-mean", "gp-sin-negative-hyper",
+        "model-huge-sigma-f", "model-huge-sigma-l", "model-huge-sigma-n",
         "gp-sin-nan-y-mean", "gp-sin-nan-std-mean", "model-encryption-flag",
         "model-complex-x", "model-datetime-hyper", "model-bool-y",
-        "model-unclosed-npy-header", "model-huge-shape-header", "model-one-output", "gp-cos-own-kernel",
+        "model-unclosed-npy-header", "model-bytes-header-key", "model-huge-shape-header",
+        "model-one-output", "gp-cos-own-kernel",
         "config-not-object", "config-section-not-object",
         "config-not-utf-8", "config-is-directory",
     ],
@@ -1407,4 +1460,124 @@ def test_cli_run_on_fuzzed_dataset_exits_0_or_2(workspace, tmp_path):
         else:
             assert world.read_table(path, world.DATASET_COLUMNS).tobytes() == want.tobytes()
         assert codes[-1] == 2 or (codes[-1] == 0 and want is not None), k
+    assert len(codes) == 40 and {0, 2} <= set(codes)
+
+
+# --- seeded fuzz of the model archive and the run dir's report inputs ---------------
+
+# values a corrupted float member can hold: non-finite, beyond the float range
+# when squared, subnormal and signed zero
+FUZZ_FLOATS = (math.nan, math.inf, -math.inf, 1e300, -1e300, 1e200, 1e154, 1e-310, -0.0)
+FUZZ_DESCRS = ("<f4", ">f8", "<i8", "|b1", "<c16", "<U3", "|V8", "<M8[ns]", "|O")
+
+
+def _flip(data: bytes, rng, lo=0, low_bit=False) -> bytes:
+    k = int(rng.integers(lo, len(data)))
+    bits = 1 if low_bit else int(rng.integers(1, 256))
+    return data[:k] + bytes([data[k] ^ bits]) + data[k + 1:]
+
+
+def _fuzzed_npy(data: bytes, rng, kind: int) -> bytes:
+    """One seeded mutation of the .npy file `data`, of kind `kind` mod 8: a
+    flip of the low bit or of random bits in the array's bytes, a flip in
+    the header, a truncation, a forged shape, descr or fortran_order, or one
+    element set to a `FUZZ_FLOATS` value."""
+    array = np.load(io.BytesIO(data))
+    body = len(data) - array.nbytes  # where the array's bytes start
+    shape = array.shape
+    shapes = (shape[::-1], (), (*shape, 1), (array.size,), (0, *shape[1:]),
+              tuple(int(rng.integers(1, 10**12)) for _ in shape))
+
+    def set_element(raw):
+        values = np.frombuffer(raw, dtype=np.float64).copy()
+        values[int(rng.integers(values.size))] = FUZZ_FLOATS[int(rng.integers(len(FUZZ_FLOATS)))]
+        return values.tobytes()
+
+    kind %= 8
+    if kind < 2:
+        return _flip(data, rng, lo=body, low_bit=kind == 0)
+    if kind == 2:
+        return _flip(data[:body], rng) + data[body:]
+    if kind == 3:
+        return data[:int(rng.integers(len(data)))]
+    if kind == 4:
+        forged = shapes[int(rng.integers(len(shapes)))]
+        return _npy_rewritten(data, lambda h: {**h, "shape": forged})
+    if kind == 5:
+        descr = FUZZ_DESCRS[int(rng.integers(len(FUZZ_DESCRS)))]
+        return _npy_rewritten(data, lambda h: {**h, "descr": descr})
+    if kind == 6:
+        return _npy_rewritten(data, lambda h: {**h, "fortran_order": not h["fortran_order"]})
+    return _npy_rewritten(data, data_edit=set_element)
+
+
+def _fuzzed_archives(data: bytes) -> list[bytes]:
+    """Forty seeded mutations of a model archive: six byte flips and four
+    truncations of the whole file, and thirty `_fuzzed_npy` mutations of one
+    member each, re-zipped by `_rezipped`: five per member, of five
+    different kinds."""
+    rng = np.random.default_rng(31)
+    with zipfile.ZipFile(io.BytesIO(data)) as z:
+        names = z.namelist()
+    out = [_flip(data, rng) for _ in range(6)] + [data[:int(rng.integers(len(data)))]
+                                                  for _ in range(4)]
+    for j in range(30):
+        kind = j + j // len(names)
+        out.append(_rezipped(data, names[j % len(names)], lambda d: _fuzzed_npy(d, rng, kind)))
+    return out
+
+
+def _fuzzed_metrics(text: str) -> list[bytes]:
+    """Forty seeded mutations of a metrics.json: ten byte flips, eight
+    truncations, and 22 values each replaced by a JSON token that is not
+    what `run` writes there, or is another estimator."""
+    rng = np.random.default_rng(32)
+    data, metrics = text.encode(), json.loads(text)
+    tokens = (b"NaN", b"Infinity", b"-Infinity", b"1e999", b"\x00", b"9" * 400, b"null", b"[]",
+              b"{}", b'"gp-iekf"', b'"\\u0000"')
+    out = [_flip(data, rng) for _ in range(10)] + [data[:int(rng.integers(len(data)))]
+                                                   for _ in range(8)]
+    for j in range(22):
+        key = "estimator" if j % 4 == 0 else list(metrics)[int(rng.integers(len(metrics)))]
+        edited = json.dumps({**metrics, key: "@"}).encode()
+        out.append(edited.replace(b'"@"', tokens[int(rng.integers(len(tokens)))]))
+    return out
+
+
+def test_cli_run_on_fuzzed_model_exits_0_to_3(workspace, tmp_path):
+    """Every mutation of the model archive makes gp-iekf `run` exit 0 to 3
+    without raising and, unless it exits 0, leave no output directory; some
+    mutated archives still load (exit 0) and some are refused (exit 2)."""
+    archive = (workspace / "models" / "heading_model.npz").read_bytes()
+    (tmp_path / "models").mkdir()
+    codes = []
+    for k, data in enumerate(_fuzzed_archives(archive)):
+        (tmp_path / "models" / "heading_model.npz").write_bytes(data)
+        out = tmp_path / f"r{k}"
+        codes.append(pipeline.main(["run", "--estimator", "gp-iekf", "--runs", "1", "--dataset",
+                                    str(workspace / "data" / "test.csv"), "--models",
+                                    str(tmp_path / "models"), "--out", str(out)]))
+        assert codes[-1] in (0, 1, 2, 3) and (codes[-1] == 0) == out.exists(), k
+    assert len(codes) == 40 and {0, 2} <= set(codes)
+
+
+@pytest.mark.parametrize("target", ["metrics.json", "epoch_means.npy"])
+def test_cli_report_on_fuzzed_run_dir_exits_0_to_3(run_dirs, tmp_path, target):
+    """Every mutation of a run dir's metrics.json, or of its epoch_means.npy
+    (forty `_fuzzed_npy` mutations, every kind in turn), makes `report` exit
+    0 to 3 without raising and, unless it exits 0, write nothing; some
+    mutations are read (exit 0) and some refused (exit 2)."""
+    d = tmp_path / "run"
+    shutil.copytree(run_dirs["mag-iekf"], d)
+    if target == "metrics.json":
+        cases = _fuzzed_metrics((d / target).read_text())
+    else:
+        rng = np.random.default_rng(33)
+        cases = [_fuzzed_npy((d / target).read_bytes(), rng, j) for j in range(40)]
+    codes = []
+    for k, data in enumerate(cases):
+        (d / target).write_bytes(data)
+        out = tmp_path / f"report{k}"
+        codes.append(pipeline.main(["report", "--runs-dirs", str(d), "--out", str(out)]))
+        assert codes[-1] in (0, 1, 2, 3) and (codes[-1] == 0) == out.exists(), k
     assert len(codes) == 40 and {0, 2} <= set(codes)
