@@ -257,7 +257,14 @@ def test_measurement_requires_rotation_and_positive_variance():
 
 
 @pytest.mark.parametrize("var", [0.0, -1.0, math.inf, math.nan])
-def test_pseudo_trig_variances_must_be_finite_and_positive(var):
+@pytest.mark.parametrize("split_field", ["var_s", "var_c"])
+def test_pseudo_trig_variances_must_be_finite_and_positive(split_field, var):
+    # The sin and cos outputs share one posterior variance: a per-output
+    # variance is no field, so it cannot stand in for or beside the checked one.
+    with pytest.raises(TypeError, match=split_field):
+        heading.PseudoTrig(s=0.0, c=1.0, **{split_field: var})
+    with pytest.raises(TypeError, match=split_field):
+        heading.PseudoTrig(s=0.0, c=1.0, var=1.0, **{split_field: var})
     with pytest.raises(ValueError, match="variance must be finite and positive"):
         heading.PseudoTrig(s=0.0, c=1.0, var=var)
 
