@@ -115,7 +115,9 @@ class HeadingGpPair:
 
     @classmethod
     def load(cls, directory) -> "HeadingGpPair":
-        """ValueError naming the archive if it is not a two-output model."""
+        """ValueError naming the archive if it is not a two-output model whose
+        outputs `y` and their means `y_mean`, values of sin and cos, are all
+        in [-1, 1]."""
         path = Path(directory) / MODEL_FILE
         model = gp.GpModel.load(path)
         if model.train.y.shape[:-1] != (2,):
@@ -123,6 +125,12 @@ class HeadingGpPair:
                 f"bad model archive {path}: y has shape {model.train.y.shape},"
                 " not (2, n) for the sin and cos outputs"
             )
+        for key, values in (("y", model.train.y), ("y_mean", model.y_mean)):
+            if not (np.abs(values) <= 1.0).all():
+                raise ValueError(
+                    f"bad model archive {path}: {key} holds values outside [-1, 1],"
+                    " which no sin or cos takes"
+                )
         return cls(model)
 
 

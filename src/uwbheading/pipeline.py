@@ -6,7 +6,10 @@ plot-data export.
 float-level pass (`iekf.filter_runs`). Traces and report tables are written,
 like datasets, by `world.write_table`. `cmd_run` also saves the per-epoch
 means over its runs that `cmd_report` plots, as `epoch_means.npy`, so that
-the report reads those and never parses the traces back.
+the report reads those and never parses the traces back. `cmd_report`
+formats each mean once: it takes the `abs_error` and `minus_three_sigma`
+cells from the `mean_error` and `mean_three_sigma` text wherever the bits
+allow (`_abs_cells`, `_negated_cells`) and formats only the other cells.
 
 Subcommands: generate, train, run, report. Exit codes: 0 success,
 1 usage/config error, 2 data error, 3 numerical failure. Every input file is
@@ -412,6 +415,20 @@ def _negated_cells(cells) -> list[str]:
     return [c if c == "nan" else c[1:] if c[0] == "-" else "-" + c for c in cells]
 
 
+def _abs_cells(cells, values, absolute) -> list[str]:
+    """repr(a) for each a of the float array `absolute`, given `cells`, the
+    repr of each of `values`: the cell's text without its leading "-" where
+    np.abs of its value equals a bit for bit, else repr(a). For the mean
+    errors and mean |errors| of runs, they are equal at every epoch where all
+    runs' errors have one sign: the runs are summed in one order, and
+    rounding is symmetric in sign."""
+    out = [c[1:] if c[0] == "-" else c for c in cells]
+    differs = np.abs(values).view(np.int64) != absolute.view(np.int64)
+    for k in np.flatnonzero(differs).tolist():
+        out[k] = repr(float(absolute[k]))
+    return out
+
+
 def cmd_report(run_dirs, out_dir) -> list[Path]:
     """Aggregate the per-epoch means of run dirs, one run dir per estimator,
     into plot-data files. Reads each run dir's metrics.json and
@@ -435,15 +452,18 @@ def cmd_report(run_dirs, out_dir) -> list[Path]:
     written = []
     t_cells = list(world.float_cells(t))  # every file's t column, formatted once
 
-    for est, (_, err, _, sig, _) in loaded:
+    abs_columns = []  # each estimator's abs_error column, from its mean_error text
+    for est, (_, err, abs_err, sig, _) in loaded:
+        err_cells = list(world.float_cells(err))
         ms_cells = list(world.float_cells(sig))
         p = out_dir / f"error_bounds_{est}.csv"
         world.write_table(
             p,
             ["t", "mean_error", "mean_three_sigma", "minus_three_sigma"],
-            [t_cells, err, ms_cells, _negated_cells(ms_cells)],
+            [t_cells, err_cells, ms_cells, _negated_cells(ms_cells)],
         )
         written.append(p)
+        abs_columns.append(_abs_cells(err_cells, err, abs_err))
 
     with_mahal = [(est, means[4]) for est, means in loaded if np.isfinite(means[4]).any()]
     if with_mahal:
@@ -459,7 +479,7 @@ def cmd_report(run_dirs, out_dir) -> list[Path]:
     world.write_table(
         p,
         ["t"] + [f"abs_error_{est}" for est, _ in loaded],
-        [t_cells] + [means[2] for _, means in loaded],
+        [t_cells] + abs_columns,
     )
     written.append(p)
     return written

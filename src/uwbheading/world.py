@@ -19,6 +19,7 @@ import math
 import numbers
 import sys
 import tokenize
+import warnings
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -504,12 +505,19 @@ def read_npy(fp, size: int) -> np.ndarray:
     member of an .npz archive), as np.load reads it with allow_pickle=False.
     ValueError for a bad magic string or header, an array of Python objects,
     or a header whose shape and dtype do not account for exactly the bytes
-    that follow it; that is checked before anything is allocated."""
+    that follow it; that is checked before anything is allocated. A header
+    that parses only once numpy filters out Python 2's "L" suffixes of its
+    integers, which np.save never writes, is a bad header too: numpy would
+    warn on stderr and read on."""
     version = np.lib.format.read_magic(fp)
     if version not in _NPY_HEADER_READERS:
         raise ValueError(f"unsupported .npy format version {version}")
     try:
-        shape, fortran_order, dtype = _NPY_HEADER_READERS[version](fp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # numpy's only warning here: Python 2
+            shape, fortran_order, dtype = _NPY_HEADER_READERS[version](fp)
+    except UserWarning as exc:
+        raise ValueError("the header is in Python 2's syntax, which np.save never writes") from exc
     except (tokenize.TokenError, TypeError, SyntaxError) as exc:  # from numpy's header parse
         raise ValueError(exc) from exc
     if dtype.hasobject:

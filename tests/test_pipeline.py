@@ -601,14 +601,21 @@ def test_traces_and_report_are_pinned_at_the_reference_size(tmp_path):
 
 
 def test_negated_cells_equal_repr_of_negation():
-    """Flipping the sign of repr(x)'s text gives repr(-x): over random bit
-    patterns (every exponent, subnormals and NaN payloads included), signed
-    zeros, infinities and NaN."""
+    """Flipping the sign of repr(x)'s text gives repr(-x), and `_abs_cells`
+    gives repr(a) for each a of an abs array, whether a is np.abs(x) or some
+    cells of it differ: over random bit patterns (every exponent, subnormals
+    and NaN payloads included), signed zeros, infinities and NaN."""
     bits = np.random.default_rng(0).integers(-(2**63), 2**63 - 1, 20000, dtype=np.int64)
     values = [*bits.view(np.float64).tolist(), 0.0, -0.0, math.inf, -math.inf, math.nan,
               -math.nan, 5e-324, -5e-324, 1e16, 1.7976931348623157e308]
     cells = [repr(x) for x in values]
     assert pipeline._negated_cells(cells) == [repr(-x) for x in values]
+    absolute = np.abs(values)
+    perturbed = absolute.copy()
+    perturbed[::7] = -perturbed[::7]
+    perturbed.view(np.int64)[3::7] ^= 1  # the last bit of the mantissa
+    for a in (absolute, perturbed):
+        assert pipeline._abs_cells(cells, np.array(values), a) == [repr(x) for x in a.tolist()]
 
 
 def test_report_epoch_that_no_run_corrected_is_nan_without_warning(tmp_path, monkeypatch):
@@ -1245,6 +1252,16 @@ def _reshape_array(key, edit):
     return rewrite
 
 
+def _set_flat(k, value):
+    """An array edit that sets the array's entry k, in C order, to `value`."""
+    def edit(array):
+        array = array.copy()
+        array.flat[k] = value
+        return array
+
+    return edit
+
+
 def _flag_strong_encryption(path):
     """Set general-purpose flag bit 6 in the archive's first central
     directory entry, which zipfile refuses as strong encryption."""
@@ -1276,6 +1293,14 @@ def _unclosed(header):
     """The .npy bytes `header` with the `)` that closes its shape tuple blanked."""
     at = header.index(b")", header.index(b"'shape': ("))
     return header[:at] + b" " + header[at + 1:]
+
+
+def _python2_shape(header):
+    """The .npy bytes `header` with the first length of its shape tuple
+    written with Python 2's "L" suffix, and the header padded to its length."""
+    at = header.index(b",", header.index(b"'shape': ("))
+    end = header.index(b"\n")
+    return header[:at] + b"L" + header[at:end - 1] + header[end:]
 
 
 def _npz_member_edit(member, header_edit):
@@ -1359,6 +1384,14 @@ def _two_archives_own_kernels(path):
         # a header that claims 16 TB: refused before anything is allocated
         ("models/heading_model.npz", _npz_member_edit("x.npy", lambda h: {**h, "shape": (200000000000, 10)}),
          2, "heading_model.npz: the header's shape (200000000000, 10) of float64 needs 16000000000000 bytes"),
+        # a header that numpy parses only through its Python 2 filter, with a warning
+        ("models/heading_model.npz", _npz_member_bytes("x.npy", _python2_shape), 2,
+         "heading_model.npz: the header is in Python 2's syntax"),
+        # one output or mean far outside [-1, 1], which no sin or cos takes
+        ("models/heading_model.npz", _reshape_array("y", _set_flat(5, 1e300)), 2,
+         "heading_model.npz: y holds values outside [-1, 1]"),
+        ("models/heading_model.npz", _reshape_array("y_mean", _set_flat(1, 1e300)), 2,
+         "heading_model.npz: y_mean holds values outside [-1, 1]"),
         # one output where the sin and cos outputs belong
         ("models/heading_model.npz", _one_output_model, 2, "heading_model.npz: y has shape (120,), not (2, n)"),
         # a model directory trained with a kernel per GP, in the two-archive layout
@@ -1380,6 +1413,7 @@ def _two_archives_own_kernels(path):
         "gp-sin-nan-y-mean", "gp-sin-nan-std-mean", "model-encryption-flag",
         "model-complex-x", "model-datetime-hyper", "model-bool-y",
         "model-unclosed-npy-header", "model-bytes-header-key", "model-huge-shape-header",
+        "model-python2-npy-header", "model-huge-y", "model-huge-y-mean",
         "model-one-output", "gp-cos-own-kernel",
         "config-not-object", "config-section-not-object",
         "config-not-utf-8", "config-is-directory",
@@ -1395,8 +1429,11 @@ def test_cli_malformed_input_exit_code(workspace, tmp_path, capsys, target, edit
     argv = ["run", "--config", str(tmp_path / "cfg.json"), "--estimator", "gp-iekf",
             "--runs", "1", "--dataset", str(tmp_path / "data" / "test.csv"),
             "--models", str(tmp_path / "models"), "--out", str(tmp_path / "r")]
-    assert pipeline.main(argv) == code
+    with warnings.catch_warnings(record=True) as caught:  # what the CLI would print on stderr
+        warnings.simplefilter("always")
+        assert pipeline.main(argv) == code
     assert message in capsys.readouterr().err
+    assert not caught
     assert not (tmp_path / "r").exists()
 
 
